@@ -34,6 +34,7 @@ from .oracle import (
     FOUND,
     NOT_FOUND,
     UNKNOWN,
+    BudgetExceeded,
     OracleBudget,
     OracleResult,
     enumerate_collections,
@@ -41,9 +42,7 @@ from .oracle import (
     exact_rainbow_ham_path,
 )
 from .solver import (
-    BudgetExceeded,
     HamiltonianConnectivityResult,
-    SolverConfig,
     SolverOutcome,
     hamiltonian_or_connected,
     li2_dispatch,
@@ -77,7 +76,6 @@ __all__ = [
     "PathCertificate",
     "RainbowLinearForest",
     "ReductionPlan",
-    "SolverConfig",
     "SolverOutcome",
     "UNKNOWN",
     "build_extremal",

@@ -32,11 +32,12 @@ from .oracle import (
     FOUND,
     NOT_FOUND,
     UNKNOWN,
+    BudgetExceeded,
     OracleBudget,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
 )
-from .solver import BudgetExceeded, hamiltonian_or_connected, solve, solve_pair
+from .solver import hamiltonian_or_connected, solve, solve_pair
 from .structures import verify_certificate
 
 EXIT_PATH = 0

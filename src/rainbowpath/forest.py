@@ -69,18 +69,27 @@ class RainbowLinearForest:
             problems.append("fixed colors are not injective")
         return problems
 
-    def validate_against(self, collection: GraphCollection) -> list[str]:
-        """Structural problems plus color-membership problems w.r.t. a collection."""
+    def range_violations(self, collection: GraphCollection) -> list[str]:
+        """Structural problems plus vertices or colors outside a collection."""
         problems = self.structure_violations()
-        for v in self.vertices():
+        for v in sorted(self.vertices()):
             if not (0 <= v < collection.n_vertices):
                 problems.append(f"forest vertex {v} out of range")
-        for edge, color in sorted(self.fixed_colors.items()):
+        for color in sorted(self.colors()):
             if not (0 <= color < collection.n_colors):
                 problems.append(f"forest color {color} out of range")
-            elif not collection.has_edge(color, *edge):
-                problems.append(f"forest edge {edge} absent from its fixed color {color}")
         return problems
+
+    def validate_against(self, collection: GraphCollection) -> list[str]:
+        """Range problems, then edges missing from their fixed colors."""
+        problems = self.range_violations(collection)
+        if problems:
+            return problems
+        return [
+            f"forest edge {edge} absent from its fixed color {color}"
+            for edge, color in sorted(self.fixed_colors.items())
+            if not collection.has_edge(color, *edge)
+        ]
 
     def edges(self) -> list[Edge]:
         return [

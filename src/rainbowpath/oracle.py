@@ -1,10 +1,12 @@
 """Exact decision procedures for rainbow Hamiltonian paths and cycles.
 
-Exponential-time but exhaustive: depth-first search over vertex orders with
-forest components forced contiguous, pruned by an exact edge-to-color
-matchability test.  Used as ground truth against the constructive solver at
-desk scale.  Budgets make exhaustion explicit: an over-budget call reports
-Unknown, never a silent wrong answer.
+One exponential-time but exhaustive kernel, ``exact_search``, serves every
+caller: a depth-first search over vertex orders with forest components
+forced contiguous, pruned by an exact edge-to-color matchability test.  The
+oracles below use it as ground truth against the constructive solver at
+desk scale, and the solver's spanning-path fallback calls it directly.
+Budgets make exhaustion explicit: the kernel raises BudgetExceeded, which
+the oracles report as Unknown, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -12,20 +14,25 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
-from .forest import RainbowLinearForest
+from .forest import RainbowLinearForest, is_h_compatible
 from .model import (
     CycleCertificate,
     Edge,
     GraphCollection,
     InputError,
     PathCertificate,
+    _augment,
     canonical_edge,
 )
 
 FOUND = "found"
 NOT_FOUND = "not_found"
 UNKNOWN = "unknown"
+
+#: The search re-checks matchability after every this many chosen edges.
+MATCH_CHECK_INTERVAL = 4
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,14 @@ class OracleBudget:
             raise InputError("budget limits must be positive")
 
 
+class BudgetExceeded(RuntimeError):
+    """An exact search ran out of its budget; the answer is Unknown."""
+
+    def __init__(self, message: str, nodes: int) -> None:
+        super().__init__(message)
+        self.nodes = nodes
+
+
 @dataclass(frozen=True)
 class OracleResult:
     status: str
@@ -51,60 +66,123 @@ class OracleResult:
         return self.status == FOUND
 
 
-class _BudgetExhausted(Exception):
-    pass
+def exact_search(
+    collection: GraphCollection,
+    heads: Iterable[tuple[int, ...]],
+    budget: OracleBudget,
+    tail: tuple[int, ...] = (),
+    segments: tuple[tuple[int, ...], ...] = (),
+    reserved: frozenset[int] = frozenset(),
+    cycle: bool = False,
+) -> tuple[list[int] | None, dict[Edge, int] | None, int]:
+    """Depth-first search for a Hamiltonian order whose new edges are rainbow.
 
+    Each head in turn seeds a prefix, which grows by free vertices and by
+    ``segments`` (rigid paths, placed whole in either direction).  With a
+    ``tail`` (the fixed end of the path, in path order) the tail grows too,
+    from whichever end has fewer continuations, and the order closes by
+    joining the two; otherwise it closes open, or with ``cycle`` back onto
+    the prefix's first vertex.  A symmetry break at the close accepts open
+    orders and cycles in one direction only.  Chosen edges are matched
+    exactly to colors outside ``reserved``, every MATCH_CHECK_INTERVAL edges
+    and at the close.
 
-class _SearchState:
-    """Shared bookkeeping for the order-enumeration searches."""
+    Returns (order, edge -> color, nodes), with order None when no order
+    exists.  Raises BudgetExceeded once the node or time budget runs out.
+    """
+    n = collection.n_vertices
+    union = [0] * n
+    for color, row in enumerate(collection.adjacency):
+        if color not in reserved:
+            for x in range(n):
+                union[x] |= row[x]
+    admissible_memo: dict[Edge, list[int]] = {}
 
-    def __init__(self, collection: GraphCollection, reserved_colors: set[int],
-                 budget: OracleBudget, match_check_interval: int) -> None:
-        self.collection = collection
-        self.reserved = reserved_colors
-        self.budget = budget
-        self.interval = max(1, match_check_interval)
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit
-        # Union adjacency over colors that are free for non-forest edges.
-        masks = [0] * collection.n_vertices
-        for c in range(collection.n_colors):
-            if c in reserved_colors:
-                continue
-            row = collection.adjacency[c]
-            for v in range(collection.n_vertices):
-                masks[v] |= row[v]
-        self.free_union = masks
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            raise _BudgetExhausted
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
-
-    def admissible(self, edge: Edge) -> list[int]:
-        return [c for c in self.collection.colors_with_edge(*edge) if c not in self.reserved]
-
-    def matchable(self, edges: list[Edge]) -> dict[Edge, int] | None:
-        """Exact rainbow-colorability of ``edges`` outside the reserved colors."""
-        admissible = [self.admissible(e) for e in edges]
+    def matching(edges: list[Edge]) -> dict[Edge, int] | None:
+        admissible = []
+        for edge in edges:
+            colors = admissible_memo.get(edge)
+            if colors is None:
+                colors = [c for c in collection.colors_with_edge(*edge) if c not in reserved]
+                admissible_memo[edge] = colors
+            admissible.append(colors)
         owner: dict[int, int] = {}
-
-        def augment(idx: int, visited: set[int]) -> bool:
-            for color in admissible[idx]:
-                if color in visited:
-                    continue
-                visited.add(color)
-                if color not in owner or augment(owner[color], visited):
-                    owner[color] = idx
-                    return True
-            return False
-
         for idx in range(len(edges)):
-            if not augment(idx, set()):
+            if not _augment(idx, admissible, owner, set()):
                 return None
         return {edges[idx]: color for color, idx in owner.items()}
+
+    oriented = [(seg, seg[::-1]) for seg in segments]
+    in_segments = {x for seg in segments for x in seg}
+    suffix = list(reversed(tail))  # grows at its end, so stored reversed
+    deadline = time.monotonic() + budget.time_limit
+    nodes = 0
+
+    def candidates(end: int) -> list[tuple[tuple[int, ...], int]]:
+        row = union[end]
+        out = [((x,), -1) for x in sorted(free) if row >> x & 1]
+        for idx in sorted(segs_left):
+            for piece in oriented[idx]:
+                if row >> piece[0] & 1:
+                    out.append((piece, idx))
+        return out
+
+    def dfs() -> dict[Edge, int] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.node_limit:
+            raise BudgetExceeded(f"exact search exceeded {budget.node_limit} nodes", nodes)
+        if nodes % 256 == 0 and time.monotonic() > deadline:
+            raise BudgetExceeded("exact search exceeded its time budget", nodes)
+        if not free and not segs_left:
+            if suffix:
+                last = suffix[-1]
+            elif cycle:
+                if prefix[1] > prefix[-1]:
+                    return None
+                last = prefix[0]
+            else:
+                return None if prefix[0] > prefix[-1] else matching(chosen)
+            if not union[prefix[-1]] >> last & 1:
+                return None
+            return matching(chosen + [canonical_edge(prefix[-1], last)])
+        if chosen and len(chosen) % MATCH_CHECK_INTERVAL == 0 and matching(chosen) is None:
+            return None
+        moves, end_list = candidates(prefix[-1]), prefix
+        if suffix:
+            back = candidates(suffix[-1])
+            if not back:
+                return None
+            if len(back) < len(moves):  # fail-first: the end with fewer moves
+                moves, end_list = back, suffix
+        for added, seg in moves:
+            if seg < 0:
+                free.discard(added[0])
+            else:
+                segs_left.discard(seg)
+            a, b = end_list[-1], added[0]
+            chosen.append((a, b) if a < b else (b, a))
+            end_list.extend(added)
+            result = dfs()
+            if result is not None:
+                return result
+            chosen.pop()
+            del end_list[-len(added):]
+            if seg < 0:
+                free.add(added[0])
+            else:
+                segs_left.add(seg)
+        return None
+
+    for head in heads:
+        prefix = list(head)
+        free = set(range(n)) - set(prefix) - set(suffix) - in_segments
+        segs_left = set(range(len(segments)))
+        chosen: list[Edge] = []
+        assignment = dfs()
+        if assignment is not None:
+            return prefix + suffix[::-1], assignment, nodes
+    return None, None, nodes
 
 
 def _forest_blocks(collection: GraphCollection, forest: RainbowLinearForest,
@@ -114,12 +192,10 @@ def _forest_blocks(collection: GraphCollection, forest: RainbowLinearForest,
     None when no Hamiltonian u,v-path can contain the forest at all: an
     incompatible pair or a fixed color missing its edge.
     """
-    from .forest import is_h_compatible
-
     if not is_h_compatible(forest, u, v):
         return None
     for edge, color in forest.fixed_colors.items():
-        if not (0 <= color < collection.n_colors) or not collection.has_edge(color, *edge):
+        if not collection.has_edge(color, *edge):
             return None
     comp_u = forest.component_of(u) or (u,)
     comp_v = forest.component_of(v) or (v,)
@@ -136,20 +212,21 @@ def exact_rainbow_ham_path(
     v: int,
     forest: RainbowLinearForest | None = None,
     budget: OracleBudget = OracleBudget(),
-    match_check_interval: int = 4,
 ) -> OracleResult:
     """Decide existence of a rainbow Hamiltonian u,v-path containing ``forest``.
 
     Forest edges keep their fixed colors and are forced contiguous; all other
-    edges are matched to the remaining colors exactly.  Deterministic: the
-    same input and budget always yield the same outcome and certificate.
+    edges are matched to the remaining colors exactly.  Forest vertices and
+    colors outside the collection are input errors; an in-range fixed color
+    that lacks its edge is NotFound.  Deterministic: the same input and
+    budget always yield the same outcome and certificate.
     """
     collection.check_vertex(u)
     collection.check_vertex(v)
     if u == v:
         raise InputError("u and v must be distinct")
     forest = forest or RainbowLinearForest.empty()
-    problems = forest.structure_violations()
+    problems = forest.range_violations(collection)
     if problems:
         raise InputError("; ".join(problems))
     n = collection.n_vertices
@@ -158,96 +235,25 @@ def exact_rainbow_ham_path(
     blocks = _forest_blocks(collection, forest, u, v)
     if blocks is None:
         return OracleResult(NOT_FOUND)
-    prefix_block, suffix_block, middles = blocks
-    state = _SearchState(collection, forest.colors(), budget, match_check_interval)
-
-    placed = set(prefix_block) | set(suffix_block)
-    free_vertices = [x for x in range(n) if x not in placed and forest.degree_of(x) == 0]
-    # Middle components enter the order as rigid two-ended segments.
-    segment_ends = [(comp[0], comp[-1]) for comp in middles]
-
-    prefix = list(prefix_block)
-    suffix_rev = list(reversed(suffix_block))  # path tail stored reversed
-    chosen: list[Edge] = []
-    free_left = set(free_vertices)
-    segs_left = set(range(len(middles)))
-
-    def extension_ok(a: int, b: int) -> bool:
-        return bool(state.free_union[a] >> b & 1)
-
-    def candidates(end: int) -> list[tuple[str, int, int]]:
-        out: list[tuple[str, int, int]] = []
-        for x in sorted(free_left):
-            if extension_ok(end, x):
-                out.append(("v", x, 0))
-        for idx in sorted(segs_left):
-            e0, e1 = segment_ends[idx]
-            if extension_ok(end, e0):
-                out.append(("s", idx, 0))
-            if e1 != e0 and extension_ok(end, e1):
-                out.append(("s", idx, 1))
-        return out
-
-    def close_up() -> dict[Edge, int] | None:
-        edge = canonical_edge(prefix[-1], suffix_rev[-1])
-        if not extension_ok(prefix[-1], suffix_rev[-1]):
-            return None
-        return state.matchable(chosen + [edge])
-
-    def dfs() -> dict[Edge, int] | None:
-        state.tick()
-        if not free_left and not segs_left:
-            return close_up()
-        if len(chosen) % state.interval == 0 and chosen:
-            if state.matchable(chosen) is None:
-                return None
-        front = candidates(prefix[-1])
-        back = candidates(suffix_rev[-1])
-        if not front or not back:
-            return None
-        # Fail-first: extend whichever path end has fewer continuations.
-        use_front = len(front) <= len(back)
-        end_list = prefix if use_front else suffix_rev
-        for kind, ident, orient in front if use_front else back:
-            if kind == "v":
-                added = [ident]
-                free_left.discard(ident)
-            else:
-                comp = middles[ident]
-                added = list(comp if orient == 0 else reversed(comp))
-                segs_left.discard(ident)
-            edge = canonical_edge(end_list[-1], added[0])
-            end_list.extend(added)
-            chosen.append(edge)
-            result = dfs()
-            if result is not None:
-                return result
-            chosen.pop()
-            del end_list[-len(added):]
-            if kind == "v":
-                free_left.add(ident)
-            else:
-                segs_left.add(ident)
-        return None
-
+    prefix, suffix, middles = blocks
     try:
-        assignment = dfs()
-    except _BudgetExhausted:
-        return OracleResult(UNKNOWN, nodes=state.nodes)
-    if assignment is None:
-        return OracleResult(NOT_FOUND, nodes=state.nodes)
-    order = tuple(prefix + list(reversed(suffix_rev)))
+        order, assignment, nodes = exact_search(
+            collection, [prefix], budget, tail=suffix, segments=tuple(middles),
+            reserved=frozenset(forest.colors()),
+        )
+    except BudgetExceeded as exc:
+        return OracleResult(UNKNOWN, nodes=exc.nodes)
+    if order is None:
+        return OracleResult(NOT_FOUND, nodes=nodes)
     full = dict(forest.fixed_colors)
     full.update(assignment)
     coloring = tuple(full[canonical_edge(order[i], order[i + 1])] for i in range(n - 1))
-    cert = PathCertificate(order, coloring)
-    return OracleResult(FOUND, cert, state.nodes)
+    return OracleResult(FOUND, PathCertificate(tuple(order), coloring), nodes)
 
 
 def exact_rainbow_ham_cycle(
     collection: GraphCollection,
     budget: OracleBudget = OracleBudget(),
-    match_check_interval: int = 4,
 ) -> OracleResult:
     """Decide existence of a rainbow Hamiltonian cycle (n edges, distinct colors)."""
     n = collection.n_vertices
@@ -255,48 +261,16 @@ def exact_rainbow_ham_cycle(
         raise InputError(f"cycle oracle needs m >= n, got m={collection.n_colors}, n={n}")
     if n < 3:
         return OracleResult(NOT_FOUND)
-    state = _SearchState(collection, set(), budget, match_check_interval)
-    path = [0]
-    chosen: list[Edge] = []
-    left = set(range(1, n))
-
-    def dfs() -> dict[Edge, int] | None:
-        state.tick()
-        if not left:
-            if path[1] > path[-1]:  # each cycle visited once per direction
-                return None
-            if not state.free_union[path[-1]] >> 0 & 1:
-                return None
-            return state.matchable(chosen + [canonical_edge(path[-1], 0)])
-        if len(chosen) % state.interval == 0 and chosen:
-            if state.matchable(chosen) is None:
-                return None
-        end = path[-1]
-        for x in sorted(left):
-            if not state.free_union[end] >> x & 1:
-                continue
-            left.discard(x)
-            path.append(x)
-            chosen.append(canonical_edge(end, x))
-            result = dfs()
-            if result is not None:
-                return result
-            chosen.pop()
-            path.pop()
-            left.add(x)
-        return None
-
     try:
-        assignment = dfs()
-    except _BudgetExhausted:
-        return OracleResult(UNKNOWN, nodes=state.nodes)
-    if assignment is None:
-        return OracleResult(NOT_FOUND, nodes=state.nodes)
-    order = tuple(path)
+        order, assignment, nodes = exact_search(collection, [(0,)], budget, cycle=True)
+    except BudgetExceeded as exc:
+        return OracleResult(UNKNOWN, nodes=exc.nodes)
+    if order is None:
+        return OracleResult(NOT_FOUND, nodes=nodes)
     coloring = tuple(
         assignment[canonical_edge(order[i], order[(i + 1) % n])] for i in range(n)
     )
-    return OracleResult(FOUND, CycleCertificate(order, coloring), state.nodes)
+    return OracleResult(FOUND, CycleCertificate(tuple(order), coloring), nodes)
 
 
 ENUMERATION_VERTEX_BOUND = 5

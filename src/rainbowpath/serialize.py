@@ -85,39 +85,42 @@ def instance_to_dict(
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """Decode the instance schema; any malformed field raises InputError."""
     try:
         n = int(data["n"])
         m = int(data["m"])
         graphs = data["graphs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(graphs, list) or len(graphs) != m:
+            raise InputError(f"instance declares m={m} but carries {len(graphs)} graphs")
+        collection = GraphCollection.from_edge_lists(
+            n, [[(int(e[0]), int(e[1])) for e in glist] for glist in graphs]
+        )
+        forest = RainbowLinearForest.empty()
+        if "forest" in data and data["forest"]:
+            fdata = data["forest"]
+            comps = [tuple(int(x) for x in comp) for comp in fdata.get("components", [])]
+            colors = {
+                canonical_edge(int(u), int(v)): int(c)
+                for u, v, c in fdata.get("colors", [])
+            }
+            forest = RainbowLinearForest(tuple(comps), colors)
+            problems = forest.structure_violations()
+            if problems:
+                raise InputError("malformed forest: " + "; ".join(problems))
+        u = data.get("u")
+        v = data.get("v")
+        k = data.get("k")
+        return Instance(
+            collection,
+            forest,
+            int(u) if u is not None else None,
+            int(v) if v is not None else None,
+            int(k) if k is not None else None,
+        )
+    except InputError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from exc
-    if not isinstance(graphs, list) or len(graphs) != m:
-        raise InputError(f"instance declares m={m} but carries {len(graphs)} graphs")
-    collection = GraphCollection.from_edge_lists(
-        n, [[(int(e[0]), int(e[1])) for e in glist] for glist in graphs]
-    )
-    forest = RainbowLinearForest.empty()
-    if "forest" in data and data["forest"]:
-        fdata = data["forest"]
-        comps = [tuple(int(x) for x in comp) for comp in fdata.get("components", [])]
-        colors = {
-            canonical_edge(int(u), int(v)): int(c)
-            for u, v, c in fdata.get("colors", [])
-        }
-        forest = RainbowLinearForest(tuple(comps), colors)
-        problems = forest.structure_violations()
-        if problems:
-            raise InputError("malformed forest: " + "; ".join(problems))
-    u = data.get("u")
-    v = data.get("v")
-    k = data.get("k")
-    return Instance(
-        collection,
-        forest,
-        int(u) if u is not None else None,
-        int(v) if v is not None else None,
-        int(k) if k is not None else None,
-    )
 
 
 def load_instance(path: str) -> Instance:

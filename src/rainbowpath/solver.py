@@ -7,7 +7,9 @@ components into the path by end-splices and degree-sum rotations, then
 attaches the endpoint components; the identical-split case threads the
 forest through the two cliques via the deleted layer; the heavy-side case
 grows the forest inside the small side, contracts it, and routes an
-alternating path through the complete bipartite remainder.
+alternating path through the complete bipartite remainder.  When the
+rotation heuristic finds no spanning path, the fallback runs the oracle's
+exact-search kernel, so an exhausted budget raises its BudgetExceeded.
 
 Every quantity the underlying counting arguments pin down (unused-color
 budgets, path lengths, nonempty rotation windows) is asserted at runtime;
@@ -16,7 +18,6 @@ a violation raises InternalError with a repro bundle instead of degrading.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -36,10 +37,12 @@ from .model import (
     canonical_edge,
     check_hypothesis,
     degree,
+    path_certificate_violations,
     rainbow_assignment,
     sigma2,
     validate_path_certificate,
 )
+from .oracle import OracleBudget, exact_search
 from .structures import (
     ExtremalCertificate,
     certificate_violations,
@@ -48,20 +51,8 @@ from .structures import (
 )
 
 
-class BudgetExceeded(RuntimeError):
-    """The exhaustive spanning-path fallback ran out of budget (Unknown)."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    use_heuristic: bool = True
-    heuristic_stall_limit: int = 6
-    fallback_node_limit: int = 5_000_000
-    fallback_time_limit: float = 60.0
-    match_check_interval: int = 4
-
-
-DEFAULT_CONFIG = SolverConfig()
+#: End rotations the heuristic may spend per vertex before it gives up on a start.
+HEURISTIC_STALL_LIMIT = 6
 
 
 @dataclass
@@ -444,7 +435,7 @@ def _try_extend(collection: GraphCollection, order: list[int], colors: list[int]
 
 
 def _heuristic_spanning_path(
-    collection: GraphCollection, stall_limit: int
+    collection: GraphCollection,
 ) -> tuple[list[int], list[int]] | None:
     """Greedy growth plus end rotations; incomplete but fast on dense inputs."""
     n = collection.n_vertices
@@ -460,7 +451,7 @@ def _heuristic_spanning_path(
             if _try_extend(collection, order, colors, used, front=True):
                 stalls = 0
                 continue
-            if stalls >= stall_limit * n:
+            if stalls >= HEURISTIC_STALL_LIMIT * n:
                 break
             rotated = False
             for flip in (False, True):
@@ -491,59 +482,24 @@ def _heuristic_spanning_path(
 
 
 def _exhaustive_spanning_path(
-    collection: GraphCollection, config: SolverConfig
+    collection: GraphCollection, budget: OracleBudget = OracleBudget()
 ) -> tuple[list[int], list[int]] | None:
-    """Exact spanning rainbow path search over all vertex orders, budget-capped."""
+    """Exact spanning rainbow path search over all vertex orders, budget-capped.
+
+    Runs the oracle's search kernel from every start vertex in turn and
+    colors the first order it finds with ``rainbow_assignment``; raises
+    BudgetExceeded when the budget runs out.
+    """
     n = collection.n_vertices
-    union = collection.union_adjacency()
-    deadline = time.monotonic() + config.fallback_time_limit
-    nodes = 0
-
-    def colorize(edges: list[Edge]) -> dict[Edge, int] | None:
-        return rainbow_assignment(collection, edges)
-
-    for start in range(n):
-        order = [start]
-        chosen: list[Edge] = []
-        free = set(range(n)) - {start}
-
-        def dfs() -> dict[Edge, int] | None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > config.fallback_node_limit:
-                raise BudgetExceeded(f"fallback exceeded {config.fallback_node_limit} nodes")
-            if nodes % 256 == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded("fallback exceeded its time budget")
-            if not free:
-                if order[0] > order[-1]:
-                    return None
-                return colorize(chosen)
-            if chosen and len(chosen) % config.match_check_interval == 0:
-                if colorize(chosen) is None:
-                    return None
-            end = order[-1]
-            for x in sorted(free):
-                if not union[end] >> x & 1:
-                    continue
-                free.discard(x)
-                order.append(x)
-                chosen.append(canonical_edge(end, x))
-                result = dfs()
-                if result is not None:
-                    return result
-                chosen.pop()
-                order.pop()
-                free.add(x)
-            return None
-
-        assignment = dfs()
-        if assignment is not None:
-            colors = [assignment[canonical_edge(order[i], order[i + 1])] for i in range(n - 1)]
-            return order, colors
-    return None
+    order, _, _ = exact_search(collection, [(start,) for start in range(n)], budget)
+    if order is None:
+        return None
+    edges = [canonical_edge(order[i], order[i + 1]) for i in range(n - 1)]
+    assignment = rainbow_assignment(collection, edges)
+    return order, [assignment[edge] for edge in edges]
 
 
-def li2_dispatch(collection: GraphCollection, config: SolverConfig = DEFAULT_CONFIG) -> Li2Result:
+def li2_dispatch(collection: GraphCollection) -> Li2Result:
     """Trichotomy for collections with sigma2 >= |V|-2 in every color.
 
     Detects the identical two-clique split, then the independent heavy side;
@@ -568,14 +524,10 @@ def li2_dispatch(collection: GraphCollection, config: SolverConfig = DEFAULT_CON
         return Li2Result(kind="A3", X=X, Y=Y)
     if n == 1:
         return Li2Result(kind="A1", order=(0,), colors=())
-    if config.use_heuristic:
-        found = _heuristic_spanning_path(collection, config.heuristic_stall_limit)
-        if found is not None:
-            order, colors = found
-            _check_spanning_path(collection, order, colors)
-            return Li2Result(kind="A1", order=tuple(order), colors=tuple(colors),
-                             heuristic_used=True)
-    found = _exhaustive_spanning_path(collection, config)
+    found = _heuristic_spanning_path(collection)
+    heuristic_used = found is not None
+    if not heuristic_used:
+        found = _exhaustive_spanning_path(collection)
     if found is None:
         raise InternalError(
             "no spanning rainbow path, no identical split, no heavy side: "
@@ -583,20 +535,12 @@ def li2_dispatch(collection: GraphCollection, config: SolverConfig = DEFAULT_CON
             bundle={"n": n, "m": collection.n_colors},
         )
     order, colors = found
-    _check_spanning_path(collection, order, colors)
-    return Li2Result(kind="A1", order=tuple(order), colors=tuple(colors))
-
-
-def _check_spanning_path(collection: GraphCollection, order, colors) -> None:
-    if sorted(order) != list(range(collection.n_vertices)):
-        raise InternalError("spanning-path search emitted a non-permutation")
-    if len(set(colors)) != len(colors):
-        raise InternalError("spanning-path search emitted a repeated color")
-    for i, c in enumerate(colors):
-        if not collection.has_edge(c, order[i], order[i + 1]):
-            raise InternalError(
-                f"spanning-path edge ({order[i]},{order[i + 1]}) missing in color {c}"
-            )
+    path = PathCertificate(tuple(order), tuple(colors))
+    problems = path_certificate_violations(collection, path)
+    if problems:
+        raise InternalError("spanning-path search emitted an invalid path: " + "; ".join(problems))
+    return Li2Result(kind="A1", order=path.order, colors=path.coloring,
+                     heuristic_used=heuristic_used)
 
 
 # ---------------------------------------------------------------------------
@@ -1163,7 +1107,6 @@ def solve(
     u: int,
     v: int,
     k: int | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> SolverOutcome:
     """Find a rainbow Hamiltonian u,v-path containing the forest, or explain.
 
@@ -1195,7 +1138,7 @@ def solve(
     trace: list[dict] = []
     plan = select_deletion_set(forest, u, v, n, collection.n_colors)
     reduced = reduce_collection(collection, plan)
-    dispatch = li2_dispatch(reduced, config)
+    dispatch = li2_dispatch(reduced)
     _record(
         trace,
         stage="dispatch",
@@ -1256,7 +1199,6 @@ def solve_pair(
     collection: GraphCollection,
     u: int,
     v: int,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> SolverOutcome:
     """Forest-free specialization; extremal outcomes retag as B2/B3.
 
@@ -1264,7 +1206,7 @@ def solve_pair(
     heavy-side certificate with the pair inside the big side is a (stronger
     form of a) B3 certificate.
     """
-    outcome = solve(collection, RainbowLinearForest.empty(), u, v, 0, config)
+    outcome = solve(collection, RainbowLinearForest.empty(), u, v, 0)
     if outcome.extremal is None:
         return outcome
     old = outcome.extremal
@@ -1291,9 +1233,7 @@ class HamiltonianConnectivityResult:
         return "cycle" if self.cycle is not None else "connected"
 
 
-def hamiltonian_or_connected(
-    collection: GraphCollection, config: SolverConfig = DEFAULT_CONFIG
-) -> HamiltonianConnectivityResult:
+def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnectivityResult:
     """Rainbow Hamiltonian cycle, or rainbow Hamiltonian-connectedness witness.
 
     Runs the pair solver over every vertex pair; the first blocked pair
@@ -1307,7 +1247,7 @@ def hamiltonian_or_connected(
     paths: dict[tuple[int, int], PathCertificate] = {}
     for u in range(collection.n_vertices):
         for v in range(u + 1, collection.n_vertices):
-            outcome = solve_pair(collection, u, v, config)
+            outcome = solve_pair(collection, u, v)
             if outcome.extremal is not None:
                 cycle = cycle_from_extremal(collection, outcome.extremal)
                 return HamiltonianConnectivityResult(cycle=cycle, extremal=outcome.extremal)

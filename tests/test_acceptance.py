@@ -7,6 +7,7 @@ oracle-equivalence, and stage-accounting criteria.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import statistics
 import time
@@ -14,6 +15,7 @@ from itertools import permutations
 
 import pytest
 
+import rainbowpath.solver
 from rainbowpath import (
     FOUND,
     NOT_FOUND,
@@ -21,7 +23,6 @@ from rainbowpath import (
     GenSpec,
     GraphCollection,
     RainbowLinearForest,
-    SolverConfig,
     check_hypothesis,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
@@ -36,6 +37,7 @@ from rainbowpath import (
 )
 from rainbowpath.cli import load_report, main as cli_main
 from rainbowpath.gen import build_extremal
+from rainbowpath.serialize import dumps, outcome_to_dict
 
 from .conftest import clique_edges
 
@@ -188,6 +190,32 @@ def test_criterion_2_oracle_equivalence(trichotomy_suite):
     )
 
 
+#: sha256 of every corpus outcome plus both oracles' results on the
+#: perturbed-extremal slice; a refactor that changes any of them fails.
+PINNED_DIGEST = "572cd99239252071bb378e2c4c072fe7be2c95286f96879f82e637365ccf8718"
+
+
+def test_pinned_outcome_digest(trichotomy_suite):
+    records = trichotomy_suite["records"]
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(dumps(outcome_to_dict(rec["outcome"])).encode() + b"\n")
+    oracle_runs = 0
+    for rec in records[:SUITE_SIZE]:
+        if rec["index"] % 10 != 7 or rec["n"] > ORACLE_MAX_N:
+            continue
+        coll = rec["collection"]
+        for result in (exact_rainbow_ham_path(coll, rec["u"], rec["v"], rec["forest"]),
+                       exact_rainbow_ham_cycle(coll)):
+            cert = result.certificate
+            cert_data = None if cert is None else [list(cert.order), list(cert.coloring)]
+            h.update(dumps([result.status, result.nodes, cert_data]).encode() + b"\n")
+            oracle_runs += 1
+    assert h.hexdigest() == PINNED_DIGEST
+    print(f"ACCEPTANCE PIN PASS: {len(records)} outcomes and {oracle_runs} oracle "
+          "results match the pinned digest")
+
+
 def test_criterion_3_extremal_negatives():
     checked = 0
     for kind, sizes in (("B3", (4, 6, 8)), ("B2", (4, 5, 6, 7, 8))):
@@ -330,7 +358,7 @@ def test_criterion_7_rainbow_assignment_exhaustive():
           "0 disagreements")
 
 
-def test_criterion_8_performance_envelope():
+def test_criterion_8_performance_envelope(monkeypatch):
     times = []
     for seed in range(100):
         coll, forest, u, v = random_instance(
@@ -346,14 +374,14 @@ def test_criterion_8_performance_envelope():
         )
     median = statistics.median(times)
     assert median < 1.0, f"median solve time {median:.3f}s exceeds 1s"
-    fallback_cfg = SolverConfig(use_heuristic=False)
+    monkeypatch.setattr(rainbowpath.solver, "_heuristic_spanning_path", lambda *a: None)
     fallback_times = []
     for seed in range(3):
         coll, forest, u, v = random_instance(
             GenSpec(n=14, k=3, p=0.9, seed=95_000 + seed)
         )
         t0 = time.monotonic()
-        outcome = solve(coll, forest, u, v, 3, fallback_cfg)
+        outcome = solve(coll, forest, u, v, 3)
         dt = time.monotonic() - t0
         fallback_times.append(dt)
         assert outcome.path is not None

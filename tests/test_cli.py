@@ -1,6 +1,8 @@
 import json
 
-from rainbowpath import GraphCollection, OracleBudget, check_hypothesis
+import pytest
+
+from rainbowpath import GraphCollection, OracleBudget, RainbowLinearForest, check_hypothesis
 from rainbowpath.cli import (
     EXIT_EXTREMAL,
     EXIT_INPUT,
@@ -47,6 +49,18 @@ class TestSolveCommand:
         path = write_instance(tmp_path, complete_collection(5))
         assert main(["solve", path]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("field, value", [
+        ("forest", {"components": [[3, 4]], "colors": [[3, 4]]}),
+        ("u", "x"),
+        ("graphs", [[[0]]] + [[[0, 1]]] * 4),
+    ])
+    def test_malformed_instance_exit_two(self, tmp_path, field, value):
+        data = instance_to_dict(complete_collection(5), u=0, v=4)
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(data))
+        assert main(["solve", str(bad)]) == EXIT_INPUT
+
     def test_corollary_mode(self, tmp_path, capsys):
         coll, _ = build_extremal("B2", 5)
         path = write_instance(tmp_path, coll)
@@ -69,6 +83,12 @@ class TestOracleCommand:
         coll, _ = build_extremal("dirac_control", 5)
         path = write_instance(tmp_path, coll)
         assert main(["oracle", path, "--cycle"]) == EXIT_EXTREMAL
+
+    def test_out_of_range_forest_color_exit_two(self, tmp_path, capsys):
+        forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 99})
+        path = write_instance(tmp_path, complete_collection(8), forest, u=0, v=1, k=1)
+        assert main(["oracle", path]) == EXIT_INPUT
+        assert main(["solve", path]) == EXIT_INPUT
 
     def test_unknown_budget(self, tmp_path):
         path = write_instance(tmp_path, complete_collection(9), u=0, v=8)
@@ -140,7 +160,7 @@ class TestVerifyCommand:
         from rainbowpath import cli as climod
         from rainbowpath.model import PathCertificate
 
-        def broken_solve(collection, forest, u, v, k=None, config=None):
+        def broken_solve(collection, forest, u, v, k=None):
             order = list(range(collection.n_vertices))
             from rainbowpath.solver import SolverOutcome
             return SolverOutcome(

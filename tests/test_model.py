@@ -155,3 +155,10 @@ class TestPathCertificate:
     def test_canonical_edge_rejects_loop(self):
         with pytest.raises(InputError):
             canonical_edge(2, 2)
+
+
+def test_public_api_names_resolve():
+    import rainbowpath
+
+    missing = [name for name in rainbowpath.__all__ if not hasattr(rainbowpath, name)]
+    assert missing == []

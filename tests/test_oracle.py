@@ -44,6 +44,18 @@ class TestHamPath:
         forest = RainbowLinearForest.from_paths([(0, 1)], {(0, 1): 0})
         assert exact_rainbow_ham_path(k22, 2, 3, forest).status == NOT_FOUND
 
+    def test_forest_color_out_of_range_rejected(self):
+        coll = complete_collection(8)
+        forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 99})
+        with pytest.raises(InputError):
+            exact_rainbow_ham_path(coll, 0, 1, forest)
+
+    def test_forest_vertex_out_of_range_rejected(self):
+        coll = complete_collection(8)
+        forest = RainbowLinearForest.from_paths([(5, 60)], {(5, 60): 0})
+        with pytest.raises(InputError):
+            exact_rainbow_ham_path(coll, 0, 1, forest)
+
     def test_incompatible_pair_not_found(self):
         coll = complete_collection(5)
         forest = RainbowLinearForest.from_paths([(0, 2, 1)], {(0, 2): 0, (1, 2): 1})

@@ -1,13 +1,14 @@
 import pytest
 
+import rainbowpath.solver
 from rainbowpath import (
     FOUND,
     NOT_FOUND,
     BudgetExceeded,
     GraphCollection,
     InputError,
+    OracleBudget,
     RainbowLinearForest,
-    SolverConfig,
     check_hypothesis,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
@@ -22,6 +23,7 @@ from rainbowpath import (
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
 from rainbowpath.solver import (
     WorkingPath,
+    _exhaustive_spanning_path,
     absorb_components,
     attach_terminal_component,
 )
@@ -70,18 +72,18 @@ class TestLi2Dispatch:
         with pytest.raises(InputError):
             li2_dispatch(coll)
 
-    def test_fallback_equals_heuristic_existence(self):
-        for seed in range(10):
-            coll, _f, _u, _v = random_instance(GenSpec(n=8, k=0, p=0.8, seed=seed))
-            with_h = li2_dispatch(coll)
-            without = li2_dispatch(coll, SolverConfig(use_heuristic=False))
-            assert with_h.kind == without.kind == "A1"
+    def test_fallback_equals_heuristic_existence(self, monkeypatch):
+        colls = [random_instance(GenSpec(n=8, k=0, p=0.8, seed=seed))[0] for seed in range(10)]
+        with_h = [li2_dispatch(coll) for coll in colls]
+        monkeypatch.setattr(rainbowpath.solver, "_heuristic_spanning_path", lambda *a: None)
+        for coll, got in zip(colls, with_h):
+            without = li2_dispatch(coll)
+            assert got.kind == without.kind == "A1"
 
     def test_fallback_budget_escalates(self):
         coll = complete_collection(9, m=11)
-        tiny = SolverConfig(use_heuristic=False, fallback_node_limit=1)
         with pytest.raises(BudgetExceeded):
-            li2_dispatch(coll, tiny)
+            _exhaustive_spanning_path(coll, OracleBudget(node_limit=1))
 
 
 class TestAbsorption:
