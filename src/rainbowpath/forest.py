@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Edge, GraphCollection, InputError, canonical_edge, sigma2
+from .model import Edge, GraphCollection, InputError, InternalError, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -254,41 +254,44 @@ def select_deletion_set(
     )
 
 
-class ReductionBoundError(AssertionError):
+class ReductionBoundError(InternalError):
     """The reduced collection misses the guaranteed Ore bound.
 
     Signals that the input collection violated the n+k hypothesis (or the
     plan does not belong to it); the reduction itself cannot cause this.
+    ``bundle`` names the retained color, its sigma2 and the bound.
     """
 
 
 def reduce_collection(collection: GraphCollection, plan: ReductionPlan) -> GraphCollection:
     """Delete D from every retained color and relabel vertices densely.
 
+    Each row is compacted over D in descending order, so lower deleted
+    indices stay valid; rows are irreflexive, so no self bit survives.
     Asserts the inherited bound sigma2(G'_i) >= |V(G')| - 2 for every
     retained color, which the n+k hypothesis guarantees after removing
     k+2 vertices.
     """
-    keep = plan.new_to_old
+    cuts = [(d, (1 << d) - 1) for d in sorted(plan.deleted, reverse=True)]
     reduced_rows = []
     for color in plan.retained_colors:
         collection.check_color(color)
         row = collection.adjacency[color]
         masks = []
-        for old in keep:
-            mask = 0
-            for new_idx, other in enumerate(keep):
-                if other != old and row[old] >> other & 1:
-                    mask |= 1 << new_idx
+        for old in plan.new_to_old:
+            mask = row[old]
+            for d, low in cuts:
+                mask = (mask & low) | (mask >> (d + 1) << d)
             masks.append(mask)
         reduced_rows.append(tuple(masks))
-    reduced = GraphCollection(len(keep), tuple(reduced_rows))
+    reduced = GraphCollection(len(plan.new_to_old), tuple(reduced_rows))
     bound = reduced.n_vertices - 2
-    for c in range(reduced.n_colors):
-        value = sigma2(reduced, c)
+    for c, value in enumerate(reduced.sigma2s):
         if value < bound:
+            color = plan.retained_colors[c]
             raise ReductionBoundError(
-                f"sigma2 of reduced color {plan.retained_colors[c]} is {value} < {bound}; "
-                "input collection violates the n+k hypothesis"
+                f"sigma2 of reduced color {color} is {value} < {bound}; "
+                "input collection violates the n+k hypothesis",
+                bundle={"retained_color": color, "sigma2": value, "bound": bound},
             )
     return reduced

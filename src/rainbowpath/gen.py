@@ -203,7 +203,7 @@ def _repair_sigma2(masks: list[list[int]], n: int, bound: int) -> None:
     """Raise each color to the bound by joining its weakest non-adjacent pair."""
     for row in masks:
         while True:
-            degs = [bin(row[x]).count("1") for x in range(n)]
+            degs = [row[x].bit_count() for x in range(n)]
             worst = None
             for a in range(n):
                 for b in range(a + 1, n):
@@ -368,7 +368,7 @@ def audit_small_vertices(collection: GraphCollection) -> set[int]:
     out = set()
     for x in range(n):
         if all(
-            bin(collection.adjacency[c][x]).count("1") < n / 2
+            collection.adjacency[c][x].bit_count() < n / 2
             for c in range(collection.n_colors)
         ):
             out.add(x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -77,6 +78,11 @@ class GraphCollection:
     def n_colors(self) -> int:
         return len(self.adjacency)
 
+    @cached_property
+    def sigma2s(self) -> tuple[float, ...]:
+        """``sigma2`` of every color, computed once: the collection is immutable."""
+        return tuple(sigma2(self, c) for c in range(self.n_colors))
+
     def check_color(self, color: int) -> None:
         if not (0 <= color < self.n_colors):
             raise InputError(f"color {color} out of range [0,{self.n_colors})")
@@ -118,22 +124,33 @@ def degree(collection: GraphCollection, color: int, vertex: int) -> int:
     """Number of neighbors of ``vertex`` in the graph of ``color``."""
     collection.check_color(color)
     collection.check_vertex(vertex)
-    return bin(collection.adjacency[color][vertex]).count("1")
+    return collection.adjacency[color][vertex].bit_count()
 
 
 def sigma2(collection: GraphCollection, color: int) -> float:
-    """Minimum degree sum over non-adjacent pairs; infinity on complete graphs."""
+    """Minimum degree sum over non-adjacent pairs; infinity on complete graphs.
+
+    Vertices are scanned in ascending degree order.  Once twice the current
+    degree reaches the best sum, every pair not yet scanned has both degrees
+    at least that large, so the scan stops.
+    """
     collection.check_color(color)
     n = collection.n_vertices
     row = collection.adjacency[color]
-    degs = [bin(row[v]).count("1") for v in range(n)]
+    full = (1 << n) - 1
+    degs = [mask.bit_count() for mask in row]
     best: float = INFINITE_SIGMA2
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not row[u] >> v & 1:
-                s = degs[u] + degs[v]
-                if s < best:
-                    best = s
+    for u in sorted(range(n), key=degs.__getitem__):
+        du = degs[u]
+        if 2 * du >= best:
+            break
+        rest = full & ~row[u] & ~(1 << u)
+        while rest:
+            low = rest & -rest
+            s = du + degs[low.bit_length() - 1]
+            if s < best:
+                best = s
+            rest ^= low
     return best
 
 
@@ -145,7 +162,7 @@ def check_hypothesis(collection: GraphCollection, k: int) -> bool:
             f"got {collection.n_colors}"
         )
     bound = collection.n_vertices + k
-    return all(sigma2(collection, c) >= bound for c in range(collection.n_colors))
+    return all(value >= bound for value in collection.sigma2s)
 
 
 # ---------------------------------------------------------------------------

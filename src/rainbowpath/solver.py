@@ -39,7 +39,6 @@ from .model import (
     degree,
     path_certificate_violations,
     rainbow_assignment,
-    sigma2,
     validate_path_certificate,
 )
 from .oracle import OracleBudget, exact_search
@@ -511,8 +510,8 @@ def li2_dispatch(collection: GraphCollection) -> Li2Result:
     n = collection.n_vertices
     if collection.n_colors < n:
         raise InputError(f"dispatch needs at least n={n} colors, got {collection.n_colors}")
-    for c in range(collection.n_colors):
-        if sigma2(collection, c) < n - 2:
+    for c, value in enumerate(collection.sigma2s):
+        if value < n - 2:
             raise InputError(f"color {c} has sigma2 below |V|-2; dispatch precondition broken")
     split = detect_identical_split(collection)
     if split is not None:

@@ -37,7 +37,13 @@ from rainbowpath import (
 )
 from rainbowpath.cli import load_report, main as cli_main
 from rainbowpath.gen import build_extremal
-from rainbowpath.serialize import dumps, outcome_to_dict
+from rainbowpath.serialize import (
+    cycle_certificate_to_dict,
+    dumps,
+    extremal_certificate_to_dict,
+    outcome_to_dict,
+    path_certificate_to_dict,
+)
 
 from .conftest import clique_edges
 
@@ -214,6 +220,38 @@ def test_pinned_outcome_digest(trichotomy_suite):
     assert h.hexdigest() == PINNED_DIGEST
     print(f"ACCEPTANCE PIN PASS: {len(records)} outcomes and {oracle_runs} oracle "
           "results match the pinned digest")
+
+
+#: sha256 of ``hamiltonian_or_connected`` on seeded dense collections and the
+#: canonical B2/B3 builds; the corollary's paths and cycles are pinned too.
+PINNED_COROLLARY_DIGEST = "cfc228703b9c74782945db3079e8b0605c72fa944c0f6ba184327c77cf792eda"
+
+
+def _corollary_collections() -> list[GraphCollection]:
+    colls = [
+        random_instance(GenSpec(n=n, k=0, p=0.7, seed=70_000 + n))[0]
+        for n in (8, 9, 10, 11, 12)
+    ]
+    return colls + [build_extremal(kind, n)[0] for kind, n in (("B2", 9), ("B3", 10))]
+
+
+def test_pinned_corollary_digest():
+    h = hashlib.sha256()
+    kinds = []
+    for coll in _corollary_collections():
+        result = hamiltonian_or_connected(coll)
+        kinds.append(result.kind)
+        h.update(dumps({
+            "kind": result.kind,
+            "cycle": None if result.cycle is None else cycle_certificate_to_dict(result.cycle),
+            "extremal": None if result.extremal is None
+            else extremal_certificate_to_dict(result.extremal),
+            "paths": None if result.paths is None
+            else [[u, v, path_certificate_to_dict(c)] for (u, v), c in sorted(result.paths.items())],
+        }).encode() + b"\n")
+    assert h.hexdigest() == PINNED_COROLLARY_DIGEST
+    print(f"ACCEPTANCE COROLLARY PIN PASS: {len(kinds)} results ({', '.join(kinds)}) "
+          "match the pinned digest")
 
 
 def test_criterion_3_extremal_negatives():

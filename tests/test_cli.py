@@ -68,6 +68,26 @@ class TestSolveCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["outcome"] == "cycle"
 
+    def test_reduction_bound_error_writes_bundle(self, tmp_path, capsys, monkeypatch):
+        import rainbowpath.solver
+        from rainbowpath.forest import ReductionBoundError
+
+        def failing_reduce(collection, plan):
+            raise ReductionBoundError(
+                "sigma2 of reduced color 3 is 1 < 3",
+                bundle={"retained_color": 3, "sigma2": 1, "bound": 3},
+            )
+
+        monkeypatch.setattr(rainbowpath.solver, "reduce_collection", failing_reduce)
+        path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", path]) == EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        bundle_path = err.rsplit("repro bundle ", 1)[1].strip()
+        data = json.loads((tmp_path / bundle_path).read_text())
+        assert data["bundle"] == {"retained_color": 3, "sigma2": 1, "bound": 3}
+
 
 class TestOracleCommand:
     def test_found(self, tmp_path, capsys):

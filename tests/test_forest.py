@@ -5,6 +5,7 @@ import pytest
 from rainbowpath import (
     GraphCollection,
     InputError,
+    InternalError,
     RainbowLinearForest,
     is_h_compatible,
     reduce_collection,
@@ -156,8 +157,33 @@ class TestReduceCollection:
         assert sigma2(coll, 0) < n + 1
         forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 6})
         plan = select_deletion_set(forest, 4, 1, 7)
-        with pytest.raises(ReductionBoundError):
+        with pytest.raises(ReductionBoundError) as excinfo:
             reduce_collection(coll, plan)
+        assert isinstance(excinfo.value, InternalError)
+        assert excinfo.value.bundle == {"retained_color": 0, "sigma2": 0, "bound": 2}
+
+    def test_rows_match_brute_relabel(self):
+        ends_deleted = 0
+        for seed in range(40):
+            n = 7 + seed % 10
+            k = seed % ((n - 4) // 3 + 1)
+            coll, forest, u, v = random_instance(GenSpec(n=n, k=k, p=0.8, seed=seed))
+            plans = [
+                select_deletion_set(forest, u, v, n),
+                select_deletion_set(RainbowLinearForest.empty(), 0, n - 1, n),
+            ]
+            for plan in plans:
+                ends_deleted += {0, n - 1} <= plan.deleted
+                reduced = reduce_collection(coll, plan)
+                keep = plan.new_to_old
+                assert reduced.n_colors == len(plan.retained_colors)
+                for new_c, color in enumerate(plan.retained_colors):
+                    brute = tuple(
+                        sum(1 << j for j, other in enumerate(keep) if coll.has_edge(color, old, other))
+                        for old in keep
+                    )
+                    assert reduced.adjacency[new_c] == brute, (seed, plan.deleted, color)
+        assert ends_deleted >= 40
 
     def test_generated_instances_meet_bound(self):
         for seed in range(30):

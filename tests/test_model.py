@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,18 @@ class TestDegree:
             degree(k4, 0, 9)
 
 
+def _double_loop_sigma2(coll, color):
+    """Reference: every non-adjacent pair, degrees counted edge by edge."""
+    best = math.inf
+    for u in range(coll.n_vertices):
+        for v in range(coll.n_vertices):
+            if u < v and not coll.has_edge(color, u, v):
+                du = sum(coll.has_edge(color, u, x) for x in range(coll.n_vertices))
+                dv = sum(coll.has_edge(color, v, x) for x in range(coll.n_vertices))
+                best = min(best, du + dv)
+    return best
+
+
 class TestSigma2:
     def test_complete_is_infinite(self, k4):
         assert sigma2(k4, 0) == math.inf
@@ -55,14 +68,23 @@ class TestSigma2:
     @settings(max_examples=60, deadline=None)
     def test_matches_double_loop(self, coll):
         for color in range(coll.n_colors):
-            best = math.inf
-            for u in range(coll.n_vertices):
-                for v in range(coll.n_vertices):
-                    if u < v and not coll.has_edge(color, u, v):
-                        du = sum(coll.has_edge(color, u, x) for x in range(coll.n_vertices))
-                        dv = sum(coll.has_edge(color, v, x) for x in range(coll.n_vertices))
-                        best = min(best, du + dv)
-            assert sigma2(coll, color) == best
+            assert sigma2(coll, color) == _double_loop_sigma2(coll, color)
+
+    @pytest.mark.parametrize("density", [0, 0.3, 0.7, 0.95, 1])
+    def test_matches_double_loop_up_to_n40(self, density):
+        # Larger n and dense colors exercise the degree-order cutoff and
+        # degree ties, which n <= 6 barely reaches.
+        rng = random.Random(int(density * 100))
+        for n in (1, 2, 3, 7, 12, 19, 26, 33, 40):
+            lists = [
+                [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+                for _ in range(4)
+            ]
+            coll = GraphCollection.from_edge_lists(n, lists)
+            want = tuple(_double_loop_sigma2(coll, c) for c in range(coll.n_colors))
+            got = tuple(sigma2(coll, c) for c in range(coll.n_colors))
+            assert got == want and list(map(type, got)) == list(map(type, want)), (n, density)
+            assert coll.sigma2s == want
 
 
 class TestCheckHypothesis:

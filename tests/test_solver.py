@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import rainbowpath.model
 import rainbowpath.solver
 from rainbowpath import (
     FOUND,
@@ -398,3 +401,34 @@ class TestHamiltonianOrConnected:
         res = hamiltonian_or_connected(coll)
         assert res.kind == "cycle"
         assert validate_cycle_certificate(coll, res.cycle)
+
+    def test_sigma2_computed_once_per_collection(self, monkeypatch):
+        # Every module binding of sigma2 is counted, not only the one in
+        # model: a caller that imports its own copy must not escape.
+        original = rainbowpath.model.sigma2
+        calls = []
+
+        def counting(collection, color):
+            calls.append(color)
+            return original(collection, color)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "rainbowpath" or name.startswith("rainbowpath.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        n = 8
+        res = hamiltonian_or_connected(complete_collection(n))
+        assert res.kind == "connected"
+        # The full collection once, then each pair's reduced collection once;
+        # with k=0 the reduced collection keeps all n colors.
+        assert len(calls) == n + n * (n - 1) // 2 * n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_too_small_rejected(self, n):
+        with pytest.raises(InputError):
+            hamiltonian_or_connected(complete_collection(n))
+
+    def test_hypothesis_violation_rejected(self, k23):
+        with pytest.raises(InputError):
+            hamiltonian_or_connected(k23)
