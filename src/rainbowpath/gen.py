@@ -21,7 +21,7 @@ from .model import (
     canonical_edge,
     check_hypothesis,
     rainbow_assignment,
-    sigma2,
+    row_sigma2,
 )
 from .structures import ExtremalCertificate
 
@@ -200,20 +200,23 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
 
 
 def _repair_sigma2(masks: list[list[int]], n: int, bound: int) -> None:
-    """Raise each color to the bound by joining its weakest non-adjacent pair."""
+    """Raise each color to the bound by joining its weakest non-adjacent pair.
+
+    The pair joined is the lexicographically first (a, b), a < b, of minimum
+    degree sum; colors already at the bound are left as they are.
+    """
     for row in masks:
-        while True:
-            degs = [row[x].bit_count() for x in range(n)]
-            worst = None
+        while (best := row_sigma2(row)) < bound:
+            degs = [mask.bit_count() for mask in row]
+            by_degree: dict[int, int] = {}
+            for x, d in enumerate(degs):
+                by_degree[d] = by_degree.get(d, 0) | 1 << x
             for a in range(n):
-                for b in range(a + 1, n):
-                    if not row[a] >> b & 1:
-                        s = degs[a] + degs[b]
-                        if worst is None or s < worst[0]:
-                            worst = (s, a, b)
-            if worst is None or worst[0] >= bound:
-                break
-            _, a, b = worst
+                # Non-neighbours b > a whose degree completes the minimum sum.
+                partners = by_degree.get(best - degs[a], 0) & ~row[a] & (-1 << (a + 1))
+                if partners:
+                    b = (partners & -partners).bit_length() - 1
+                    break
             row[a] |= 1 << b
             row[b] |= 1 << a
 

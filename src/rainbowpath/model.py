@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -74,6 +74,40 @@ class GraphCollection:
             rows.append(tuple(masks))
         return cls(n_vertices, tuple(rows))
 
+    @classmethod
+    def from_rows(cls, n_vertices: int, rows: Iterable[Iterable[int]]) -> "GraphCollection":
+        """Collection from per-color neighbour masks, checked to be a simple graph.
+
+        ``rows[color][vertex]`` is the neighbour mask of ``vertex``.  Raises
+        InputError when a mask is negative or has a bit >= n, when a vertex
+        is its own neighbour, or when the masks of a color are not symmetric.
+        """
+        if n_vertices < 1:
+            raise InputError(f"need at least one vertex, got {n_vertices}")
+        n = n_vertices
+        width = f"0{n}b"
+        checked: list[tuple[int, ...]] = []
+        for color, masks in enumerate(rows):
+            masks = tuple(masks)
+            if len(masks) != n:
+                raise InputError(f"color {color} has {len(masks)} masks, expected {n}")
+            for vertex, mask in enumerate(masks):
+                if mask >> n:
+                    raise InputError(
+                        f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})"
+                    )
+            # bits[vertex * n + other] is bit ``other`` of ``vertex``'s mask, so
+            # row ``vertex`` is a slice and column ``vertex`` a strided slice.
+            bits = "".join([format(mask, width) for mask in reversed(masks)])[::-1]
+            loop = bits[:: n + 1].find("1")
+            if loop >= 0:
+                raise InputError(f"loop at vertex {loop} in color {color}")
+            for vertex in range(n):
+                if bits[vertex::n] != bits[vertex * n : vertex * n + n]:
+                    raise InputError(f"mask of vertex {vertex} in color {color} is not symmetric")
+            checked.append(masks)
+        return cls(n, tuple(checked))
+
     @property
     def n_colors(self) -> int:
         return len(self.adjacency)
@@ -128,15 +162,19 @@ def degree(collection: GraphCollection, color: int, vertex: int) -> int:
 
 
 def sigma2(collection: GraphCollection, color: int) -> float:
-    """Minimum degree sum over non-adjacent pairs; infinity on complete graphs.
+    """Minimum degree sum over non-adjacent pairs; infinity on complete graphs."""
+    collection.check_color(color)
+    return row_sigma2(collection.adjacency[color])
+
+
+def row_sigma2(row: Sequence[int]) -> float:
+    """``sigma2`` of one graph given as its per-vertex neighbour masks.
 
     Vertices are scanned in ascending degree order.  Once twice the current
     degree reaches the best sum, every pair not yet scanned has both degrees
     at least that large, so the scan stops.
     """
-    collection.check_color(color)
-    n = collection.n_vertices
-    row = collection.adjacency[color]
+    n = len(row)
     full = (1 << n) - 1
     degs = [mask.bit_count() for mask in row]
     best: float = INFINITE_SIGMA2

@@ -3,19 +3,25 @@
 Instance schema (all modules speak it):
 
     {"n": int, "m": int,
-     "graphs": [[[u, v], ...], ...],            # one sorted edge list per color
+     "rows": ["<hex>", ...],                    # one string per color
      "forest": {"components": [[v, ...], ...],  # optional
                 "colors": [[u, v, color], ...]},
      "u": int, "v": int, "k": int}              # optional pair / edge budget
 
-Edges are canonicalized (min, max) and sorted, so serializing the same
-instance always produces identical bytes; hashes are taken over those bytes.
+Each row string is n*w lowercase hex digits, w = ceil(n/4): the slice
+[i*w, (i+1)*w) is vertex i's neighbour mask in that color (bit v set iff
+{i, v} is an edge), i.e. ``GraphCollection.adjacency`` written out.  Readers
+also accept ``"graphs": [[[u, v], ...], ...]`` (one edge list per color) in
+place of ``"rows"``; writers emit rows only, so decoding a file and encoding
+it again gives the same bytes whichever form it was in, and hashes are taken
+over that re-encoding.  Every number must be a JSON integer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 from .forest import RainbowLinearForest
@@ -46,13 +52,18 @@ def digest(data) -> str:
     return hashlib.sha256(dumps(data).encode()).hexdigest()[:16]
 
 
+def _row_width(n: int) -> int:
+    """Hex digits per neighbour mask in the rows form."""
+    return (n + 3) // 4
+
+
 def collection_to_dict(collection: GraphCollection) -> dict:
+    n = collection.n_vertices
+    width = f"0{_row_width(n)}x"
     return {
-        "n": collection.n_vertices,
+        "n": n,
         "m": collection.n_colors,
-        "graphs": [
-            [list(e) for e in collection.edges(c)] for c in range(collection.n_colors)
-        ],
+        "rows": ["".join([format(mask, width) for mask in row]) for row in collection.adjacency],
     }
 
 
@@ -84,39 +95,72 @@ def instance_to_dict(
     return data
 
 
+_HEX_ROW = re.compile("[0-9a-f]*")
+
+
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
+    if ("rows" in data) == ("graphs" in data):
+        raise InputError('instance needs exactly one of "rows" and "graphs"')
+    if "rows" in data:
+        texts = data["rows"]
+        if not isinstance(texts, list) or len(texts) != m:
+            raise InputError(f"instance declares m={m} but rows is not a list of {m} strings")
+        if n < 1:
+            raise InputError(f"need at least one vertex, got {n}")
+        width = _row_width(n)
+        masks = []
+        for color, text in enumerate(texts):
+            # int(., 16) alone would also take "0x", "_", whitespace and uppercase.
+            if not (isinstance(text, str) and len(text) == n * width and _HEX_ROW.fullmatch(text)):
+                raise InputError(
+                    f"rows[{color}] must be {n * width} lowercase hex digits ({width} per vertex)"
+                )
+            masks.append([int(text[i : i + width], 16) for i in range(0, n * width, width)])
+        return GraphCollection.from_rows(n, masks)
+    graphs = data["graphs"]
+    if not isinstance(graphs, list) or len(graphs) != m:
+        raise InputError(f"instance declares m={m} but graphs is not a list of {m} edge lists")
+    return GraphCollection.from_edge_lists(
+        n,
+        [[(_int(a, "edge endpoint"), _int(b, "edge endpoint")) for a, b in glist] for glist in graphs],
+    )
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Decode the instance schema; any malformed field raises InputError."""
+    if not isinstance(data, dict):
+        raise InputError("an instance must be a JSON object")
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        graphs = data["graphs"]
-        if not isinstance(graphs, list) or len(graphs) != m:
-            raise InputError(f"instance declares m={m} but carries {len(graphs)} graphs")
-        collection = GraphCollection.from_edge_lists(
-            n, [[(int(e[0]), int(e[1])) for e in glist] for glist in graphs]
-        )
+        n = _int(data["n"], "n")
+        m = _int(data["m"], "m")
+        collection = _collection_from_dict(data, n, m)
         forest = RainbowLinearForest.empty()
         if "forest" in data and data["forest"]:
             fdata = data["forest"]
-            comps = [tuple(int(x) for x in comp) for comp in fdata.get("components", [])]
+            comps = [
+                tuple(_int(x, "forest vertex") for x in comp)
+                for comp in fdata.get("components", [])
+            ]
             colors = {
-                canonical_edge(int(u), int(v)): int(c)
-                for u, v, c in fdata.get("colors", [])
+                canonical_edge(_int(a, "forest vertex"), _int(b, "forest vertex")):
+                    _int(c, "forest color")
+                for a, b, c in fdata.get("colors", [])
             }
             forest = RainbowLinearForest(tuple(comps), colors)
             problems = forest.structure_violations()
             if problems:
                 raise InputError("malformed forest: " + "; ".join(problems))
-        u = data.get("u")
-        v = data.get("v")
-        k = data.get("k")
-        return Instance(
-            collection,
-            forest,
-            int(u) if u is not None else None,
-            int(v) if v is not None else None,
-            int(k) if k is not None else None,
+        u, v, k = (
+            None if data.get(key) is None else _int(data[key], key) for key in ("u", "v", "k")
         )
+        return Instance(collection, forest, u, v, k)
     except InputError:
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rainbowpath import GraphCollection, RainbowLinearForest, canonical_edge
+from rainbowpath.serialize import instance_from_dict
 
 
 def clique_edges(vertices):
@@ -72,16 +73,24 @@ def brute_ham_path_exists(collection, u, v, forest=None) -> bool:
 
 
 @st.composite
-def small_collections(draw, max_n=6, max_m=7):
+def small_collections(draw, max_n=6, max_m=7, min_n=2, min_m=1):
     """Random small collections as (n, list-of-edge-lists) built from bits."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     all_pairs = clique_edges(range(n))
     lists = []
     for _ in range(m):
         picks = draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
         lists.append([e for e, keep in zip(all_pairs, picks) if keep])
     return GraphCollection.from_edge_lists(n, lists)
+
+
+def edges_form(data: dict) -> dict:
+    """A rows-form instance dict rewritten with per-color edge lists instead."""
+    collection = instance_from_dict(data).collection
+    out = {key: value for key, value in data.items() if key != "rows"}
+    out["graphs"] = [[list(e) for e in collection.edges(c)] for c in range(collection.n_colors)]
+    return out
 
 
 @pytest.fixture

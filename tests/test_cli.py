@@ -13,10 +13,10 @@ from rainbowpath.cli import (
     minimize_counterexample,
     revalidate_report,
 )
-from rainbowpath.gen import build_extremal
-from rainbowpath.serialize import dumps, instance_to_dict, load_instance
+from rainbowpath.gen import GenSpec, build_extremal, random_instance
+from rainbowpath.serialize import digest, dumps, instance_to_dict, load_instance
 
-from .conftest import complete_collection
+from .conftest import complete_collection, edges_form
 
 
 def write_instance(tmp_path, collection, forest=None, u=None, v=None, k=None, name="inst.json"):
@@ -56,6 +56,8 @@ class TestSolveCommand:
     ])
     def test_malformed_instance_exit_two(self, tmp_path, field, value):
         data = instance_to_dict(complete_collection(5), u=0, v=4)
+        if field == "graphs":
+            del data["rows"]
         data[field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(dumps(data))
@@ -87,6 +89,108 @@ class TestSolveCommand:
         bundle_path = err.rsplit("repro bundle ", 1)[1].strip()
         data = json.loads((tmp_path / bundle_path).read_text())
         assert data["bundle"] == {"retained_color": 3, "sigma2": 1, "bound": 3}
+
+
+def _with_row0(data, text):
+    return {**data, "rows": [text] + data["rows"][1:]}
+
+
+# complete_collection(5) encodes every color as "1e1d1b170f": two hex digits
+# per vertex, vertex 0 first.
+ROW_DEFECTS = {
+    "short": (lambda d: _with_row0(d, "1e1d1b170"), "lowercase hex"),
+    "uppercase": (lambda d: _with_row0(d, "1E1D1B170F"), "lowercase hex"),
+    "0x": (lambda d: _with_row0(d, "0x1d1b170f"), "lowercase hex"),
+    "underscore": (lambda d: _with_row0(d, "1e1d1b17_f"), "lowercase hex"),
+    "whitespace": (lambda d: _with_row0(d, "1e1d1b17 f"), "lowercase hex"),
+    "non-string": (lambda d: _with_row0(d, 0x1E1D1B170F), "lowercase hex"),
+    "bit-beyond-n": (lambda d: _with_row0(d, "3e1d1b170f"), "outside"),
+    "loop": (lambda d: _with_row0(d, "1f1d1b170f"), "loop at vertex 0"),
+    "asymmetric": (lambda d: _with_row0(d, "1c1d1b170f"), "not symmetric"),
+    "m-mismatch": (lambda d: {**d, "m": 6}, "m=6"),
+    "rows-not-list": (lambda d: {**d, "rows": "1e1d1b170f"}, "m=5"),
+    "both-keys": (lambda d: {**d, "graphs": [[]] * 5}, "exactly one"),
+    "neither-key": (lambda d: {k: v for k, v in d.items() if k != "rows"}, "exactly one"),
+}
+
+
+def _strict_int_base():
+    forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 6})
+    return instance_to_dict(complete_collection(8), forest, 0, 1, 1)
+
+
+def _with_forest(data, part, value):
+    return {**data, "forest": {**data["forest"], part: value}}
+
+
+def _with_float_endpoint(data):
+    data = edges_form(data)
+    assert data["graphs"][0][0] == [0, 1]
+    data["graphs"][0][0] = [0, 1.7]
+    return data
+
+
+# Each value reads as the valid base instance under int() coercion.
+NON_INTEGERS = {
+    "u-float": lambda d: {**d, "u": 0.9},
+    "v-string": lambda d: {**d, "v": "1"},
+    "n-float": lambda d: {**d, "n": 8.7},
+    "m-float": lambda d: {**d, "m": 8.0},
+    "k-bool": lambda d: {**d, "k": True},
+    "forest-vertex-float": lambda d: _with_forest(d, "components", [[5.0, 6]]),
+    "forest-color-string": lambda d: _with_forest(d, "colors", [[5, 6, "6"]]),
+    "edge-endpoint-float": _with_float_endpoint,
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("defect", list(ROW_DEFECTS))
+    def test_malformed_rows_exit_two(self, tmp_path, capsys, command, defect):
+        mutate, message = ROW_DEFECTS[defect]
+        data = instance_to_dict(complete_collection(5), u=0, v=4)
+        assert data["rows"][0] == "1e1d1b170f"
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(mutate(data)))
+        assert main([command, str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("defect", list(NON_INTEGERS))
+    def test_non_integer_exit_two(self, tmp_path, capsys, command, defect):
+        good = tmp_path / "good.json"
+        good.write_text(dumps(_strict_int_base()))
+        assert main([command, str(good)]) == EXIT_PATH
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(NON_INTEGERS[defect](_strict_int_base())))
+        capsys.readouterr()
+        assert main([command, str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "Traceback" not in err
+
+    def test_edge_lists_and_rows_decode_alike(self, tmp_path, capsys):
+        collection, forest, u, v = random_instance(GenSpec(n=13, k=3, p=0.8, seed=5))
+        rows = instance_to_dict(collection, forest, u, v, 3)
+        hashes, outs = [], []
+        for name, data in (("rows", rows), ("edges", edges_form(rows))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data, sort_keys=True, indent=2))
+            inst = load_instance(str(path))
+            hashes.append(digest(instance_to_dict(inst.collection, inst.forest, inst.u, inst.v, inst.k)))
+            out = tmp_path / f"{name}.out.json"
+            assert main(["solve", str(path), "--out", str(out)]) == EXIT_PATH
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert hashes == [digest(rows)] * 2
+        assert outs[0] == outs[1]
+
+    def test_dense_n100_file_is_small(self, tmp_path, capsys):
+        out = tmp_path / "n100.json"
+        assert main(["gen", "--n", "100", "--k", "32", "--p", "0.95", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.stat().st_size < 500_000
+        assert check_hypothesis(load_instance(str(out)).collection, 32)
 
 
 class TestOracleCommand:

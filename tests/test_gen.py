@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from rainbowpath import (
     small_vertex_probe_family,
     verify_certificate,
 )
-from rainbowpath.gen import audit_small_vertices, build_extremal
+from rainbowpath.gen import _repair_sigma2, audit_small_vertices, build_extremal
 from rainbowpath.serialize import dumps, instance_to_dict
 
 
@@ -105,6 +106,70 @@ class TestRandomInstance:
         # oracle-only mode lifts the bound
         coll, forest, _u, _v = random_instance(GenSpec(n=6, k=1, seed=0, oracle_only=True))
         assert forest.edge_count == 1
+
+
+def _double_loop_repair(masks, n, bound):
+    """Reference repair: rescan every pair, join the first of minimum degree sum."""
+    for row in masks:
+        while True:
+            degs = [row[x].bit_count() for x in range(n)]
+            worst = None
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if not row[a] >> b & 1:
+                        s = degs[a] + degs[b]
+                        if worst is None or s < worst[0]:
+                            worst = (s, a, b)
+            if worst is None or worst[0] >= bound:
+                break
+            _, a, b = worst
+            row[a] |= 1 << b
+            row[b] |= 1 << a
+
+
+class TestRepairSigma2:
+    @staticmethod
+    def _uniform(rng, n, p):
+        masks = []
+        for _color in range(n):
+            row = [0] * n
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < p:
+                        row[a] |= 1 << b
+                        row[b] |= 1 << a
+            masks.append(row)
+        return masks
+
+    @staticmethod
+    def _perturbed(rng, kind, n, k, flips):
+        masks = [list(row) for row in build_extremal(kind, n, k)[0].adjacency]
+        for _ in range(flips):
+            color = rng.randrange(n)
+            a, b = rng.sample(range(n), 2)
+            masks[color][a] ^= 1 << b
+            masks[color][b] ^= 1 << a
+        return masks
+
+    def test_matches_double_loop_up_to_n40(self):
+        rng = random.Random(2024)
+        cases = []
+        for n in range(2, 41, 3):
+            for p in (0.5, 0.75, 0.95):
+                cases.append((self._uniform(rng, n, p), n, n + rng.randint(0, max(0, (n - 4) // 3))))
+        for kind, n, k in (("B2", 9, 0), ("B3", 12, 0), ("C2", 14, 2), ("C3", 16, 2),
+                           ("C3", 40, 8), ("B3", 40, 0)):
+            for flips in (1, 5, 40):
+                cases.append((self._perturbed(rng, kind, n, k, flips), n, n + k))
+        repaired = 0
+        for masks, n, bound in cases:
+            original = [list(row) for row in masks]
+            expected = [list(row) for row in masks]
+            _double_loop_repair(expected, n, bound)
+            _repair_sigma2(masks, n, bound)
+            assert masks == expected, (n, bound)
+            repaired += masks != original
+        assert repaired >= len(cases) // 2
 
 
 class TestProbeFamily:

@@ -87,6 +87,20 @@ class TestSigma2:
             assert coll.sigma2s == want
 
 
+class TestFromRows:
+    @pytest.mark.parametrize("masks, message", [
+        ((0b010, 0b101), "expected 3"),
+        ((0b1010, 0b101, 0b010), "outside"),
+        ((-1, 0b101, 0b010), "outside"),
+        ((0b011, 0b101, 0b010), "loop at vertex 0"),
+        ((0b010, 0b001, 0b010), "vertex 1 .* not symmetric"),
+    ])
+    def test_rejects_malformed_masks(self, masks, message):
+        assert GraphCollection.from_rows(3, [(0b010, 0b101, 0b010)]).edges(0) == [(0, 1), (1, 2)]
+        with pytest.raises(InputError, match=message):
+            GraphCollection.from_rows(3, [(0b010, 0b101, 0b010), masks])
+
+
 class TestCheckHypothesis:
     def test_complete(self, k4):
         assert check_hypothesis(k4, 0)
