@@ -255,20 +255,27 @@ def _write_report(records: list[dict], summary: dict, out: str | None) -> None:
         print(text)
 
 
+def _cycled_sizes(n_min: int, n_max: int, count: int) -> list[int]:
+    """n_min, n_min + 1, ..., n_max, n_min, ... for ``count`` instances."""
+    if n_max < n_min:
+        raise InputError(f"--n-max {n_max} is below --n-min {n_min}")
+    return [n_min + i % (n_max - n_min + 1) for i in range(count)]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    k_values = [int(x) for x in args.k_list.split(",")] if args.k_list else [0]
+    try:
+        k_values = [int(x) for x in args.k_list.split(",")] if args.k_list else [0]
+    except ValueError:
+        raise InputError(f"--k-list must be comma-separated integers, got {args.k_list!r}") from None
     tasks = []
-    index = 0
-    for i in range(args.count):
-        n = args.n_min + i % (args.n_max - args.n_min + 1)
+    for i, n in enumerate(_cycled_sizes(args.n_min, args.n_max, args.count)):
         k = k_values[i % len(k_values)]
         if 3 * k > n - 4:
             k = 0
         tasks.append(
-            (index, n, k, args.seed + i, args.p, args.oracle_max_n, args.mode,
+            (i, n, k, args.seed + i, args.p, args.oracle_max_n, args.mode,
              args.budget_nodes, args.budget_seconds)
         )
-        index += 1
     records = _run_pool(tasks, _verify_task, args.workers)
     failures = [rec for rec in records if not rec.get("ok")]
     counts: dict[str, int] = {}
@@ -368,8 +375,7 @@ def _sweep_task(task: tuple) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = []
-    for i in range(args.samples):
-        n = args.n_min + i % (args.n_max - args.n_min + 1)
+    for i, n in enumerate(_cycled_sizes(args.n_min, args.n_max, args.samples)):
         tasks.append((i, n, args.k, args.seed + i, args.p,
                       args.budget_nodes, args.budget_seconds))
     records = _run_pool(tasks, _sweep_task, args.workers)

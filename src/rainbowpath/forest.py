@@ -160,7 +160,6 @@ class ReductionPlan:
     dropped_colors: frozenset[int]
     retained_colors: tuple[int, ...]
     new_to_old: tuple[int, ...]
-    old_to_new: dict[int, int]
     k: int
     forest_edge_colors: dict[Edge, int]
 
@@ -230,7 +229,6 @@ def select_deletion_set(
         if not (0 <= w < n_vertices):
             raise InputError(f"forest vertex {w} out of range for n={n_vertices}")
     new_to_old = tuple(x for x in range(n_vertices) if x not in deleted)
-    old_to_new = {old: new for new, old in enumerate(new_to_old)}
     dropped_colors = frozenset(forest.colors())
     m = n_colors if n_colors is not None else n_vertices
     retained = tuple(c for c in range(m) if c not in dropped_colors)
@@ -248,7 +246,6 @@ def select_deletion_set(
         dropped_colors=dropped_colors,
         retained_colors=retained,
         new_to_old=new_to_old,
-        old_to_new=old_to_new,
         k=k,
         forest_edge_colors=dict(forest.fixed_colors),
     )

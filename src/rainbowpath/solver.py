@@ -501,11 +501,13 @@ def _exhaustive_spanning_path(
 def li2_dispatch(collection: GraphCollection) -> Li2Result:
     """Trichotomy for collections with sigma2 >= |V|-2 in every color.
 
-    Detects the identical two-clique split, then the independent heavy side;
-    otherwise a spanning rainbow path exists and is produced by rotation
-    heuristics with an exhaustive fallback.  An exhausted fallback raises
-    BudgetExceeded; a completed fallback that finds nothing raises
-    InternalError, because the trichotomy says it cannot happen.
+    Detects the identical two-clique split, then the independent heavy side,
+    both in closed form (the precondition makes each unique and readable off
+    one vertex's neighbourhood); otherwise a spanning rainbow path exists
+    and is produced by rotation heuristics with an exhaustive fallback.  An
+    exhausted fallback raises BudgetExceeded; a completed fallback that
+    finds nothing raises InternalError, because the trichotomy says it
+    cannot happen.
     """
     n = collection.n_vertices
     if collection.n_colors < n:
@@ -569,7 +571,6 @@ def _assert_deleted_layer_adjacency(
 def case2_construct(
     collection: GraphCollection,
     plan: ReductionPlan,
-    ell: int,
     X: frozenset[int],
     Y: frozenset[int],
     trace: list[dict] | None = None,
@@ -633,7 +634,7 @@ def case2_construct(
 
     if sorted(seq) != list(range(collection.n_vertices)):
         raise InternalError("case-2 walk is not a permutation of the vertex set")
-    cert = _finish_path(collection, forest, seq, plan)
+    cert = _finish_path(collection, seq, forest.fixed_colors, forest)
     _record(trace, stage="case2", outcome="path")
     return cert
 
@@ -651,18 +652,21 @@ def _plan_forest(plan: ReductionPlan) -> RainbowLinearForest:
 
 def _finish_path(
     collection: GraphCollection,
-    forest: RainbowLinearForest,
     seq: list[int],
-    plan: ReductionPlan,
+    fixed: dict[Edge, int],
+    forest: RainbowLinearForest,
 ) -> PathCertificate:
-    """Color the non-forest edges of a completed walk and certify it."""
-    fixed = forest.fixed_colors
+    """Color the edges of a completed walk outside ``fixed`` and certify it.
+
+    The loose edges avoid every fixed color; the result must validate
+    against ``forest``.
+    """
     loose = []
     for i in range(len(seq) - 1):
         edge = canonical_edge(seq[i], seq[i + 1])
         if edge not in fixed:
             loose.append(edge)
-    assignment = rainbow_assignment(collection, loose, forbidden_colors=plan.dropped_colors)
+    assignment = rainbow_assignment(collection, loose, forbidden_colors=fixed.values())
     if assignment is None:
         raise InternalError(
             "completed walk admits no rainbow coloring; the structure facts "
@@ -1063,24 +1067,7 @@ def case3_contract_and_route(
     if order[0] != u or order[-1] != v:
         raise InternalError("case-3 route endpoints are wrong")
 
-    loose = []
-    for i in range(n - 1):
-        edge = canonical_edge(order[i], order[i + 1])
-        if edge not in colors:
-            loose.append(edge)
-    assignment = rainbow_assignment(
-        collection, loose, forbidden_colors=set(colors.values())
-    )
-    if assignment is None:
-        raise InternalError("case-3 route admits no rainbow coloring")
-    full = dict(colors)
-    full.update(assignment)
-    coloring = tuple(full[canonical_edge(order[i], order[i + 1])] for i in range(n - 1))
-    cert = PathCertificate(tuple(order), coloring)
-    forest = _plan_forest(plan)
-    if not validate_path_certificate(collection, cert, forest):
-        raise InternalError("case-3 certificate fails validation")
-    return cert
+    return _finish_path(collection, order, colors, _plan_forest(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1154,7 @@ def solve(
         lift = plan.new_to_old
         X = frozenset(lift[x] for x in dispatch.X)
         Y = frozenset(lift[x] for x in dispatch.Y)
-        result = case2_construct(collection, plan, dispatch.ell, X, Y, trace)
+        result = case2_construct(collection, plan, X, Y, trace)
         if isinstance(result, ExtremalCertificate):
             return SolverOutcome(extremal=result, trace=tuple(trace))
         return SolverOutcome(path=result, trace=tuple(trace))

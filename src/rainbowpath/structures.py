@@ -5,7 +5,8 @@ exist.  Two (A2p, A3p) live at the reduced level of the spanning-path
 dispatch; two (B2, B3) block a specific vertex pair without a forest; two
 (C2, C3) block a pair relative to an embedded forest.  Every clause is
 checked literally against the collection, so a verified certificate is a
-machine-checkable witness.
+machine-checkable witness.  The two reduced-level detectors read their
+structure off one vertex's neighbourhood, with no search.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def detect_identical_split(collection: GraphCollection) -> tuple[int, frozenset[
     """The unique two-clique split when all colors equal K_l + K_(n-l).
 
     Requires both sides nonempty, so a complete collection (single clique)
-    does not qualify.  Returns (l, X, Y) with X the side of vertex 0.
+    does not qualify.  Returns (l, X, Y) with X the side of vertex 0.  In a
+    split, vertex 0's side is its closed neighbourhood N[0]; checking that
+    every vertex sees exactly the rest of its side rejects any other shape.
     """
     if collection.n_colors == 0 or collection.n_vertices < 2:
         return None
@@ -57,65 +60,48 @@ def detect_identical_split(collection: GraphCollection) -> tuple[int, frozenset[
     if any(row != first for row in collection.adjacency[1:]):
         return None
     n = collection.n_vertices
-    # Component of vertex 0 under the common adjacency.
-    seen = 1
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        mask = first[x] & ~seen
-        while mask:
-            low = mask & -mask
-            seen |= low
-            frontier.append(low.bit_length() - 1)
-            mask ^= low
-    X = frozenset(v for v in range(n) if seen >> v & 1)
-    Y = frozenset(range(n)) - X
-    if not Y:
+    x_mask = first[0] | 1
+    y_mask = ((1 << n) - 1) ^ x_mask
+    if not y_mask:
         return None
-    full = (1 << n) - 1
-    x_mask = seen
-    y_mask = full ^ seen
     for v in range(n):
-        side = x_mask if v in X else y_mask
-        want = side & ~(1 << v)
-        if first[v] != want:
+        side = x_mask if x_mask >> v & 1 else y_mask
+        if first[v] != side & ~(1 << v):
             return None
-    return len(X), X, Y
+    X = frozenset(v for v in range(n) if x_mask >> v & 1)
+    return len(X), X, frozenset(range(n)) - X
 
 
 def detect_independent_heavy_side(collection: GraphCollection) -> tuple[frozenset[int], frozenset[int]] | None:
     """Partition with |Y| = n/2 + 1 and Y independent in every color.
 
     Y independent in every color is equivalent to Y independent in the union
-    graph, so this reduces to an exact-size independent-set search there.
-    Ties break to the lexicographically smallest Y.
+    graph.  Returns the first Y = V minus N(y) in the union, for y in
+    ascending order, that has n/2 + 1 vertices and is independent there.
+
+    This is exact when every color has sigma2 >= n - 2, the precondition
+    of ``li2_dispatch``.  Every y in a heavy side Y has N(y) inside X, which
+    has n/2 - 1 vertices; two vertices of Y are non-adjacent, so the bound
+    forces both degrees to n/2 - 1 in every color.  Hence N(y) = X and
+    Y = V minus N(y) for each y in Y.  Two heavy sides cannot share a vertex
+    and two disjoint ones would need n + 2 vertices, so Y is unique.  On
+    other inputs any Y returned is still a heavy side, but one may be missed.
     """
     n = collection.n_vertices
     if n % 2 != 0:
         return None
     size = n // 2 + 1
     union = collection.union_adjacency()
-    chosen: list[int] = []
-
-    def extend(start: int, banned: int) -> bool:
-        if len(chosen) == size:
-            return True
-        for v in range(start, n):
-            if n - v < size - len(chosen):
-                return False
-            if banned >> v & 1:
-                continue
-            chosen.append(v)
-            if extend(v + 1, banned | union[v] | 1 << v):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend(0, 0):
-        return None
-    Y = frozenset(chosen)
-    X = frozenset(range(n)) - Y
-    return X, Y
+    full = (1 << n) - 1
+    for y in range(n):
+        y_mask = full ^ union[y]
+        if y_mask.bit_count() != size:
+            continue
+        members = [z for z in range(n) if y_mask >> z & 1]
+        if all(not union[z] & y_mask for z in members):
+            Y = frozenset(members)
+            return frozenset(range(n)) - Y, Y
+    return None
 
 
 def _normalized_components(forest: RainbowLinearForest, pair: tuple[int, int] | None) -> list[tuple[int, ...]]:

@@ -328,6 +328,22 @@ class TestSweepCommand:
         assert rows_a == rows_b
 
 
+class TestSuiteArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--count", "2", "--n-min", "9", "--n-max", "8"], "--n-max 8 is below --n-min 9"),
+        (["sweep", "--samples", "2", "--n-min", "9", "--n-max", "8"], "--n-max 8 is below --n-min 9"),
+        (["sweep", "--samples", "2", "--n-min", "9", "--n-max", "7"], "--n-max 7 is below --n-min 9"),
+        (["verify", "--count", "2", "--k-list", "a"], "--k-list must be comma-separated integers"),
+    ])
+    def test_bad_range_or_list_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        report = tmp_path / "report.jsonl"
+        assert main([*argv, "--out", str(report)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not report.exists()
+
+
 class TestMinimization:
     def test_no_shrink_when_cycle_exists(self):
         coll = complete_collection(5)

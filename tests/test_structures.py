@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rainbowpath import (
@@ -15,9 +17,104 @@ from rainbowpath import (
     verify_certificate,
 )
 from rainbowpath.gen import build_extremal
+from rainbowpath.solver import solve_pair
 from rainbowpath.structures import certificate_violations
 
-from .conftest import complete_collection
+from .conftest import clique_edges, complete_collection
+
+
+def split_by_component_search(collection):
+    """Reference identical-split detector: X is vertex 0's component, by BFS."""
+    if collection.n_colors == 0 or collection.n_vertices < 2:
+        return None
+    first = collection.adjacency[0]
+    if any(row != first for row in collection.adjacency[1:]):
+        return None
+    n = collection.n_vertices
+    seen = 1
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        mask = first[x] & ~seen
+        while mask:
+            low = mask & -mask
+            seen |= low
+            frontier.append(low.bit_length() - 1)
+            mask ^= low
+    X = frozenset(v for v in range(n) if seen >> v & 1)
+    Y = frozenset(range(n)) - X
+    if not Y:
+        return None
+    for v in range(n):
+        side = seen if v in X else ((1 << n) - 1) ^ seen
+        if first[v] != side & ~(1 << v):
+            return None
+    return len(X), X, Y
+
+
+def heavy_side_by_search(collection):
+    """Reference heavy-side detector, by depth-first search.
+
+    Returns the lexicographically first independent set of size n/2 + 1 in
+    the union graph.
+    """
+    n = collection.n_vertices
+    if n % 2 != 0:
+        return None
+    size = n // 2 + 1
+    union = collection.union_adjacency()
+    chosen = []
+
+    def extend(start, banned):
+        if len(chosen) == size:
+            return True
+        for v in range(start, n):
+            if n - v < size - len(chosen):
+                return False
+            if banned >> v & 1:
+                continue
+            chosen.append(v)
+            if extend(v + 1, banned | union[v] | 1 << v):
+                return True
+            chosen.pop()
+        return False
+
+    if not extend(0, 0):
+        return None
+    Y = frozenset(chosen)
+    return frozenset(range(n)) - Y, Y
+
+
+def _random_edges(rng, vertices, p):
+    return [e for e in clique_edges(vertices) if rng.random() < p]
+
+
+def _near_heavy_side(rng, n, m):
+    """Y of size n/2 + 1 complete to X in every color, maybe one Y-Y edge.
+
+    Adding an edge never lowers sigma2, so each result has sigma2 >= n - 2.
+    """
+    ys = rng.sample(range(n), n // 2 + 1)
+    xs = set(range(n)) - set(ys)
+    cross = [e for e in clique_edges(range(n)) if (e[0] in xs) != (e[1] in xs)]
+    lists = [cross + _random_edges(rng, xs, rng.random()) for _ in range(m)]
+    if rng.random() < 0.5:
+        a, b = rng.sample(ys, 2)
+        lists[rng.randrange(m)].append((min(a, b), max(a, b)))
+    return GraphCollection.from_edge_lists(n, lists)
+
+
+def _near_split(rng, n, m):
+    """Identical colors K_l + K_(n-l), then a few edits to one or all colors."""
+    left = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    base = {e for e in clique_edges(range(n)) if (e[0] in left) == (e[1] in left)}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        a, b = rng.sample(range(n), 2)
+        base ^= {(min(a, b), max(a, b))}
+    lists = [sorted(base)] * m
+    if rng.random() < 0.1:
+        lists[-1] = _random_edges(rng, range(n), 0.5)
+    return GraphCollection.from_edge_lists(n, lists)
 
 
 class TestDetectIdenticalSplit:
@@ -81,6 +178,21 @@ class TestDetectIdenticalSplit:
         enumerate_collections(3, None, visit)
         assert not mismatches
 
+    def test_matches_component_search(self):
+        rng = random.Random(20)
+        found = 0
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            m = rng.randint(1, 4)
+            if rng.random() < 0.8:
+                coll = _near_split(rng, n, m)
+            else:
+                coll = GraphCollection.from_edge_lists(n, [_random_edges(rng, range(n), rng.random())] * m)
+            want = split_by_component_search(coll)
+            assert detect_identical_split(coll) == want, coll.adjacency
+            found += want is not None
+        assert found >= 1000
+
 
 class TestDetectHeavySide:
     def test_star_leaves(self):
@@ -108,6 +220,53 @@ class TestDetectHeavySide:
         )
         got = detect_independent_heavy_side(coll)
         assert got is None
+
+    def test_matches_search_under_dispatch_precondition(self):
+        # Under sigma2 >= n - 2 in every color the heavy side is unique, so
+        # the closed form returns exactly what the search returns.
+        rng = random.Random(7)
+        checked = found = 0
+        while checked < 500:
+            n = rng.choice((2, 4, 6, 8, 10, 12))
+            if rng.random() < 0.7:
+                coll = _near_heavy_side(rng, n, n)
+            else:
+                coll = GraphCollection.from_edge_lists(
+                    n, [_random_edges(rng, range(n), rng.uniform(0.5, 0.95)) for _ in range(n)]
+                )
+            if any(value < n - 2 for value in coll.sigma2s):
+                continue
+            want = heavy_side_by_search(coll)
+            assert detect_independent_heavy_side(coll) == want, coll.adjacency
+            checked += 1
+            found += want is not None
+        assert 150 <= found <= 350
+
+    def test_any_answer_is_a_heavy_side(self):
+        rng = random.Random(8)
+        found = 0
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            coll = GraphCollection.from_edge_lists(
+                n, [_random_edges(rng, range(n), rng.uniform(0.0, 0.5)) for _ in range(rng.randint(0, 3))]
+            )
+            got = detect_independent_heavy_side(coll)
+            if got is None:
+                continue
+            found += 1
+            X, Y = got
+            union = coll.union_adjacency()
+            assert len(Y) == n // 2 + 1 and n % 2 == 0
+            assert X == frozenset(range(n)) - Y
+            assert all(not union[y] >> z & 1 for y in Y for z in Y)
+        assert found >= 200
+
+    def test_canonical_b3_n60_is_answered(self):
+        coll, meta = build_extremal("B3", 60)
+        u, v = meta["pair"]
+        outcome = solve_pair(coll, u, v)
+        assert outcome.extremal is not None and outcome.extremal.kind == "B3"
+        assert verify_certificate(coll, outcome.extremal)
 
 
 class TestVerifyCertificate:
