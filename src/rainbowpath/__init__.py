@@ -12,7 +12,6 @@ from .forest import (
     RainbowLinearForest,
     ReductionPlan,
     is_h_compatible,
-    reduce_collection,
     select_deletion_set,
 )
 from .gen import GenSpec, GenerationError, build_extremal, random_instance, small_vertex_probe_family
@@ -93,7 +92,6 @@ __all__ = [
     "li2_dispatch",
     "rainbow_assignment",
     "random_instance",
-    "reduce_collection",
     "select_deletion_set",
     "sigma2",
     "small_vertex_probe_family",

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import gen as genmod
 from . import serialize
@@ -240,6 +239,8 @@ def _verify_task(task: tuple) -> dict:
 def _run_pool(tasks: list[tuple], worker, workers: int) -> list[dict]:
     if workers <= 1:
         return [worker(task) for task in tasks]
+    # Imported here: it loads multiprocessing, which single-process runs never need.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=8))
 

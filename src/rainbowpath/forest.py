@@ -1,11 +1,12 @@
-"""Rainbow linear forests, endpoint compatibility, and the deletion reduction.
+"""Rainbow linear forests, endpoint compatibility, and the deletion plan.
 
 A linear forest is a vertex-disjoint union of paths; here each edge also
 carries a fixed color, injectively.  Solving for a Hamiltonian u,v-path
 that contains such a forest starts by deleting a set D of k+2 forest
 vertices (everything except one endpoint per interior component) and
-dropping the k fixed colors, which lowers the Ore bound by exactly 2(k+2)
-and hands the remaining collection to the spanning-path trichotomy.
+dropping the k fixed colors, which lowers the Ore bound by exactly 2(k+2).
+The spanning-path trichotomy then runs on the original collection restricted
+to the plan's active-vertex and retained-color masks: no copy is built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Edge, GraphCollection, InputError, InternalError, canonical_edge
+from .model import Edge, GraphCollection, InputError, InternalError, canonical_edge, mask_of
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,9 @@ class ReductionPlan:
     ``middle_components`` are the interior components, each oriented from its
     kept endpoint v_i (which survives the deletion) toward the dropped
     endpoint w_i.  ``h_u``/``h_v`` are oriented away from u/v; w_u/w_v are
-    their far endpoints (equal to u/v for singletons).  Vertices outside D
-    are relabeled densely for the reduced collection.
+    their far endpoints (equal to u/v for singletons).  ``active`` is the
+    vertex mask of V minus D and ``retained_mask`` the color mask of
+    ``retained_colors``: together they are the reduced collection.
     """
 
     u: int
@@ -159,7 +161,8 @@ class ReductionPlan:
     w_v: int
     dropped_colors: frozenset[int]
     retained_colors: tuple[int, ...]
-    new_to_old: tuple[int, ...]
+    retained_mask: int
+    active: int
     k: int
     forest_edge_colors: dict[Edge, int]
 
@@ -228,7 +231,6 @@ def select_deletion_set(
     for w in deleted:
         if not (0 <= w < n_vertices):
             raise InputError(f"forest vertex {w} out of range for n={n_vertices}")
-    new_to_old = tuple(x for x in range(n_vertices) if x not in deleted)
     dropped_colors = frozenset(forest.colors())
     m = n_colors if n_colors is not None else n_vertices
     retained = tuple(c for c in range(m) if c not in dropped_colors)
@@ -245,50 +247,17 @@ def select_deletion_set(
         w_v=h_v[-1],
         dropped_colors=dropped_colors,
         retained_colors=retained,
-        new_to_old=new_to_old,
+        retained_mask=((1 << m) - 1) & ~mask_of(dropped_colors),
+        active=((1 << n_vertices) - 1) & ~mask_of(deleted),
         k=k,
         forest_edge_colors=dict(forest.fixed_colors),
     )
 
 
 class ReductionBoundError(InternalError):
-    """The reduced collection misses the guaranteed Ore bound.
+    """A retained color restricted to V minus D misses the inherited Ore bound.
 
     Signals that the input collection violated the n+k hypothesis (or the
-    plan does not belong to it); the reduction itself cannot cause this.
+    plan does not belong to it); deleting D itself cannot cause this.
     ``bundle`` names the retained color, its sigma2 and the bound.
     """
-
-
-def reduce_collection(collection: GraphCollection, plan: ReductionPlan) -> GraphCollection:
-    """Delete D from every retained color and relabel vertices densely.
-
-    Each row is compacted over D in descending order, so lower deleted
-    indices stay valid; rows are irreflexive, so no self bit survives.
-    Asserts the inherited bound sigma2(G'_i) >= |V(G')| - 2 for every
-    retained color, which the n+k hypothesis guarantees after removing
-    k+2 vertices.
-    """
-    cuts = [(d, (1 << d) - 1) for d in sorted(plan.deleted, reverse=True)]
-    reduced_rows = []
-    for color in plan.retained_colors:
-        collection.check_color(color)
-        row = collection.adjacency[color]
-        masks = []
-        for old in plan.new_to_old:
-            mask = row[old]
-            for d, low in cuts:
-                mask = (mask & low) | (mask >> (d + 1) << d)
-            masks.append(mask)
-        reduced_rows.append(tuple(masks))
-    reduced = GraphCollection(len(plan.new_to_old), tuple(reduced_rows))
-    bound = reduced.n_vertices - 2
-    for c, value in enumerate(reduced.sigma2s):
-        if value < bound:
-            color = plan.retained_colors[c]
-            raise ReductionBoundError(
-                f"sigma2 of reduced color {color} is {value} < {bound}; "
-                "input collection violates the n+k hypothesis",
-                bundle={"retained_color": color, "sigma2": value, "bound": bound},
-            )
-    return reduced

@@ -274,6 +274,12 @@ def random_instance(spec: GenSpec) -> tuple[GraphCollection, RainbowLinearForest
         raise InputError("need n >= 2")
     if k < 0:
         raise InputError("need k >= 0")
+    if k > n - 2:
+        raise InputError(f"k={k} leaves no compatible pair for a k-edge forest; need n >= k+2, got n={n}")
+    if not 0 <= spec.p <= 1:
+        raise InputError(f"p={spec.p} is not a probability in [0, 1]")
+    if spec.flips < 0:
+        raise InputError(f"flips={spec.flips} must be >= 0")
     if not spec.oracle_only and 3 * k > n - 4:
         raise InputError(f"k={k} exceeds (n-4)/3 for n={n}; set oracle_only to override")
     rng = random.Random(spec.seed)

@@ -142,16 +142,30 @@ class GraphCollection:
             if row[u] >> v & 1
         ]
 
-    def colors_with_edge(self, u: int, v: int) -> list[int]:
-        return [c for c in range(self.n_colors) if self.has_edge(c, u, v)]
+    @cached_property
+    def _color_masks(self) -> dict[Edge, int]:
+        return {}
 
-    def union_adjacency(self) -> tuple[int, ...]:
-        """Per-vertex neighbor masks of the union graph over all colors."""
-        masks = [0] * self.n_vertices
-        for row in self.adjacency:
-            for v in range(self.n_vertices):
-                masks[v] |= row[v]
-        return tuple(masks)
+    def color_mask(self, u: int, v: int) -> int:
+        """Bitmask of the colors whose graph has edge uv, memoised per pair on
+        first use like ``sigma2s``: every solve on the collection shares it."""
+        key = (u, v) if u < v else (v, u)
+        if key not in self._color_masks:
+            self._color_masks[key] = self._scan_color_mask(*key)
+        return self._color_masks[key]
+
+    def _scan_color_mask(self, u: int, v: int) -> int:
+        return mask_of(c for c, row in enumerate(self.adjacency) if row[u] >> v & 1)
+
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def mask_of(items: Iterable[int]) -> int:
+    """The bitmask with the bit of each of ``items`` set; ``bits`` inverts it."""
+    return sum(1 << x for x in set(items))
 
 
 def degree(collection: GraphCollection, color: int, vertex: int) -> int:
@@ -167,22 +181,26 @@ def sigma2(collection: GraphCollection, color: int) -> float:
     return row_sigma2(collection.adjacency[color])
 
 
-def row_sigma2(row: Sequence[int]) -> float:
+def row_sigma2(row: Sequence[int], active: int | None = None) -> float:
     """``sigma2`` of one graph given as its per-vertex neighbour masks.
 
-    Vertices are scanned in ascending degree order.  Once twice the current
-    degree reaches the best sum, every pair not yet scanned has both degrees
-    at least that large, so the scan stops.
+    With ``active``, of the graph induced on that vertex mask.  Vertices are
+    scanned in ascending degree order.  Once twice the current degree
+    reaches the best sum, every pair not yet scanned has both degrees at
+    least that large (inactive vertices included), so the scan stops.
     """
     n = len(row)
-    full = (1 << n) - 1
-    degs = [mask.bit_count() for mask in row]
+    if active is None:
+        active = (1 << n) - 1
+        degs = [mask.bit_count() for mask in row]
+    else:
+        degs = [(mask & active).bit_count() for mask in row]
     best: float = INFINITE_SIGMA2
     for u in sorted(range(n), key=degs.__getitem__):
         du = degs[u]
         if 2 * du >= best:
             break
-        rest = full & ~row[u] & ~(1 << u)
+        rest = active & ~row[u] & ~(1 << u) if active >> u & 1 else 0
         while rest:
             low = rest & -rest
             s = du + degs[low.bit_length() - 1]
@@ -207,16 +225,19 @@ def check_hypothesis(collection: GraphCollection, k: int) -> bool:
 # Rainbow assignment: exact edge -> color matching
 # ---------------------------------------------------------------------------
 
-def _augment(edge_idx: int, admissible: list[list[int]], color_owner: dict[int, int],
-             visited: set[int]) -> bool:
-    # One augmenting-path pass of Kuhn's matching algorithm.
-    for color in admissible[edge_idx]:
-        if color in visited:
-            continue
-        visited.add(color)
+def _augment(edge_idx: int, admissible: list[int], color_owner: dict[int, int],
+             visited: list[int]) -> bool:
+    # One augmenting-path pass of Kuhn's matching algorithm over color masks,
+    # trying colors in ascending order; ``visited[0]`` masks those seen.
+    free = admissible[edge_idx] & ~visited[0]
+    while free:
+        low = free & -free
+        visited[0] |= low
+        color = low.bit_length() - 1
         if color not in color_owner or _augment(color_owner[color], admissible, color_owner, visited):
             color_owner[color] = edge_idx
             return True
+        free &= ~visited[0]
     return False
 
 
@@ -234,14 +255,11 @@ def rainbow_assignment(
     for u, v in edge_list:
         collection.check_vertex(u)
         collection.check_vertex(v)
-    forbidden = set(forbidden_colors)
-    admissible = [
-        [c for c in collection.colors_with_edge(u, v) if c not in forbidden]
-        for u, v in edge_list
-    ]
+    allowed = ~mask_of(forbidden_colors)
+    admissible = [collection.color_mask(u, v) & allowed for u, v in edge_list]
     color_owner: dict[int, int] = {}
     for idx in range(len(edge_list)):
-        if not _augment(idx, admissible, color_owner, set()):
+        if not _augment(idx, admissible, color_owner, [0]):
             return None
     return {edge_list[owner]: color for color, owner in sorted(color_owner.items())}
 
@@ -303,28 +321,29 @@ def path_certificate_violations(
     collection: GraphCollection,
     cert: PathCertificate,
     forest: "object | None" = None,
+    active: int | None = None,
 ) -> list[str]:
     """All violated invariants of a path certificate, empty when valid.
 
     ``forest`` (a RainbowLinearForest) is the fixed-forest context: each of
     its edges must appear consecutively in the order and carry exactly its
-    fixed color.
+    fixed color.  With ``active`` (a vertex mask) the path must span exactly
+    those vertices instead of all of them.
     """
     problems: list[str] = []
     n = collection.n_vertices
-    if sorted(cert.order) != list(range(n)):
-        problems.append(f"order is not a permutation of 0..{n - 1}")
-        return problems
+    if sorted(cert.order) != (list(range(n)) if active is None else bits(active)):
+        span = f"0..{n - 1}" if active is None else "the active vertices"
+        return [f"order is not a permutation of {span}"]
     consecutive: dict[Edge, int] = {}
     seen_colors: set[int] = set()
-    for i in range(n - 1):
-        a, b = cert.order[i], cert.order[i + 1]
-        color = cert.coloring[i]
-        edge = canonical_edge(a, b)
-        if not (0 <= color < collection.n_colors):
+    m, adjacency = collection.n_colors, collection.adjacency
+    for a, b, color in zip(cert.order, cert.order[1:], cert.coloring):
+        edge = (a, b) if a < b else (b, a)  # distinct: the order is a permutation
+        if not (0 <= color < m):
             problems.append(f"color {color} out of range on edge {edge}")
             continue
-        if not collection.has_edge(color, a, b):
+        if not adjacency[color][a] >> b & 1:
             problems.append(f"edge {edge} absent from color {color}")
         if color in seen_colors:
             problems.append(f"color {color} used more than once")

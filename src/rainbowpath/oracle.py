@@ -24,7 +24,9 @@ from .model import (
     InputError,
     PathCertificate,
     _augment,
+    bits,
     canonical_edge,
+    mask_of,
 )
 
 FOUND = "found"
@@ -74,6 +76,7 @@ def exact_search(
     segments: tuple[tuple[int, ...], ...] = (),
     reserved: frozenset[int] = frozenset(),
     cycle: bool = False,
+    active: int | None = None,
 ) -> tuple[list[int] | None, dict[Edge, int] | None, int]:
     """Depth-first search for a Hamiltonian order whose new edges are rainbow.
 
@@ -85,7 +88,8 @@ def exact_search(
     the prefix's first vertex.  A symmetry break at the close accepts open
     orders and cycles in one direction only.  Chosen edges are matched
     exactly to colors outside ``reserved``, every MATCH_CHECK_INTERVAL edges
-    and at the close.
+    and at the close.  With ``active`` (a vertex mask) the order spans only
+    those vertices.
 
     Returns (order, edge -> color, nodes), with order None when no order
     exists.  Raises BudgetExceeded once the node or time budget runs out.
@@ -96,19 +100,14 @@ def exact_search(
         if color not in reserved:
             for x in range(n):
                 union[x] |= row[x]
-    admissible_memo: dict[Edge, list[int]] = {}
+    allowed = ~mask_of(reserved)
+    color_mask = collection.color_mask
 
     def matching(edges: list[Edge]) -> dict[Edge, int] | None:
-        admissible = []
-        for edge in edges:
-            colors = admissible_memo.get(edge)
-            if colors is None:
-                colors = [c for c in collection.colors_with_edge(*edge) if c not in reserved]
-                admissible_memo[edge] = colors
-            admissible.append(colors)
+        admissible = [color_mask(*edge) & allowed for edge in edges]
         owner: dict[int, int] = {}
         for idx in range(len(edges)):
-            if not _augment(idx, admissible, owner, set()):
+            if not _augment(idx, admissible, owner, [0]):
                 return None
         return {edges[idx]: color for color, idx in owner.items()}
 
@@ -176,7 +175,7 @@ def exact_search(
 
     for head in heads:
         prefix = list(head)
-        free = set(range(n)) - set(prefix) - set(suffix) - in_segments
+        free = set(range(n) if active is None else bits(active)) - set(prefix + suffix) - in_segments
         segs_left = set(range(len(segments)))
         chosen: list[Edge] = []
         assignment = dfs()

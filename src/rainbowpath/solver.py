@@ -1,15 +1,16 @@
 """Constructive solver for rainbow Hamiltonian u,v-paths containing a forest.
 
-Pipeline: delete the k+2 forest vertices D and the k fixed colors, dispatch
-the reduced collection through the spanning-path trichotomy, then undo the
-deletion constructively.  The spanning-path case absorbs interior forest
-components into the path by end-splices and degree-sum rotations, then
-attaches the endpoint components; the identical-split case threads the
-forest through the two cliques via the deleted layer; the heavy-side case
-grows the forest inside the small side, contracts it, and routes an
-alternating path through the complete bipartite remainder.  When the
-rotation heuristic finds no spanning path, the fallback runs the oracle's
-exact-search kernel, so an exhausted budget raises its BudgetExceeded.
+Pipeline: delete the k+2 forest vertices D and the k fixed colors, run the
+spanning-path trichotomy on the rest (the collection read through an
+active-vertex mask and a color mask, in original ids: no relabelled copy),
+then undo the deletion constructively.  The spanning-path case absorbs
+interior forest components into the path by end-splices and degree-sum
+rotations, then attaches the endpoint components; the identical-split case
+threads the forest through the two cliques via the deleted layer; the
+heavy-side case grows the forest inside the small side, contracts it, and
+routes an alternating path through the complete bipartite remainder.  When
+the rotation heuristic finds no spanning path, the fallback runs the
+oracle's exact-search kernel, so an exhausted budget raises BudgetExceeded.
 
 Every quantity the underlying counting arguments pin down (unused-color
 budgets, path lengths, nonempty rotation windows) is asserted at runtime;
@@ -23,9 +24,9 @@ from itertools import permutations
 
 from .forest import (
     RainbowLinearForest,
+    ReductionBoundError,
     ReductionPlan,
     is_h_compatible,
-    reduce_collection,
     select_deletion_set,
 )
 from .model import (
@@ -34,11 +35,14 @@ from .model import (
     InputError,
     InternalError,
     PathCertificate,
+    bits,
     canonical_edge,
     check_hypothesis,
     degree,
+    mask_of,
     path_certificate_violations,
     rainbow_assignment,
+    row_sigma2,
     validate_path_certificate,
 )
 from .oracle import OracleBudget, exact_search
@@ -70,30 +74,20 @@ class WorkingPath:
     absorbed: set[int] = field(default_factory=set)
 
     def edge_map(self) -> dict[Edge, int]:
-        return {
-            canonical_edge(self.order[i], self.order[i + 1]): self.colors[i]
-            for i in range(len(self.order) - 1)
-        }
+        return {(a, b) if a < b else (b, a): c
+                for a, b, c in zip(self.order, self.order[1:], self.colors)}
 
     def unused_colors(self) -> set[int]:
         return set(range(self.n_colors)) - set(self.colors) - set(self.forest_colors.values())
 
-    def forest_positions(self) -> set[int]:
-        edges = set(self.forest_colors)
-        return {
-            i
-            for i in range(len(self.order) - 1)
-            if canonical_edge(self.order[i], self.order[i + 1]) in edges
-        }
-
     def forest_edges_on_path(self) -> int:
-        return len(self.forest_positions())
+        return len(self.forest_colors.keys() & self.edge_map().keys()) if self.forest_colors else 0
 
 
 def _rebuild(wp: WorkingPath, new_order: list[int], emap: dict[Edge, int]) -> WorkingPath:
     colors = []
-    for i in range(len(new_order) - 1):
-        edge = canonical_edge(new_order[i], new_order[i + 1])
+    for a, b in zip(new_order, new_order[1:]):
+        edge = (a, b) if a < b else (b, a)
         if edge not in emap:
             raise InternalError(f"rebuilt path lost the color of edge {edge}")
         colors.append(emap[edge])
@@ -412,132 +406,148 @@ class Li2Result:
     heuristic_used: bool = False
 
 
-def _try_extend(collection: GraphCollection, order: list[int], colors: list[int],
-                used: set[int], front: bool) -> bool:
-    end = order[0] if front else order[-1]
-    on_path = set(order)
-    for x in range(collection.n_vertices):
-        if x in on_path:
-            continue
-        for c in collection.colors_with_edge(end, x):
-            if c in used:
-                continue
-            if front:
-                order.insert(0, x)
-                colors.insert(0, c)
-            else:
-                order.append(x)
-                colors.append(c)
-            used.add(c)
-            return True
+def _try_extend(collection: GraphCollection, end: int, used: int, free: int) -> tuple[int, int] | None:
+    """The first vertex of ``free`` that sees ``end`` in a color outside
+    ``used``, with the lowest such color; None when there is none."""
+    while free:
+        x = (free & -free).bit_length() - 1
+        available = collection.color_mask(end, x) & ~used
+        if available:
+            return x, (available & -available).bit_length() - 1
+        free &= free - 1
+    return None
+
+
+def _rotate(collection: GraphCollection, order: list[int], colors: list[int], used: int) -> bool:
+    """Pósa rotation at the back end, else at the front: the first position p
+    whose vertex sees the end in a color outside ``used``, in the lowest one."""
+    for flip in (False, True):
+        if flip:
+            order.reverse()
+            colors.reverse()
+        back = order[-1]
+        for p in range(len(order) - 2):
+            available = collection.color_mask(order[p], back) & ~used
+            if available:
+                order[p + 1 :] = reversed(order[p + 1 :])
+                colors[p:] = [(available & -available).bit_length() - 1] + colors[p + 1 :][::-1]
+                return True
     return False
 
 
 def _heuristic_spanning_path(
-    collection: GraphCollection,
+    collection: GraphCollection, active: int, palette: int
 ) -> tuple[list[int], list[int]] | None:
-    """Greedy growth plus end rotations; incomplete but fast on dense inputs."""
-    n = collection.n_vertices
-    for start in range(n):
-        order = [start]
-        colors: list[int] = []
-        used: set[int] = set()
+    """Greedy growth plus end rotations; incomplete but fast on dense inputs.
+
+    Spans the ``active`` vertex mask in ``palette`` colors, trying starts,
+    candidates and colors in ascending order.
+    """
+    n = active.bit_count()
+    for start in bits(active):
+        order, colors = [start], []
+        used, free = ~palette, active & ~(1 << start)
         stalls = 0
-        while len(order) < n:
-            if _try_extend(collection, order, colors, used, front=False):
-                stalls = 0
-                continue
-            if _try_extend(collection, order, colors, used, front=True):
-                stalls = 0
-                continue
-            if stalls >= HEURISTIC_STALL_LIMIT * n:
-                break
-            rotated = False
-            for flip in (False, True):
-                if flip:
-                    order.reverse()
-                    colors.reverse()
-                back = order[-1]
-                for p in range(len(order) - 2):
-                    for c in collection.colors_with_edge(order[p], back):
-                        if c in used:
-                            continue
-                        used.discard(colors[p])
-                        used.add(c)
-                        order[p + 1 :] = reversed(order[p + 1 :])
-                        colors[p:] = [c] + colors[p + 1 :][::-1]
-                        rotated = True
-                        break
-                    if rotated:
-                        break
-                if rotated:
+        while free:
+            # Back end first, then front; inserting past the end appends.
+            for end, at in ((order[-1], len(order)), (order[0], 0)):
+                step = _try_extend(collection, end, used, free)
+                if step is not None:
+                    x, c = step
+                    order.insert(at, x)
+                    colors.insert(at, c)
+                    used |= 1 << c
+                    free &= ~(1 << x)
+                    stalls = 0
                     break
-            if not rotated:
-                break
-            stalls += 1
-        if len(order) == n:
+            else:
+                if stalls >= HEURISTIC_STALL_LIMIT * n or not _rotate(collection, order, colors, used):
+                    break
+                used = ~palette | mask_of(colors)
+                stalls += 1
+        if not free:
             return order, colors
     return None
 
 
 def _exhaustive_spanning_path(
-    collection: GraphCollection, budget: OracleBudget = OracleBudget()
+    collection: GraphCollection, active: int, palette: int, budget: OracleBudget = OracleBudget()
 ) -> tuple[list[int], list[int]] | None:
     """Exact spanning rainbow path search over all vertex orders, budget-capped.
 
-    Runs the oracle's search kernel from every start vertex in turn and
-    colors the first order it finds with ``rainbow_assignment``; raises
-    BudgetExceeded when the budget runs out.
+    Runs the oracle's search kernel from every start vertex of ``active`` in
+    turn, colors outside ``palette`` reserved, and colors the first order
+    found with ``rainbow_assignment``; raises BudgetExceeded when the budget
+    runs out.
     """
-    n = collection.n_vertices
-    order, _, _ = exact_search(collection, [(start,) for start in range(n)], budget)
+    dropped = [c for c in range(collection.n_colors) if not palette >> c & 1]
+    order, _, _ = exact_search(collection, [(start,) for start in bits(active)], budget,
+                               reserved=frozenset(dropped), active=active)
     if order is None:
         return None
-    edges = [canonical_edge(order[i], order[i + 1]) for i in range(n - 1)]
-    assignment = rainbow_assignment(collection, edges)
+    edges = [canonical_edge(order[i], order[i + 1]) for i in range(len(order) - 1)]
+    assignment = rainbow_assignment(collection, edges, forbidden_colors=dropped)
     return order, [assignment[edge] for edge in edges]
 
 
-def li2_dispatch(collection: GraphCollection) -> Li2Result:
+def li2_dispatch(
+    collection: GraphCollection, active: int | None = None, palette: int | None = None
+) -> Li2Result:
     """Trichotomy for collections with sigma2 >= |V|-2 in every color.
 
-    Detects the identical two-clique split, then the independent heavy side,
-    both in closed form (the precondition makes each unique and readable off
-    one vertex's neighbourhood); otherwise a spanning rainbow path exists
-    and is produced by rotation heuristics with an exhaustive fallback.  An
-    exhausted fallback raises BudgetExceeded; a completed fallback that
-    finds nothing raises InternalError, because the trichotomy says it
-    cannot happen.
+    Runs on the collection restricted to the ``active`` vertex mask and the
+    ``palette`` color mask (None: every vertex, every color), in original
+    vertex and color ids.  Detects the identical two-clique split, then the
+    independent heavy side, both in closed form (the precondition makes each
+    unique and readable off one vertex's neighbourhood); otherwise a
+    spanning rainbow path exists and is produced by rotation heuristics with
+    an exhaustive fallback.  An exhausted fallback raises BudgetExceeded; a
+    completed fallback that finds nothing raises InternalError, because the
+    trichotomy says it cannot happen.
+
+    The precondition comes first.  On the whole collection a shortfall is an
+    InputError; on a restriction, which the n+k hypothesis guarantees in
+    ``solve``, it raises ReductionBoundError with its repro bundle.
     """
-    n = collection.n_vertices
-    if collection.n_colors < n:
-        raise InputError(f"dispatch needs at least n={n} colors, got {collection.n_colors}")
-    for c, value in enumerate(collection.sigma2s):
-        if value < n - 2:
+    restricted = active is not None
+    active = (1 << collection.n_vertices) - 1 if active is None else active
+    palette = (1 << collection.n_colors) - 1 if palette is None else palette
+    n = active.bit_count()
+    if palette.bit_count() < n:
+        raise InputError(f"dispatch needs at least n={n} colors, got {palette.bit_count()}")
+    for c in bits(palette):
+        value = row_sigma2(collection.adjacency[c], active) if restricted else collection.sigma2s[c]
+        if value >= n - 2:
+            continue
+        if not restricted:
             raise InputError(f"color {c} has sigma2 below |V|-2; dispatch precondition broken")
-    split = detect_identical_split(collection)
+        raise ReductionBoundError(
+            f"sigma2 of reduced color {c} is {value} < {n - 2}; "
+            "input collection violates the n+k hypothesis",
+            bundle={"retained_color": c, "sigma2": value, "bound": n - 2},
+        )
+    split = detect_identical_split(collection, active, palette)
     if split is not None:
         ell, X, Y = split
         return Li2Result(kind="A2", ell=ell, X=X, Y=Y)
-    heavy = detect_independent_heavy_side(collection)
+    heavy = detect_independent_heavy_side(collection, active, palette)
     if heavy is not None:
         X, Y = heavy
         return Li2Result(kind="A3", X=X, Y=Y)
-    if n == 1:
-        return Li2Result(kind="A1", order=(0,), colors=())
-    found = _heuristic_spanning_path(collection)
+    found = _heuristic_spanning_path(collection, active, palette)
     heuristic_used = found is not None
     if not heuristic_used:
-        found = _exhaustive_spanning_path(collection)
+        found = _exhaustive_spanning_path(collection, active, palette)
     if found is None:
         raise InternalError(
             "no spanning rainbow path, no identical split, no heavy side: "
             "the reduced trichotomy is violated",
-            bundle={"n": n, "m": collection.n_colors},
+            bundle={"n": n, "m": palette.bit_count()},
         )
     order, colors = found
     path = PathCertificate(tuple(order), tuple(colors))
-    problems = path_certificate_violations(collection, path)
+    problems = path_certificate_violations(collection, path, active=active)
+    problems += [f"color {c} is outside the palette" for c in colors if not palette >> c & 1]
     if problems:
         raise InternalError("spanning-path search emitted an invalid path: " + "; ".join(problems))
     return Li2Result(kind="A1", order=path.order, colors=path.coloring,
@@ -548,24 +558,25 @@ def li2_dispatch(collection: GraphCollection) -> Li2Result:
 # Case 2: identical two-clique split plus the deleted layer
 # ---------------------------------------------------------------------------
 
-def _assert_deleted_layer_adjacency(
-    collection: GraphCollection, plan: ReductionPlan, targets: set[int]
-) -> None:
-    """Every deleted vertex must see every target vertex in every retained color.
+def _assert_adjacent(collection: GraphCollection, plan: ReductionPlan, role: str,
+                     sources: set[int] | frozenset[int], targets: set[int]) -> None:
+    """Every source vertex must see every target vertex in every retained color.
 
-    Forced by the degree-sum hypothesis once the reduced side has a
-    non-adjacent pair; checked literally because the construction leans on it.
+    The degree-sum hypothesis forces these adjacencies (for the deleted layer
+    once the reduced side has a non-adjacent pair); checked literally because
+    the constructions lean on them.
     """
+    target_mask = mask_of(targets)
     for color in plan.retained_colors:
-        for d in sorted(plan.deleted):
-            row = collection.neighbors_mask(color, d)
-            for g in sorted(targets):
-                if not row >> g & 1:
-                    raise InternalError(
-                        f"deleted vertex {d} misses {g} in retained color {color}; "
-                        "the hypothesis forces this adjacency",
-                        bundle={"color": color, "pair": [d, g]},
-                    )
+        for s in sorted(sources):
+            missing = target_mask & ~collection.neighbors_mask(color, s)
+            if missing:
+                t = (missing & -missing).bit_length() - 1
+                raise InternalError(
+                    f"{role} vertex {s} misses {t} in retained color {color}; "
+                    "the hypothesis forces this adjacency",
+                    bundle={"color": color, "pair": [s, t]},
+                )
 
 
 def case2_construct(
@@ -585,7 +596,7 @@ def case2_construct(
     """
     trace = trace if trace is not None else []
     forest = _plan_forest(plan)
-    _assert_deleted_layer_adjacency(collection, plan, set(X) | set(Y))
+    _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
         cert = ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v))
         problems = certificate_violations(collection, cert, forest)
@@ -685,23 +696,6 @@ def _finish_path(
 # ---------------------------------------------------------------------------
 # Case 3: heavy independent side
 # ---------------------------------------------------------------------------
-
-def _assert_heavy_side_adjacency(
-    collection: GraphCollection, plan: ReductionPlan, x_prime: set[int], y_side: set[int]
-) -> None:
-    """Every heavy-side vertex must see all of X' and D in every retained color."""
-    others = sorted(x_prime | set(plan.deleted))
-    for color in plan.retained_colors:
-        for y in sorted(y_side):
-            row = collection.neighbors_mask(color, y)
-            for x in others:
-                if not row >> x & 1:
-                    raise InternalError(
-                        f"heavy-side vertex {y} misses {x} in retained color {color}; "
-                        "the degree-sum hypothesis forces completeness",
-                        bundle={"color": color, "pair": [y, x]},
-                    )
-
 
 class _ForestScratch:
     """Union-find over the growing linear forest, tracking degrees and tags."""
@@ -1123,22 +1117,14 @@ def solve(
 
     trace: list[dict] = []
     plan = select_deletion_set(forest, u, v, n, collection.n_colors)
-    reduced = reduce_collection(collection, plan)
-    dispatch = li2_dispatch(reduced)
-    _record(
-        trace,
-        stage="dispatch",
-        result=dispatch.kind,
-        heuristic=dispatch.heuristic_used,
-        reduced_n=reduced.n_vertices,
-    )
+    dispatch = li2_dispatch(collection, plan.active, plan.retained_mask)
+    _record(trace, stage="dispatch", result=dispatch.kind, heuristic=dispatch.heuristic_used,
+            reduced_n=plan.active.bit_count())
 
     if dispatch.kind == "A1":
-        lift = plan.new_to_old
-        order = [lift[x] for x in dispatch.order]
-        colors = [plan.retained_colors[c] for c in dispatch.colors]
-        wp = WorkingPath(order, colors, collection.n_colors, dict(plan.forest_edge_colors))
-        _assert_stage(wp, 3, n - k - 2, "reduced path lift")
+        wp = WorkingPath(list(dispatch.order), list(dispatch.colors), collection.n_colors,
+                         dict(plan.forest_edge_colors))
+        _assert_stage(wp, 3, n - k - 2, "reduced path")
         ore_bound = n + k
         wp = absorb_components(wp, plan.middle_components, collection, ore_bound, trace)
         wp = attach_terminal_component(wp, plan.h_u, "u", collection, ore_bound, trace)
@@ -1151,19 +1137,14 @@ def solve(
         return SolverOutcome(path=cert, trace=tuple(trace))
 
     if dispatch.kind == "A2":
-        lift = plan.new_to_old
-        X = frozenset(lift[x] for x in dispatch.X)
-        Y = frozenset(lift[x] for x in dispatch.Y)
-        result = case2_construct(collection, plan, X, Y, trace)
+        result = case2_construct(collection, plan, dispatch.X, dispatch.Y, trace)
         if isinstance(result, ExtremalCertificate):
             return SolverOutcome(extremal=result, trace=tuple(trace))
         return SolverOutcome(path=result, trace=tuple(trace))
 
     # A3: heavy independent side.
-    lift = plan.new_to_old
-    x_prime = {lift[x] for x in dispatch.X}
-    y_side = {lift[x] for x in dispatch.Y}
-    _assert_heavy_side_adjacency(collection, plan, x_prime, y_side)
+    x_prime, y_side = set(dispatch.X), set(dispatch.Y)
+    _assert_adjacent(collection, plan, "heavy-side", y_side, x_prime | set(plan.deleted))
     X = x_prime | set(plan.deleted)
     forest_norm = _plan_forest(plan)
     if not forest_norm.vertices() & y_side:

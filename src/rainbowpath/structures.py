@@ -12,6 +12,8 @@ structure off one vertex's neighbourhood, with no search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Sequence
 
 from .forest import RainbowLinearForest
 from .model import (
@@ -19,7 +21,9 @@ from .model import (
     GraphCollection,
     InputError,
     InternalError,
+    bits,
     check_hypothesis,
+    mask_of,
     rainbow_assignment,
 )
 
@@ -46,35 +50,49 @@ class ExtremalCertificate:
             raise InputError(f"unknown certificate kind {self.kind!r}")
 
 
-def detect_identical_split(collection: GraphCollection) -> tuple[int, frozenset[int], frozenset[int]] | None:
+def _restriction(collection: GraphCollection, active: int | None,
+                 colors: int | None) -> tuple[int, Sequence[tuple[int, ...]]]:
+    """The vertex mask and the color rows a detector reads; None means all."""
+    rows = collection.adjacency if colors is None else [collection.adjacency[c] for c in bits(colors)]
+    return (1 << collection.n_vertices) - 1 if active is None else active, rows
+
+
+def detect_identical_split(
+    collection: GraphCollection, active: int | None = None, colors: int | None = None
+) -> tuple[int, frozenset[int], frozenset[int]] | None:
     """The unique two-clique split when all colors equal K_l + K_(n-l).
 
-    Requires both sides nonempty, so a complete collection (single clique)
-    does not qualify.  Returns (l, X, Y) with X the side of vertex 0.  In a
-    split, vertex 0's side is its closed neighbourhood N[0]; checking that
-    every vertex sees exactly the rest of its side rejects any other shape.
+    Reads the collection restricted to the ``active`` vertex mask and the
+    ``colors`` mask (None: all of them).  Requires both sides nonempty, so a
+    complete collection (single clique) does not qualify.  Returns (l, X, Y)
+    with X the side of the smallest active vertex x0: its closed
+    neighbourhood.  Checking that every vertex sees exactly the rest of its
+    side in every color rejects any other shape.
     """
-    if collection.n_colors == 0 or collection.n_vertices < 2:
+    active, rows = _restriction(collection, active, colors)
+    vertices = bits(active)
+    if not rows or len(vertices) < 2:
         return None
-    first = collection.adjacency[0]
-    if any(row != first for row in collection.adjacency[1:]):
-        return None
-    n = collection.n_vertices
-    x_mask = first[0] | 1
-    y_mask = ((1 << n) - 1) ^ x_mask
+    first = rows[0]
+    x_mask = (first[vertices[0]] & active) | 1 << vertices[0]
+    y_mask = active ^ x_mask
     if not y_mask:
         return None
-    for v in range(n):
-        side = x_mask if x_mask >> v & 1 else y_mask
-        if first[v] != side & ~(1 << v):
+    for v in vertices:
+        side = (x_mask if x_mask >> v & 1 else y_mask) & ~(1 << v)
+        if any(row[v] & active != side for row in rows):
             return None
-    X = frozenset(v for v in range(n) if x_mask >> v & 1)
-    return len(X), X, frozenset(range(n)) - X
+    X = frozenset(bits(x_mask))
+    return len(X), X, frozenset(bits(y_mask))
 
 
-def detect_independent_heavy_side(collection: GraphCollection) -> tuple[frozenset[int], frozenset[int]] | None:
+def detect_independent_heavy_side(
+    collection: GraphCollection, active: int | None = None, colors: int | None = None
+) -> tuple[frozenset[int], frozenset[int]] | None:
     """Partition with |Y| = n/2 + 1 and Y independent in every color.
 
+    Reads the collection restricted to the ``active`` vertex mask and the
+    ``colors`` mask (None: all of them); n counts the active vertices.
     Y independent in every color is equivalent to Y independent in the union
     graph.  Returns the first Y = V minus N(y) in the union, for y in
     ascending order, that has n/2 + 1 vertices and is independent there.
@@ -87,21 +105,29 @@ def detect_independent_heavy_side(collection: GraphCollection) -> tuple[frozense
     and two disjoint ones would need n + 2 vertices, so Y is unique.  On
     other inputs any Y returned is still a heavy side, but one may be missed.
     """
-    n = collection.n_vertices
+    active, rows = _restriction(collection, active, colors)
+    n = active.bit_count()
     if n % 2 != 0:
         return None
     size = n // 2 + 1
-    union = collection.union_adjacency()
-    full = (1 << n) - 1
-    for y in range(n):
-        y_mask = full ^ union[y]
-        if y_mask.bit_count() != size:
-            continue
-        members = [z for z in range(n) if y_mask >> z & 1]
-        if all(not union[z] & y_mask for z in members):
-            Y = frozenset(members)
-            return frozenset(range(n)) - Y, Y
+    for y in bits(active):
+        # V minus N(y) only shrinks color by color: stop once it is too small.
+        y_mask = active
+        for row in rows:
+            y_mask &= ~row[y]
+            if y_mask.bit_count() < size:
+                break
+        else:
+            if y_mask.bit_count() != size:
+                continue
+            members = bits(y_mask)
+            if all(not row[z] & y_mask for row in rows for z in members):
+                return frozenset(bits(active ^ y_mask)), frozenset(members)
     return None
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _normalized_components(forest: RainbowLinearForest, pair: tuple[int, int] | None) -> list[tuple[int, ...]]:
@@ -130,39 +156,37 @@ def certificate_violations(
         if X | Y != universe:
             problems.append("X and Y do not partition the required vertex set")
 
+    # Each helper compares whole neighbour masks with a side mask, and reports
+    # the first failing pair in the order a pair-by-pair scan would meet it.
     def all_pairs_present(colors, side_a, side_b, label) -> None:
-        for c in colors:
-            for a in side_a:
-                for b in side_b:
-                    if a != b and not collection.has_edge(c, a, b):
-                        problems.append(f"{label}: edge ({min(a,b)},{max(a,b)}) missing in color {c}")
-                        return
+        b_mask = mask_of(side_b)
+        for c, a in product(colors, side_a):
+            missing = b_mask & ~collection.adjacency[c][a] & ~(1 << a)
+            if missing:
+                b = next(b for b in side_b if missing >> b & 1)
+                problems.append(f"{label}: edge ({min(a,b)},{max(a,b)}) missing in color {c}")
+                return
 
-    def clique(colors, side, label) -> None:
-        side_list = sorted(side)
-        for c in colors:
-            for i, a in enumerate(side_list):
-                for b in side_list[i + 1:]:
-                    if not collection.has_edge(c, a, b):
-                        problems.append(f"{label}: clique edge ({a},{b}) missing in color {c}")
-                        return
-
-    def independent(colors, side, label) -> None:
-        side_list = sorted(side)
-        for c in colors:
-            for i, a in enumerate(side_list):
-                for b in side_list[i + 1:]:
-                    if collection.has_edge(c, a, b):
-                        problems.append(f"{label}: edge ({a},{b}) present in color {c}")
-                        return
+    def within(colors, side, label, edges: bool) -> None:
+        # Every pair inside ``side`` is an edge (a clique) or none is.
+        side_mask = mask_of(side)
+        for c, a in product(colors, sorted(side)):
+            row = collection.adjacency[c][a]
+            bad = side_mask >> (a + 1) << (a + 1) & (~row if edges else row)
+            if bad:
+                pair = f"({a},{_low(bad)})"
+                problems.append(f"{label}: clique edge {pair} missing in color {c}" if edges
+                                else f"{label}: edge {pair} present in color {c}")
+                return
 
     def no_cross(colors, label) -> None:
-        for c in colors:
-            for a in sorted(X):
-                for b in sorted(Y):
-                    if collection.has_edge(c, a, b):
-                        problems.append(f"{label}: cross edge ({min(a,b)},{max(a,b)}) present in color {c}")
-                        return
+        y_mask = mask_of(Y)
+        for c, a in product(colors, sorted(X)):
+            present = y_mask & collection.adjacency[c][a]
+            if present:
+                b = _low(present)
+                problems.append(f"{label}: cross edge ({min(a,b)},{max(a,b)}) present in color {c}")
+                return
 
     every_color = range(collection.n_colors)
 
@@ -177,8 +201,8 @@ def certificate_violations(
             if row != first:
                 problems.append("colors are not identical")
                 break
-        clique(every_color, X, "A2p X")
-        clique(every_color, Y, "A2p Y")
+        within(every_color, X, "A2p X", edges=True)
+        within(every_color, Y, "A2p Y", edges=True)
         no_cross(every_color, "A2p")
     elif cert.kind == "A3p":
         if n % 2 != 0:
@@ -187,7 +211,7 @@ def certificate_violations(
             if len(X) != n // 2 - 1 or len(Y) != n // 2 + 1:
                 problems.append(f"A3p sizes must be (n/2-1, n/2+1), got ({len(X)},{len(Y)})")
         check_partition_of(set(range(n)))
-        independent(every_color, Y, "A3p Y")
+        within(every_color, Y, "A3p Y", edges=False)
     elif cert.kind in ("B2", "B3"):
         if cert.pair is None:
             problems.append(f"{cert.kind} requires a blocked pair")
@@ -197,8 +221,8 @@ def certificate_violations(
             check_partition_of(set(range(n)) - {u, v})
             if not X or not Y:
                 problems.append("B2 requires both sides nonempty")
-            clique(every_color, X, "B2 X")
-            clique(every_color, Y, "B2 Y")
+            within(every_color, X, "B2 X", edges=True)
+            within(every_color, Y, "B2 Y", edges=True)
             no_cross(every_color, "B2")
             all_pairs_present(every_color, {u}, X | Y, "B2 u-adjacency")
             all_pairs_present(every_color, {v}, X | Y, "B2 v-adjacency")
@@ -228,8 +252,8 @@ def certificate_violations(
             check_partition_of(set(range(n)) - h_vertices)
             if not X or not Y:
                 problems.append("C2 requires both sides nonempty")
-            clique(unused, X, "C2 X")
-            clique(unused, Y, "C2 Y")
+            within(unused, X, "C2 X", edges=True)
+            within(unused, Y, "C2 Y", edges=True)
             no_cross(unused, "C2")
             all_pairs_present(unused, h_vertices, X | Y, "C2 forest adjacency")
         else:
@@ -244,7 +268,7 @@ def certificate_violations(
             if not h_vertices <= X:
                 problems.append("C3 requires every forest vertex inside X")
             all_pairs_present(unused, X, Y, "C3 bipartite completeness")
-            independent(unused, Y, "C3 Y")
+            within(unused, Y, "C3 Y", edges=False)
     return problems
 
 

@@ -28,6 +28,15 @@ def complete_collection(n: int, m: int | None = None) -> GraphCollection:
     return GraphCollection.from_edge_lists(n, [clique_edges(range(n))] * (m or n))
 
 
+def union_masks(collection) -> list[int]:
+    """Per-vertex neighbour masks of the union graph over all colors."""
+    masks = [0] * collection.n_vertices
+    for row in collection.adjacency:
+        for v, mask in enumerate(row):
+            masks[v] |= mask
+    return masks
+
+
 def brute_rainbow_exists(collection, edges, forbidden=frozenset()) -> bool:
     """Exhaustive injection search: some permutation of colors fits the edges."""
     edges = list(edges)

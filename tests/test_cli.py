@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,23 +76,24 @@ class TestSolveCommand:
 
     def test_reduction_bound_error_writes_bundle(self, tmp_path, capsys, monkeypatch):
         import rainbowpath.solver
-        from rainbowpath.forest import ReductionBoundError
 
-        def failing_reduce(collection, plan):
-            raise ReductionBoundError(
-                "sigma2 of reduced color 3 is 1 < 3",
-                bundle={"retained_color": 3, "sigma2": 1, "bound": 3},
-            )
+        # Every color restricted to V minus D = {1, 2, 3} reads sigma2 0,
+        # below the inherited bound 1; the whole collection reads true.
+        original = rainbowpath.solver.row_sigma2
 
-        monkeypatch.setattr(rainbowpath.solver, "reduce_collection", failing_reduce)
+        def short_when_masked(row, active=None):
+            return original(row) if active is None else 0
+
+        monkeypatch.setattr(rainbowpath.solver, "row_sigma2", short_when_masked)
         path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
         monkeypatch.chdir(tmp_path)
         assert main(["solve", path]) == EXIT_VIOLATION
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert "sigma2 of reduced color 0 is 0 < 1" in err
         bundle_path = err.rsplit("repro bundle ", 1)[1].strip()
         data = json.loads((tmp_path / bundle_path).read_text())
-        assert data["bundle"] == {"retained_color": 3, "sigma2": 1, "bound": 3}
+        assert data["bundle"] == {"retained_color": 0, "sigma2": 0, "bound": 1}
 
 
 def _with_row0(data, text):
@@ -334,6 +339,11 @@ class TestSuiteArguments:
         (["sweep", "--samples", "2", "--n-min", "9", "--n-max", "8"], "--n-max 8 is below --n-min 9"),
         (["sweep", "--samples", "2", "--n-min", "9", "--n-max", "7"], "--n-max 7 is below --n-min 9"),
         (["verify", "--count", "2", "--k-list", "a"], "--k-list must be comma-separated integers"),
+        (["sweep", "--k", "5", "--n-min", "5", "--n-max", "5", "--samples", "2"],
+         "k=5 leaves no compatible pair for a k-edge forest; need n >= k+2, got n=5"),
+        (["gen", "--n", "8", "--p", "1.5"], "p=1.5 is not a probability in [0, 1]"),
+        (["gen", "--n", "8", "--flips", "-1", "--model", "perturbed_extremal"],
+         "flips=-1 must be >= 0"),
     ])
     def test_bad_range_or_list_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -342,6 +352,18 @@ class TestSuiteArguments:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not report.exists()
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Single-process commands must not pay for multiprocessing at start-up.
+    code = (
+        "import sys, rainbowpath.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMinimization:

@@ -2,18 +2,21 @@ import math
 
 import pytest
 
+import rainbowpath.solver
+
 from rainbowpath import (
     GraphCollection,
     InputError,
     InternalError,
     RainbowLinearForest,
     is_h_compatible,
-    reduce_collection,
+    li2_dispatch,
     select_deletion_set,
     sigma2,
 )
 from rainbowpath.forest import ReductionBoundError
 from rainbowpath.gen import GenSpec, random_instance
+from rainbowpath.model import row_sigma2
 
 from .conftest import complete_collection
 
@@ -132,15 +135,29 @@ class TestDeletionSet:
         assert a.middle_components[1] == (7, 4, 9)
 
 
+def brute_relabel(coll, plan):
+    """The reduced copy the solver once built: D deleted, the dropped colors
+    removed, the rest relabelled densely.  Reference for the masked path."""
+    keep = [x for x in range(coll.n_vertices) if x not in plan.deleted]
+    rows = tuple(
+        tuple(
+            sum(1 << j for j, other in enumerate(keep) if coll.has_edge(color, old, other))
+            for old in keep
+        )
+        for color in plan.retained_colors
+    )
+    return GraphCollection(len(keep), rows), keep
+
+
 class TestReduceCollection:
     def test_complete_seven(self):
         coll = complete_collection(7)
         forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 6})
         plan = select_deletion_set(forest, 0, 1, 7)
-        reduced = reduce_collection(coll, plan)
-        assert reduced.n_vertices == 4
-        assert reduced.n_colors == 6
-        assert sigma2(reduced, 0) == math.inf
+        assert plan.active == 0b0111100  # V minus D = {2, 3, 4, 5}
+        assert plan.retained_mask == 0b0111111
+        assert len(plan.retained_colors) == 6
+        assert row_sigma2(coll.adjacency[0], plan.active) == math.inf
 
     def test_inherited_bound_exact_values(self):
         # k=1 at n=7 leaves the bound at 2; k=2 at n=10 leaves it at 4.
@@ -158,39 +175,76 @@ class TestReduceCollection:
         forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 6})
         plan = select_deletion_set(forest, 4, 1, 7)
         with pytest.raises(ReductionBoundError) as excinfo:
-            reduce_collection(coll, plan)
+            li2_dispatch(coll, plan.active, plan.retained_mask)
         assert isinstance(excinfo.value, InternalError)
         assert excinfo.value.bundle == {"retained_color": 0, "sigma2": 0, "bound": 2}
 
-    def test_rows_match_brute_relabel(self):
+    def test_masked_sigma2_matches_brute_relabel(self):
         ends_deleted = 0
-        for seed in range(40):
-            n = 7 + seed % 10
-            k = seed % ((n - 4) // 3 + 1)
+        below_full = 0
+        ks = set()
+        for seed in range(60):
+            n = 10 + seed % 8
+            k = seed % 3
             coll, forest, u, v = random_instance(GenSpec(n=n, k=k, p=0.8, seed=seed))
             plans = [
                 select_deletion_set(forest, u, v, n),
                 select_deletion_set(RainbowLinearForest.empty(), 0, n - 1, n),
             ]
             for plan in plans:
+                ks.add(plan.k)
                 ends_deleted += {0, n - 1} <= plan.deleted
-                reduced = reduce_collection(coll, plan)
-                keep = plan.new_to_old
-                assert reduced.n_colors == len(plan.retained_colors)
+                reduced, keep = brute_relabel(coll, plan)
+                assert plan.active == sum(1 << x for x in keep)
+                assert plan.retained_mask == sum(1 << c for c in plan.retained_colors)
                 for new_c, color in enumerate(plan.retained_colors):
-                    brute = tuple(
-                        sum(1 << j for j, other in enumerate(keep) if coll.has_edge(color, old, other))
-                        for old in keep
-                    )
-                    assert reduced.adjacency[new_c] == brute, (seed, plan.deleted, color)
-        assert ends_deleted >= 40
+                    masked = row_sigma2(coll.adjacency[color], plan.active)
+                    assert masked == sigma2(reduced, new_c), (seed, plan.deleted, color)
+                    below_full += masked < sigma2(coll, color)
+        assert ks == {0, 1, 2}
+        assert ends_deleted >= 60
+        assert below_full >= 1000
 
     def test_generated_instances_meet_bound(self):
         for seed in range(30):
             n = 7 + seed % 3
             coll, forest, u, v = random_instance(GenSpec(n=n, k=1, p=0.7, seed=seed))
             plan = select_deletion_set(forest, u, v, n)
-            reduced = reduce_collection(coll, plan)
-            assert reduced.n_vertices == n - 1 - 2
-            for c in range(reduced.n_colors):
-                assert sigma2(reduced, c) >= reduced.n_vertices - 2
+            assert plan.active.bit_count() == n - 1 - 2
+            for color in plan.retained_colors:
+                assert row_sigma2(coll.adjacency[color], plan.active) >= n - 1 - 2 - 2
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_dispatch_matches_brute_relabel(self, monkeypatch, fallback):
+        # The dispatch on the masks must give the relabelled copy's answer,
+        # in original ids: the relabel is monotone, so every scan order and
+        # hence every path, color and side is the same.
+        if fallback:
+            monkeypatch.setattr(rainbowpath.solver, "_heuristic_spanning_path", lambda *a: None)
+        kinds = []
+        for seed in range(48):
+            n = 8 + seed % 3
+            k = seed % 2
+            model = ("uniform_supergraph", "perturbed_extremal")[seed // 4 % 2]
+            extremal = ("C2", "C3", "B2", "B3")[seed // 8 % 4]
+            if extremal in ("B2", "B3"):
+                k = 0
+            if extremal in ("B3", "C3") and (n + k) % 2:
+                n += 1
+            coll, forest, u, v = random_instance(GenSpec(
+                n=n, k=k, p=0.75, seed=seed, model=model, extremal_kind=extremal, flips=seed % 3,
+            ))
+            plan = select_deletion_set(forest, u, v, n)
+            reduced, keep = brute_relabel(coll, plan)
+            want = li2_dispatch(reduced)
+            got = li2_dispatch(coll, plan.active, plan.retained_mask)
+            kinds.append(got.kind)
+            assert got.kind == want.kind and got.heuristic_used == want.heuristic_used
+            if want.kind == "A1":
+                assert got.order == tuple(keep[x] for x in want.order)
+                assert got.colors == tuple(plan.retained_colors[c] for c in want.colors)
+            else:
+                assert got.ell == want.ell
+                assert got.X == frozenset(keep[x] for x in want.X)
+                assert got.Y == frozenset(keep[x] for x in want.Y)
+        assert min(kinds.count(kind) for kind in ("A1", "A2", "A3")) >= 4, kinds

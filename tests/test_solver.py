@@ -86,7 +86,7 @@ class TestLi2Dispatch:
     def test_fallback_budget_escalates(self):
         coll = complete_collection(9, m=11)
         with pytest.raises(BudgetExceeded):
-            _exhaustive_spanning_path(coll, OracleBudget(node_limit=1))
+            _exhaustive_spanning_path(coll, (1 << 9) - 1, (1 << 11) - 1, OracleBudget(node_limit=1))
 
 
 class TestAbsorption:
@@ -412,17 +412,44 @@ class TestHamiltonianOrConnected:
             calls.append(color)
             return original(collection, color)
 
+        original_row = rainbowpath.model.row_sigma2
+        masked = []
+
+        def counting_row(row, active=None):
+            if active is not None:
+                masked.append(active)
+            return original_row(row, active)
+
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "rainbowpath" or name.startswith("rainbowpath.")):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
+                    elif value is original_row:
+                        monkeypatch.setattr(module, attr, counting_row)
         n = 8
         res = hamiltonian_or_connected(complete_collection(n))
         assert res.kind == "connected"
-        # The full collection once, then each pair's reduced collection once;
-        # with k=0 the reduced collection keeps all n colors.
-        assert len(calls) == n + n * (n - 1) // 2 * n
+        # The full collection once; then each pair's restriction to V minus
+        # D once per retained color (k=0 keeps all n), never a second time.
+        assert len(calls) == n
+        assert len(masked) == n * (n - 1) // 2 * n
+        assert len(set(masked)) == n * (n - 1) // 2
+
+    def test_pair_color_masks_computed_once(self, monkeypatch):
+        original = GraphCollection._scan_color_mask
+        scans = []
+
+        def counting(collection, u, v):
+            scans.append((u, v))
+            return original(collection, u, v)
+
+        monkeypatch.setattr(GraphCollection, "_scan_color_mask", counting)
+        n = 8
+        res = hamiltonian_or_connected(complete_collection(n))
+        assert res.kind == "connected"
+        # Every pair of a corollary run shares the collection's memo.
+        assert scans and len(scans) == len(set(scans)) <= n * (n - 1) // 2
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_too_small_rejected(self, n):

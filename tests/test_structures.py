@@ -8,6 +8,7 @@ from rainbowpath import (
     GraphCollection,
     InputError,
     RainbowLinearForest,
+    canonical_edge,
     cycle_from_extremal,
     detect_identical_split,
     detect_independent_heavy_side,
@@ -20,7 +21,7 @@ from rainbowpath.gen import build_extremal
 from rainbowpath.solver import solve_pair
 from rainbowpath.structures import certificate_violations
 
-from .conftest import clique_edges, complete_collection
+from .conftest import clique_edges, complete_collection, union_masks
 
 
 def split_by_component_search(collection):
@@ -62,7 +63,7 @@ def heavy_side_by_search(collection):
     if n % 2 != 0:
         return None
     size = n // 2 + 1
-    union = collection.union_adjacency()
+    union = union_masks(collection)
     chosen = []
 
     def extend(start, banned):
@@ -83,6 +84,15 @@ def heavy_side_by_search(collection):
         return None
     Y = frozenset(chosen)
     return frozenset(range(n)) - Y, Y
+
+
+def _flipped(coll, flips):
+    """The collection with edge (a, b) toggled in color c for each (c, a, b)."""
+    rows = [list(row) for row in coll.adjacency]
+    for c, a, b in flips:
+        rows[c][a] ^= 1 << b
+        rows[c][b] ^= 1 << a
+    return GraphCollection(coll.n_vertices, tuple(map(tuple, rows)))
 
 
 def _random_edges(rng, vertices, p):
@@ -255,7 +265,7 @@ class TestDetectHeavySide:
                 continue
             found += 1
             X, Y = got
-            union = coll.union_adjacency()
+            union = union_masks(coll)
             assert len(Y) == n // 2 + 1 and n % 2 == 0
             assert X == frozenset(range(n)) - Y
             assert all(not union[y] >> z & 1 for y in Y for z in Y)
@@ -314,6 +324,57 @@ class TestVerifyCertificate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             ExtremalCertificate("Z9", frozenset(), frozenset())
+
+    @pytest.mark.parametrize("kind, n, k, flips, expected", [
+        ("A2", 6, 0, [(2, 0, 1), (4, 2, 3)], [
+            "colors are not identical",
+            "A2p X: clique edge (0,1) missing in color 2",
+            "A2p: cross edge (2,3) present in color 4",
+        ]),
+        ("A3", 8, 0, [(1, 3, 5)], ["A3p Y: edge (3,5) present in color 1"]),
+        ("B2", 7, 0, [(3, 2, 4), (0, 3, 5), (5, 0, 6)], [
+            "B2 X: clique edge (2,4) missing in color 3",
+            "B2: cross edge (3,5) present in color 0",
+            "B2 u-adjacency: edge (0,6) missing in color 5",
+        ]),
+        ("B3", 8, 0, [(2, 1, 6)], ["B3 bipartite completeness: edge (1,6) missing in color 2"]),
+        ("C3", 10, 2, [(5, 6, 9), (3, 4, 7)], [
+            "C3 bipartite completeness: edge (4,7) missing in color 3",
+            "C3 Y: edge (6,9) present in color 5",
+        ]),
+    ])
+    def test_first_failing_pair_per_clause(self, kind, n, k, flips, expected):
+        # Each clause reports the first pair a pair-by-pair scan meets:
+        # colors ascending, then the sides in their iteration order.
+        coll, meta = build_extremal(kind, n, k)
+        got = certificate_violations(_flipped(coll, flips), meta["certificate"], meta.get("forest"))
+        assert got == expected
+
+    @pytest.mark.parametrize("comps, sides, flips, expected", [
+        # The forest vertices {0, 9, 1, 17} iterate 9 before 1: the first
+        # missing pair is (4,9) although (1,4) is missing too.
+        (((0, 9), (1, 17)), (range(2, 9), range(10, 17)), [(2, 1, 4), (2, 9, 4)], [
+            "C2: cross edge (2,10) present in color 2",
+            "C2 forest adjacency: edge (4,9) missing in color 2",
+        ]),
+        # X | Y = {2, 17} iterates 17 before 2: the first missing pair is
+        # (0,17) although (0,2) is missing too.
+        (((0, *range(3, 9)), (1, *range(9, 17))), ({2}, {17}), [(15, 0, 2), (15, 0, 17)], [
+            "C2: cross edge (2,17) present in color 14",
+            "C2 forest adjacency: edge (0,17) missing in color 15",
+        ]),
+    ])
+    def test_forest_adjacency_scans_sides_in_set_order(self, comps, sides, flips, expected):
+        n = 18
+        fixed = {edge: c for c, edge in enumerate(
+            canonical_edge(a, b) for comp in comps for a, b in zip(comp, comp[1:])
+        )}
+        coll = GraphCollection.from_edge_lists(
+            n, [clique_edges(range(n)) if c >= len(fixed) else list(fixed) for c in range(n)]
+        )
+        forest = RainbowLinearForest(comps, fixed)
+        cert = ExtremalCertificate("C2", frozenset(sides[0]), frozenset(sides[1]), pair=(0, 1))
+        assert certificate_violations(_flipped(coll, flips), cert, forest) == expected
 
 
 class TestCycleFromExtremal:
