@@ -130,10 +130,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_UNKNOWN
 
 
+#: ``gen`` options that only the random models read; their defaults are GenSpec's.
+RANDOM_MODEL_OPTIONS = ("model", "extremal_kind", "flips", "p", "seed")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    given = {name: getattr(args, name) for name in RANDOM_MODEL_OPTIONS
+             if getattr(args, name) is not None}
     if args.kind:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise InputError(f"{flags} apply only to the random models, not with --kind")
         collection, meta = genmod.build_extremal(
-            args.kind, args.n, args.k, {"ell": args.ell} if args.ell else None
+            args.kind, args.n, args.k, None if args.ell is None else {"ell": args.ell}
         )
         forest = meta.get("forest")
         pair = meta.get("pair") or (None, None)
@@ -145,14 +154,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if meta.get("certificate") is not None:
             sidecar["certificate"] = serialize.extremal_certificate_to_dict(meta["certificate"])
     else:
-        spec = genmod.GenSpec(
-            n=args.n, k=args.k, model=args.model, seed=args.seed, p=args.p,
-            extremal_kind=args.extremal_kind, flips=args.flips,
-        )
+        if args.ell is not None:
+            raise InputError("--ell applies only with --kind")
+        spec = genmod.GenSpec(n=args.n, k=args.k, **given)
         collection, forest, u, v = genmod.random_instance(spec)
         data = serialize.instance_to_dict(collection, forest, u, v, args.k)
-        sidecar = {"model": args.model, "n": args.n, "k": args.k, "seed": args.seed,
-                   "p": args.p, "instance_hash": serialize.digest(data)}
+        sidecar = {"model": spec.model, "n": args.n, "k": args.k, "seed": spec.seed,
+                   "p": spec.p, "instance_hash": serialize.digest(data)}
     _emit(data, args.out)
     if args.meta_out:
         with open(args.meta_out, "w") as handle:
@@ -486,12 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", choices=genmod.EXTREMAL_KINDS,
                        help="canonical extremal family instead of a random model")
     p_gen.add_argument("--ell", type=int)
-    p_gen.add_argument("--model", default="uniform_supergraph",
+    # None marks a random-model option as not given (see RANDOM_MODEL_OPTIONS).
+    p_gen.add_argument("--model",
                        choices=("uniform_supergraph", "identical", "perturbed_extremal"))
-    p_gen.add_argument("--extremal-kind", default="C3")
-    p_gen.add_argument("--flips", type=int, default=0)
-    p_gen.add_argument("--p", type=float, default=0.9)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--extremal-kind")
+    p_gen.add_argument("--flips", type=int)
+    p_gen.add_argument("--p", type=float)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out")
     p_gen.add_argument("--meta-out")
     p_gen.set_defaults(func=cmd_gen)

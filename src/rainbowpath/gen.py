@@ -86,12 +86,15 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
 
     Metadata carries the matching ExtremalCertificate (when one exists), the
     embedded forest and blocked pair for the forest kinds, and a note on
-    which degree-sum level the family sits at.  The dirac_control family is
+    which degree-sum level the family sits at.  Only C2 and C3 embed a
+    k-edge forest; the other kinds take k = 0.  The dirac_control family is
     a negative control: it misses the sigma2 >= n bound on purpose.
     """
     params = params or {}
     if kind not in EXTREMAL_KINDS:
         raise InputError(f"unknown extremal kind {kind!r}; choose from {EXTREMAL_KINDS}")
+    if k != 0 and kind not in ("C2", "C3"):
+        raise InputError(f"{kind} embeds no forest, so k must be 0, got k={k}")
 
     if kind == "A2":
         if n < 2:

@@ -317,6 +317,30 @@ class CycleCertificate:
         }
 
 
+def _walk_violations(collection: GraphCollection, steps: Iterable[tuple[int, int, int]],
+                     problems: list[str]) -> dict[Edge, int]:
+    """Check each (a, b, color) step of a walk with distinct vertices.
+
+    Appends the violations to ``problems`` in walk order and returns the
+    color of every edge whose color is in range.
+    """
+    consecutive: dict[Edge, int] = {}
+    seen_colors: set[int] = set()
+    m, adjacency = collection.n_colors, collection.adjacency
+    for a, b, color in steps:
+        edge = (a, b) if a < b else (b, a)
+        if not (0 <= color < m):
+            problems.append(f"color {color} out of range on edge {edge}")
+            continue
+        if not adjacency[color][a] >> b & 1:
+            problems.append(f"edge {edge} absent from color {color}")
+        if color in seen_colors:
+            problems.append(f"color {color} used more than once")
+        seen_colors.add(color)
+        consecutive[edge] = color
+    return consecutive
+
+
 def path_certificate_violations(
     collection: GraphCollection,
     cert: PathCertificate,
@@ -330,25 +354,13 @@ def path_certificate_violations(
     fixed color.  With ``active`` (a vertex mask) the path must span exactly
     those vertices instead of all of them.
     """
-    problems: list[str] = []
     n = collection.n_vertices
     if sorted(cert.order) != (list(range(n)) if active is None else bits(active)):
         span = f"0..{n - 1}" if active is None else "the active vertices"
         return [f"order is not a permutation of {span}"]
-    consecutive: dict[Edge, int] = {}
-    seen_colors: set[int] = set()
-    m, adjacency = collection.n_colors, collection.adjacency
-    for a, b, color in zip(cert.order, cert.order[1:], cert.coloring):
-        edge = (a, b) if a < b else (b, a)  # distinct: the order is a permutation
-        if not (0 <= color < m):
-            problems.append(f"color {color} out of range on edge {edge}")
-            continue
-        if not adjacency[color][a] >> b & 1:
-            problems.append(f"edge {edge} absent from color {color}")
-        if color in seen_colors:
-            problems.append(f"color {color} used more than once")
-        seen_colors.add(color)
-        consecutive[edge] = color
+    problems: list[str] = []
+    consecutive = _walk_violations(collection, zip(cert.order, cert.order[1:], cert.coloring),
+                                   problems)
     if forest is not None:
         for edge, color in forest.fixed_colors.items():
             if edge not in consecutive:
@@ -369,27 +381,14 @@ def validate_path_certificate(
 
 
 def cycle_certificate_violations(collection: GraphCollection, cert: CycleCertificate) -> list[str]:
-    problems: list[str] = []
     n = collection.n_vertices
     if sorted(cert.order) != list(range(n)):
-        problems.append(f"order is not a permutation of 0..{n - 1}")
-        return problems
+        return [f"order is not a permutation of 0..{n - 1}"]
     if n < 3:
-        problems.append("a cycle needs at least 3 vertices")
-        return problems
-    seen_colors: set[int] = set()
-    for i in range(n):
-        a, b = cert.order[i], cert.order[(i + 1) % n]
-        color = cert.coloring[i]
-        edge = canonical_edge(a, b)
-        if not (0 <= color < collection.n_colors):
-            problems.append(f"color {color} out of range on edge {edge}")
-            continue
-        if not collection.has_edge(color, a, b):
-            problems.append(f"edge {edge} absent from color {color}")
-        if color in seen_colors:
-            problems.append(f"color {color} used more than once")
-        seen_colors.add(color)
+        return ["a cycle needs at least 3 vertices"]
+    problems: list[str] = []
+    _walk_violations(collection, zip(cert.order, cert.order[1:] + cert.order[:1], cert.coloring),
+                     problems)
     return problems
 
 

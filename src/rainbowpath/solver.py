@@ -8,9 +8,11 @@ interior forest components into the path by end-splices and degree-sum
 rotations, then attaches the endpoint components; the identical-split case
 threads the forest through the two cliques via the deleted layer; the
 heavy-side case grows the forest inside the small side, contracts it, and
-routes an alternating path through the complete bipartite remainder.  When
-the rotation heuristic finds no spanning path, the fallback runs the
-oracle's exact-search kernel, so an exhausted budget raises BudgetExceeded.
+routes an alternating path through the complete bipartite remainder, with
+no search: its top-up links are one pass and its piece order a first-fit
+loop.  When the rotation heuristic finds no spanning path, the fallback
+runs the oracle's exact-search kernel, so an exhausted budget raises
+BudgetExceeded.
 
 Every quantity the underlying counting arguments pin down (unused-color
 budgets, path lengths, nonempty rotation windows) is asserted at runtime;
@@ -49,6 +51,7 @@ from .oracle import OracleBudget, exact_search
 from .structures import (
     ExtremalCertificate,
     certificate_violations,
+    cycle_from_extremal,
     detect_identical_split,
     detect_independent_heavy_side,
 )
@@ -698,25 +701,16 @@ def _finish_path(
 # ---------------------------------------------------------------------------
 
 class _ForestScratch:
-    """Union-find over the growing linear forest, tracking degrees and tags."""
+    """Union-find over the growing linear forest on vertices 0..n-1, with degrees."""
 
-    def __init__(self, forest: RainbowLinearForest) -> None:
-        self.parent: dict[int, int] = {}
-        self.degree: dict[int, int] = {}
+    def __init__(self, forest: RainbowLinearForest, n: int) -> None:
+        self.parent = list(range(n))
+        self.degree = [0] * n
         for comp in forest.components:
-            for v in comp:
-                self.parent[v] = v
-                self.degree[v] = 0
-            for i in range(len(comp) - 1):
-                self.join(comp[i], comp[i + 1])
-
-    def ensure(self, v: int) -> None:
-        if v not in self.parent:
-            self.parent[v] = v
-            self.degree[v] = 0
+            for a, b in zip(comp, comp[1:]):
+                self.join(a, b)
 
     def find(self, v: int) -> int:
-        self.ensure(v)
         root = v
         while self.parent[root] != root:
             root = self.parent[root]
@@ -725,15 +719,11 @@ class _ForestScratch:
         return root
 
     def join(self, a: int, b: int) -> None:
-        self.ensure(a)
-        self.ensure(b)
         self.degree[a] += 1
         self.degree[b] += 1
         self.parent[self.find(a)] = self.find(b)
 
     def can_link(self, a: int, b: int) -> bool:
-        self.ensure(a)
-        self.ensure(b)
         return self.degree[a] <= 1 and self.degree[b] <= 1 and self.find(a) != self.find(b)
 
 
@@ -752,11 +742,20 @@ def case3_extend_forest(
     enough dropped-endpoint neighbors.  The result keeps u and v in distinct
     components with degree at most one: the extended forest must still admit
     a Hamiltonian u,v-path around it.
+
+    The top-up is one pass.  Each usable X' vertex in ascending order takes
+    its first link in scan order (fresh robust colors ascending, then ends
+    ascending) that keeps the forest linear and u's and v's components
+    apart, and no link is ever undone.  That is the leftmost branch of a
+    depth-first search over the same links, which returns exactly this
+    branch whenever it never backtracks; the pass can differ from it only
+    where the search would undo a link, and there it raises InternalError
+    instead.  On the generated case-3 families the search never backtracks.
     """
     forest = _plan_forest(plan)
     q = plan.q
     target = q - 1
-    scratch = _ForestScratch(forest)
+    scratch = _ForestScratch(forest, collection.n_vertices)
     used_colors = set(forest.fixed_colors.values())
     new_edges: dict[Edge, int] = {}
     anchors_in_x = sum(1 for v in plan.kept_endpoints if v in x_prime)
@@ -788,74 +787,47 @@ def case3_extend_forest(
 
     if count < target:
         t = count
-        w_set = list(plan.dropped_endpoints) + [plan.w_u, plan.w_v]
-        need = target - t
-        usable = [x for x in x_sorted if scratch.degree.get(x, 0) <= 1]
+        ends = mask_of(plan.dropped_endpoints) | 1 << plan.w_u | 1 << plan.w_v
+        linked = 0  # ends already used by a top-up link
 
-        def robust_colors(z: int) -> list[int]:
-            out = []
+        def links(z: int):
+            # (color, end) in scan order: fresh robust colors ascending, ends ascending.
             for c in plan.retained_colors:
-                if c in used_colors:
-                    continue
                 row = collection.neighbors_mask(c, z)
-                hits = sum(1 for w in w_set if row >> w & 1)
-                if hits >= q - t:
-                    out.append(c)
-            return out
-
-        matching: list[tuple[int, int, int]] = []
-
-        def grow(start_idx: int, colors_used: set[int], wset_used: set[int]) -> bool:
-            if len(matching) == need:
-                return True
-            for zi in range(start_idx, len(usable)):
-                z = usable[zi]
-                if scratch.degree.get(z, 0) > 1:
+                if c in used_colors or (row & ends).bit_count() < q - t:
                     continue
-                z_root = scratch.find(z)
-                for c in robust_colors(z):
-                    if c in colors_used:
-                        continue
-                    row = collection.neighbors_mask(c, z)
-                    for w in sorted(set(w_set)):
-                        if w in wset_used or not row >> w & 1:
-                            continue
-                        if not scratch.can_link(z, w):
-                            continue
-                        w_root = scratch.find(w)
-                        # Never chain the endpoint components together.
-                        if {z_root, w_root} == {scratch.find(plan.u), scratch.find(plan.v)}:
-                            continue
-                        saved = (dict(scratch.parent), dict(scratch.degree))
-                        scratch.join(z, w)
-                        matching.append((z, w, c))
-                        if grow(zi + 1, colors_used | {c}, wset_used | {w}):
-                            return True
-                        matching.pop()
-                        scratch.parent, scratch.degree = saved
-            return False
+                for w in bits(row & ends & ~linked):
+                    # Never chain the endpoint components together.
+                    if scratch.can_link(z, w) and {scratch.find(z), scratch.find(w)} != {
+                            scratch.find(plan.u), scratch.find(plan.v)}:
+                        yield c, w
 
-        if not grow(0, set(), set()):
+        for z in [x for x in x_sorted if scratch.degree[x] <= 1]:
+            if count == target:
+                break
+            link = next(links(z), None)
+            if link is not None:
+                c, w = link
+                new_edges[canonical_edge(z, w)] = c
+                used_colors.add(c)
+                linked |= 1 << w
+                scratch.join(z, w)
+                count += 1
+        if count < target:
             raise InternalError(
                 f"could not extend the forest to {target} edges touching X' "
                 f"(reached {t}); the robust-vertex argument guarantees it",
                 bundle={"x_prime": sorted(x_prime), "target": target, "reached": t},
             )
-        for z, w, c in matching:
-            new_edges[canonical_edge(z, w)] = c
-            used_colors.add(c)
-        count = target
 
     # Assemble H' as explicit paths from the merged edge set.
     adjacency: dict[int, list[int]] = {}
     colors: dict[Edge, int] = dict(forest.fixed_colors)
     colors.update(new_edges)
-    vertices = set(forest.vertices())
-    for (a, b) in colors:
-        vertices.update((a, b))
     for a, b in colors:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
+    vertices = forest.vertices() | set(adjacency)
     comps: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for v in sorted(vertices):
@@ -905,6 +877,20 @@ def case3_contract_and_route(
     the contracted system alternates sides.  Forest edges that cross into Y
     force their anchor next to the matching super-vertex; everything else is
     free because the X-Y bipartite layer is complete in every retained color.
+
+    The middle is arranged by appending the first piece that fits.  After a
+    super-vertex: a two-sided piece [y, comp, y], then a one-sided piece
+    [y, comp], then a free y.  After a y: a plain comp, then a one-sided
+    piece [comp, y].  One-sided pieces keep the side the walk ends on; the
+    others switch it, two-sided and free-y pieces from a comp to a y, plain
+    ones back.  An order exists iff these switches can alternate from the
+    head's side to the side the tail needs, which depends only on how many
+    switches of each direction are left, and appending any piece that fits
+    keeps that condition.  A dead end thus means that no order exists, so
+    the loop returns the first order that backtracking over the same
+    preferences would find, or raises where it would.  With |Y| one less
+    than the number of super-vertices the switch counts always balance, so
+    that InternalError is a check only.
     """
     colors = hprime.fixed_colors
     # Split each component at its Y vertices (always component endpoints).
@@ -958,72 +944,40 @@ def case3_contract_and_route(
     plain = sorted(i for i in middle if i not in required)
     free_ys = sorted(set(Y) - set(anchor_entry))
 
-    seq: list[tuple[str, int]] = [("comp", u_comp)]
+    arranged: list[tuple[str, int]] = [("comp", u_comp)]
     if u_comp in required:
-        seq.append(("y", required[u_comp][0]))
-
-    state = {
-        "two": list(two_sided),
-        "one": list(one_sided),
-        "plain": list(plain),
-        "free": list(free_ys),
-    }
+        arranged.append(("y", required[u_comp][0]))
     tail: list[tuple[str, int]] = []
     if v_comp in required:
         tail.append(("y", required[v_comp][0]))
     tail.append(("comp", v_comp))
-
-    def arrange(last_is_comp: bool, acc: list[tuple[str, int]]) -> list[tuple[str, int]] | None:
-        if not state["two"] and not state["one"] and not state["plain"] and not state["free"]:
-            if last_is_comp == (tail[0][0] == "y"):
-                return acc + tail
-            return None
-        options: list[str] = []
-        if last_is_comp:
-            # Need a Y next: a free y, or a piece starting with its own anchor.
-            options = ["two", "one_yc", "free"]
-        else:
-            options = ["plain", "one_cy"]
-        for opt in options:
-            if opt == "two" and state["two"]:
-                i = state["two"].pop(0)
+    while two_sided or one_sided or plain or free_ys:
+        if arranged[-1][0] == "comp":
+            if two_sided:
+                i = two_sided.pop(0)
                 a, b = sorted(required[i])
-                res = arrange(False, acc + [("y", a), ("comp", i), ("y", b)])
-                if res:
-                    return res
-                state["two"].insert(0, i)
-            elif opt == "one_yc" and state["one"]:
-                i = state["one"].pop(0)
-                res = arrange(True, acc + [("y", required[i][0]), ("comp", i)])
-                if res:
-                    return res
-                state["one"].insert(0, i)
-            elif opt == "one_cy" and state["one"]:
-                i = state["one"].pop(0)
-                res = arrange(False, acc + [("comp", i), ("y", required[i][0])])
-                if res:
-                    return res
-                state["one"].insert(0, i)
-            elif opt == "free" and state["free"]:
-                y = state["free"].pop(0)
-                res = arrange(False, acc + [("y", y)])
-                if res:
-                    return res
-                state["free"].insert(0, y)
-            elif opt == "plain" and state["plain"]:
-                i = state["plain"].pop(0)
-                res = arrange(True, acc + [("comp", i)])
-                if res:
-                    return res
-                state["plain"].insert(0, i)
-        return None
-
-    arranged = arrange(seq[-1][0] == "comp", seq)
-    if arranged is None:
+                arranged += [("y", a), ("comp", i), ("y", b)]
+            elif one_sided:
+                i = one_sided.pop(0)
+                arranged += [("y", required[i][0]), ("comp", i)]
+            elif free_ys:
+                arranged.append(("y", free_ys.pop(0)))
+            else:
+                break
+        elif plain:
+            arranged.append(("comp", plain.pop(0)))
+        elif one_sided:
+            i = one_sided.pop(0)
+            arranged += [("comp", i), ("y", required[i][0])]
+        else:
+            break
+    if (two_sided or one_sided or plain or free_ys
+            or (arranged[-1][0] == "comp") != (tail[0][0] == "y")):
         raise InternalError(
             "no alternating arrangement of contracted components and anchors",
             bundle={"required": {str(k_): v_ for k_, v_ in required.items()}},
         )
+    arranged += tail
 
     # Expand super-vertices, honoring forced entry/exit endpoints.
     order: list[int] = []
@@ -1158,7 +1112,10 @@ def solve(
         return SolverOutcome(extremal=cert, trace=tuple(trace))
     hprime = case3_extend_forest(collection, plan, x_prime, y_side)
     cert = case3_contract_and_route(collection, hprime, X, y_side, u, v, plan)
-    _record(trace, stage="case3", outcome="path")
+    # New edges that touch D are the top-up links; X'-internal ones do not.
+    top_up = sum(1 for edge in hprime.fixed_colors
+                 if edge not in plan.forest_edge_colors and not plan.deleted.isdisjoint(edge))
+    _record(trace, stage="case3", outcome="path", top_up=top_up)
     return SolverOutcome(path=cert, trace=tuple(trace))
 
 
@@ -1207,8 +1164,6 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
     yields a cycle through its extremal structure, and if no pair is blocked
     the collected paths witness connectedness.
     """
-    from .structures import cycle_from_extremal
-
     if not check_hypothesis(collection, 0):
         raise InputError("collection violates sigma2 >= n")
     paths: dict[tuple[int, int], PathCertificate] = {}

@@ -22,6 +22,7 @@ from .model import (
     InputError,
     InternalError,
     bits,
+    canonical_edge,
     check_hypothesis,
     mask_of,
     rainbow_assignment,
@@ -309,7 +310,5 @@ def cycle_from_extremal(collection: GraphCollection, cert: ExtremalCertificate) 
             f"cycle edges of a verified {cert.kind} certificate are not rainbow-colorable",
             bundle={"kind": cert.kind, "order": order},
         )
-    from .model import canonical_edge
-
     coloring = tuple(assignment[canonical_edge(*edges[i])] for i in range(n))
     return CycleCertificate(tuple(order), coloring)

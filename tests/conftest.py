@@ -7,12 +7,15 @@ code so the two routes can disagree loudly when one is wrong.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
 
 from rainbowpath import GraphCollection, RainbowLinearForest, canonical_edge
+from rainbowpath.gen import _repair_sigma2
+from rainbowpath.model import bits, mask_of
 from rainbowpath.serialize import instance_from_dict
 
 
@@ -92,6 +95,105 @@ def small_collections(draw, max_n=6, max_m=7, min_n=2, min_m=1):
         picks = draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
         lists.append([e for e, keep in zip(all_pairs, picks) if keep])
     return GraphCollection.from_edge_lists(n, lists)
+
+
+def _forest_roles(rng: random.Random, n: int, k: int, q: int):
+    """Random labels for a k-edge forest with q >= 1 interior components.
+
+    Returns (h_u, h_v, interior, free): the endpoint components oriented
+    away from u and v, the interior components oriented anchor first, and
+    the shuffled vertices outside the forest.  Every vertex but the anchors
+    is deleted by ``select_deletion_set``, which keeps the smaller end of an
+    interior component, so each anchor gets the smaller label of its ends.
+    """
+    extra = [0] * (q + 2)
+    for _ in range(k - q):
+        extra[rng.randrange(q + 2)] += 1
+    pool = rng.sample(range(n), n)
+    h_u = [pool.pop() for _ in range(extra[0] + 1)]
+    h_v = [pool.pop() for _ in range(extra[1] + 1)]
+    interior = []
+    for size in extra[2:]:
+        comp = [pool.pop() for _ in range(size + 2)]
+        if comp[0] > comp[-1]:
+            comp[0], comp[-1] = comp[-1], comp[0]
+        interior.append(comp)
+    return h_u, h_v, interior, pool
+
+
+def _family_forest(rng: random.Random, comps, k: int) -> RainbowLinearForest:
+    """The components as a forest whose edges take the colors 0..k-1 in random order."""
+    edges = [(a, b) for comp in comps for a, b in zip(comp, comp[1:])]
+    colors = rng.sample(range(k), k)
+    return RainbowLinearForest.from_paths([c for c in comps if len(c) > 1], dict(zip(edges, colors)))
+
+
+def case2_family(seed: int):
+    """Seeded instance whose solve builds an identical-split (case-2) path.
+
+    Colors 0..k-1 are complete and carry the forest.  Every other color is
+    the same graph: cliques X and Y, and the deleted forest vertices D joined
+    to everything.  The q >= 1 interior components are anchored in X or in
+    Y.  A non-adjacent x, y has degree sum |X| + |Y| - 2 + 2|D| = n + k, so
+    the hypothesis holds with equality.  Returns (collection, forest, u, v, k).
+    """
+    rng = random.Random(seed)
+    n = rng.randint(7, 14)
+    k = rng.randint(1, (n - 4) // 3)
+    h_u, h_v, interior, free = _forest_roles(rng, n, k, rng.randint(1, k))
+    rest = [comp[0] for comp in interior] + free
+    rng.shuffle(rest)
+    ell = rng.randint(1, len(rest) - 1)
+    x_mask, y_mask, full = mask_of(rest[:ell]), mask_of(rest[ell:]), (1 << n) - 1
+    d_mask = full ^ x_mask ^ y_mask
+    side = {z: x_mask if x_mask >> z & 1 else y_mask if y_mask >> z & 1 else full for z in range(n)}
+    structured = tuple((side[z] | d_mask) & ~(1 << z) for z in range(n))
+    complete = tuple(full & ~(1 << z) for z in range(n))
+    rows = [complete if c < k else structured for c in range(n)]
+    forest = _family_forest(rng, [h_u, h_v, *interior], k)
+    return GraphCollection(n, tuple(rows)), forest, h_u[0], h_v[0], k
+
+
+def case3_family(seed: int):
+    """Seeded instance whose solve builds a heavy-side (case-3) path.
+
+    Colors 0..k-1 are complete and carry the forest.  In every other color
+    Y is independent and complete to X = X' + D, D (the deleted forest
+    vertices) is a clique, X' has internal edges with probability 0 or 0.2
+    and D-X' edges with a density from 1 down to 0, and then
+    ``gen._repair_sigma2`` restores the n + k bound.  Two vertices of Y have
+    degree sum 2|X| = n + k already, so the repair never joins them.  Each
+    interior component is anchored in Y (at least one) or in X'.
+    Returns (collection, forest, u, v, k).
+    """
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    n = rng.randrange(3 * k + 4, 17, 2)
+    q = rng.randint(1, k)
+    h_u, h_v, interior, free = _forest_roles(rng, n, k, q)
+    y_size, x_size = (n - k) // 2, (n - k) // 2 - 2
+    in_y = rng.randint(max(1, q - x_size), min(q, y_size))
+    anchors = [comp[0] for comp in interior]
+    rng.shuffle(anchors)
+    y_side = anchors[:in_y] + free[: y_size - in_y]
+    x_prime = anchors[in_y:] + free[y_size - in_y :]
+    y_mask, x_mask, full = mask_of(y_side), mask_of(x_prime), (1 << n) - 1
+    d_mask = full ^ y_mask ^ x_mask
+    p = rng.choice((0.0, 0.2))
+    density = rng.choice((1.0, 0.75, 0.5, 0.25, 0.0))
+    masks = []
+    for c in range(n):
+        row = [full if c < k else x_mask | d_mask if y_mask >> z & 1 else y_mask for z in range(n)]
+        for a, b in combinations(bits(full ^ y_mask) if c >= k else (), 2):
+            if d_mask >> a & 1 and d_mask >> b & 1 or rng.random() < (
+                    p if x_mask >> a & 1 and x_mask >> b & 1 else density):
+                row[a] |= 1 << b
+                row[b] |= 1 << a
+        masks.append([mask & ~(1 << z) for z, mask in enumerate(row)])
+    _repair_sigma2(masks, n, n + k)
+    collection = GraphCollection(n, tuple(tuple(row) for row in masks))
+    forest = _family_forest(rng, [h_u, h_v, *interior], k)
+    return collection, forest, h_u[0], h_v[0], k
 
 
 def edges_form(data: dict) -> dict:

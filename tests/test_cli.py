@@ -344,6 +344,12 @@ class TestSuiteArguments:
         (["gen", "--n", "8", "--p", "1.5"], "p=1.5 is not a probability in [0, 1]"),
         (["gen", "--n", "8", "--flips", "-1", "--model", "perturbed_extremal"],
          "flips=-1 must be >= 0"),
+        (["gen", "--n", "8", "--kind", "B3", "--p", "1.5", "--flips", "-3", "--model", "identical",
+          "--seed", "4"], "--model, --flips, --p, --seed apply only to the random models"),
+        (["gen", "--n", "8", "--ell", "3"], "--ell applies only with --kind"),
+        (["gen", "--n", "8", "--kind", "B3", "--k", "2"], "B3 embeds no forest, so k must be 0"),
+        (["gen", "--n", "10", "--k", "1", "--model", "perturbed_extremal", "--extremal-kind", "B3"],
+         "B3 embeds no forest, so k must be 0, got k=1"),
     ])
     def test_bad_range_or_list_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -60,6 +60,9 @@ class TestBuildExtremal:
             build_extremal("C3", 9, 2)  # n+k odd
         with pytest.raises(InputError):
             build_extremal("nope", 5)
+        for kind in ("A2", "A3", "B2", "B3", "dirac_control"):
+            with pytest.raises(InputError, match="embeds no forest"):
+                build_extremal(kind, 8, 1)
 
 
 class TestRandomInstance:

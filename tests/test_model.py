@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowpath import (
+    CycleCertificate,
     GraphCollection,
     InputError,
     PathCertificate,
@@ -18,7 +19,7 @@ from rainbowpath import (
     validate_path_certificate,
 )
 from rainbowpath.gen import build_extremal
-from rainbowpath.model import path_certificate_violations
+from rainbowpath.model import bits, cycle_certificate_violations, path_certificate_violations
 
 from .conftest import brute_rainbow_exists, complete_collection, small_collections
 
@@ -188,6 +189,27 @@ class TestPathCertificate:
         not_consecutive = PathCertificate((1, 0, 2, 3), (0, 1, 2))
         assert not validate_path_certificate(k4, not_consecutive, forest)
 
+    @pytest.mark.parametrize("corruption, expected", [
+        ("wrong_color", "out of range on edge"),
+        ("missing_edge", "absent from color"),
+        ("repeated_color", "used more than once"),
+        ("not_permutation", "is not a permutation"),
+        ("small_n", "a cycle needs at least 3 vertices"),
+    ])
+    def test_walk_checks_match_reference(self, corruption, expected):
+        seen = []
+        for seed in range(300):
+            coll, forest, path, cycle = _corrupted_certificates(random.Random(seed), corruption)
+            for got, want in (
+                (path_certificate_violations(coll, path), reference_path_violations(coll, path)),
+                (path_certificate_violations(coll, path, forest),
+                 reference_path_violations(coll, path, forest)),
+                (cycle_certificate_violations(coll, cycle), reference_cycle_violations(coll, cycle)),
+            ):
+                assert got == want, seed
+                seen += got
+        assert sum(expected in problem for problem in seen) >= 100
+
     def test_canonical_edge_rejects_loop(self):
         with pytest.raises(InputError):
             canonical_edge(2, 2)
@@ -198,3 +220,95 @@ def test_public_api_names_resolve():
 
     missing = [name for name in rainbowpath.__all__ if not hasattr(rainbowpath, name)]
     assert missing == []
+
+
+def _corrupted_certificates(rng: random.Random, corruption: str):
+    """A random collection with a path and a cycle certificate, both corrupted.
+
+    Colors are drawn at random, so most walks also miss edges and repeat
+    colors; ``corruption`` adds one defect on top.
+    """
+    n = rng.randint(1, 2) if corruption == "small_n" else rng.randint(3, 8)
+    m = max(1, n + rng.randint(-1, 2))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    coll = GraphCollection.from_edge_lists(
+        n, [[e for e in pairs if rng.random() < 0.7] for _ in range(m)])
+    order = rng.sample(range(n), n)
+    path_colors = [rng.randrange(m) for _ in range(n - 1)]
+    cycle_colors = [rng.randrange(m) for _ in range(n)]
+    if corruption == "wrong_color":
+        path_colors[rng.randrange(len(path_colors))] = rng.choice((-1, m, m + 5))
+        cycle_colors[rng.randrange(n)] = rng.choice((-1, m, m + 5))
+    elif corruption == "missing_edge":
+        i = rng.randrange(n - 1)
+        absent = [c for c in range(m) if not coll.has_edge(c, order[i], order[i + 1])]
+        if absent:
+            path_colors[i] = cycle_colors[i] = rng.choice(absent)
+    elif corruption == "repeated_color":
+        path_colors[-1] = path_colors[0]
+        cycle_colors[-1] = cycle_colors[0]
+    elif corruption == "not_permutation":
+        order[rng.randrange(n)] = rng.choice((order[0], n, -1))
+    forest_edges = [canonical_edge(a, b) for a, b in zip(order, order[1:])
+                    if a != b and 0 <= min(a, b) and max(a, b) < n][:2]
+    forest = RainbowLinearForest(tuple(forest_edges), {e: rng.randrange(m) for e in forest_edges})
+    return (coll, forest, PathCertificate(tuple(order), tuple(path_colors)),
+            CycleCertificate(tuple(order), tuple(cycle_colors)))
+
+
+def reference_path_violations(collection, cert, forest=None, active=None):
+    """The path check as it was before it shared its walk loop with the cycle check."""
+    problems: list[str] = []
+    n = collection.n_vertices
+    if sorted(cert.order) != (list(range(n)) if active is None else bits(active)):
+        span = f"0..{n - 1}" if active is None else "the active vertices"
+        return [f"order is not a permutation of {span}"]
+    consecutive: dict = {}
+    seen_colors: set[int] = set()
+    m, adjacency = collection.n_colors, collection.adjacency
+    for a, b, color in zip(cert.order, cert.order[1:], cert.coloring):
+        edge = (a, b) if a < b else (b, a)  # distinct: the order is a permutation
+        if not (0 <= color < m):
+            problems.append(f"color {color} out of range on edge {edge}")
+            continue
+        if not adjacency[color][a] >> b & 1:
+            problems.append(f"edge {edge} absent from color {color}")
+        if color in seen_colors:
+            problems.append(f"color {color} used more than once")
+        seen_colors.add(color)
+        consecutive[edge] = color
+    if forest is not None:
+        for edge, color in forest.fixed_colors.items():
+            if edge not in consecutive:
+                problems.append(f"forest edge {edge} is not consecutive on the path")
+            elif consecutive[edge] != color:
+                problems.append(
+                    f"forest edge {edge} carries color {consecutive[edge]}, fixed {color}"
+                )
+    return problems
+
+
+def reference_cycle_violations(collection, cert):
+    """The cycle check as it was before it shared its walk loop with the path check."""
+    problems: list[str] = []
+    n = collection.n_vertices
+    if sorted(cert.order) != list(range(n)):
+        problems.append(f"order is not a permutation of 0..{n - 1}")
+        return problems
+    if n < 3:
+        problems.append("a cycle needs at least 3 vertices")
+        return problems
+    seen_colors: set[int] = set()
+    for i in range(n):
+        a, b = cert.order[i], cert.order[(i + 1) % n]
+        color = cert.coloring[i]
+        edge = canonical_edge(a, b)
+        if not (0 <= color < collection.n_colors):
+            problems.append(f"color {color} out of range on edge {edge}")
+            continue
+        if not collection.has_edge(color, a, b):
+            problems.append(f"edge {edge} absent from color {color}")
+        if color in seen_colors:
+            problems.append(f"color {color} used more than once")
+        seen_colors.add(color)
+    return problems

@@ -319,6 +319,28 @@ class TestSolveEndToEnd:
         assert out.path is not None
         assert validate_path_certificate(coll, out.path, forest)
 
+    def test_case3_top_up_skips_non_robust_color(self):
+        # In color 4, the first retained color, vertex 4 sees only one of the
+        # ends {10, 11, 12, 13}; a top-up link needs q - t = 2 of them, so it
+        # takes color 5 instead.
+        n, k = 16, 4
+        D = {0, 1, 10, 11, 12, 13}
+        Xp, Yp = {4, 5, 6, 7}, {2, 3, 8, 9, 14, 15}
+        structured = clique_edges(D) + cross_edges(D, Xp) + cross_edges(Xp | D, Yp)
+        sparse = [e for e in structured if e not in {(4, 11), (4, 12), (4, 13)}]
+        complete = clique_edges(range(n))
+        lists = [complete if c < k else sparse if c == k else structured for c in range(n)]
+        coll = _mask_collection(n, lists)
+        forest = RainbowLinearForest.from_paths(
+            [(2, 10), (3, 11), (0, 12), (1, 13)],
+            {(2, 10): 0, (3, 11): 1, (0, 12): 2, (1, 13): 3},
+        )
+        assert check_hypothesis(coll, k)
+        out = solve(coll, forest, 0, 1)
+        assert out.trace[-1] == {"stage": "case3", "outcome": "path", "top_up": 1}
+        assert out.path.edge_coloring()[(4, 10)] == 5
+        assert validate_path_certificate(coll, out.path, forest)
+
     def test_precondition_errors(self, k4):
         with pytest.raises(InputError):
             solve(k4, None, 0, 0)
