@@ -132,6 +132,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 #: ``gen`` options that only the random models read; their defaults are GenSpec's.
 RANDOM_MODEL_OPTIONS = ("model", "extremal_kind", "flips", "p", "seed")
+#: The random-model options each model reads.
+MODEL_OPTIONS = {
+    "uniform_supergraph": {"model", "p", "seed"},
+    "identical": {"model", "seed"},
+    "perturbed_extremal": {"model", "extremal_kind", "flips", "seed"},
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -139,8 +149,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
              if getattr(args, name) is not None}
     if args.kind:
         if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise InputError(f"{flags} apply only to the random models, not with --kind")
+            raise InputError(f"{_flags(given)} apply only to the random models, not with --kind")
         collection, meta = genmod.build_extremal(
             args.kind, args.n, args.k, None if args.ell is None else {"ell": args.ell}
         )
@@ -156,6 +165,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.ell is not None:
             raise InputError("--ell applies only with --kind")
+        model = given.get("model", genmod.GenSpec.model)
+        unread = [name for name in given if name not in MODEL_OPTIONS[model]]
+        if unread:
+            raise InputError(f"the {model} model does not read {_flags(unread)}")
         spec = genmod.GenSpec(n=args.n, k=args.k, **given)
         collection, forest, u, v = genmod.random_instance(spec)
         data = serialize.instance_to_dict(collection, forest, u, v, args.k)

@@ -159,7 +159,6 @@ class ReductionPlan:
     h_v: tuple[int, ...]
     w_u: int
     w_v: int
-    dropped_colors: frozenset[int]
     retained_colors: tuple[int, ...]
     retained_mask: int
     active: int
@@ -245,7 +244,6 @@ def select_deletion_set(
         h_v=h_v,
         w_u=h_u[-1],
         w_v=h_v[-1],
-        dropped_colors=dropped_colors,
         retained_colors=retained,
         retained_mask=((1 << m) - 1) & ~mask_of(dropped_colors),
         active=((1 << n_vertices) - 1) & ~mask_of(deleted),

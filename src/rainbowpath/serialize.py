@@ -160,6 +160,8 @@ def instance_from_dict(data: dict) -> Instance:
         u, v, k = (
             None if data.get(key) is None else _int(data[key], key) for key in ("u", "v", "k")
         )
+        if k is not None and k != forest.edge_count:
+            raise InputError(f"k={k} does not match the forest's {forest.edge_count} edges")
         return Instance(collection, forest, u, v, k)
     except InputError:
         raise

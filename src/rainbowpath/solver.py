@@ -4,8 +4,9 @@ Pipeline: delete the k+2 forest vertices D and the k fixed colors, run the
 spanning-path trichotomy on the rest (the collection read through an
 active-vertex mask and a color mask, in original ids: no relabelled copy),
 then undo the deletion constructively.  The spanning-path case absorbs
-interior forest components into the path by end-splices and degree-sum
-rotations, then attaches the endpoint components; the identical-split case
+interior forest components into the path (end-splices aside) and then
+attaches the endpoint components with one join step: a direct join in a
+spare color, else a degree-sum rotation; the identical-split case
 threads the forest through the two cliques via the deleted layer; the
 heavy-side case grows the forest inside the small side, contracts it, and
 routes an alternating path through the complete bipartite remainder, with
@@ -21,7 +22,7 @@ a violation raises InternalError with a repro bundle instead of degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .forest import (
@@ -74,7 +75,6 @@ class WorkingPath:
     colors: list[int]
     n_colors: int
     forest_colors: dict[Edge, int]
-    absorbed: set[int] = field(default_factory=set)
 
     def edge_map(self) -> dict[Edge, int]:
         return {(a, b) if a < b else (b, a): c
@@ -87,7 +87,19 @@ class WorkingPath:
         return len(self.forest_colors.keys() & self.edge_map().keys()) if self.forest_colors else 0
 
 
-def _rebuild(wp: WorkingPath, new_order: list[int], emap: dict[Edge, int]) -> WorkingPath:
+def _splice(wp: WorkingPath, comp: tuple[int, ...], new_order: list[int],
+            cut: list[tuple[int, int]], joins: list[tuple[Edge, int]]) -> WorkingPath:
+    """Color ``new_order`` from the path's edges minus ``cut``, plus ``joins``
+    and the forest edges of ``comp``; the result must be rainbow."""
+    emap = wp.edge_map()
+    for edge in {canonical_edge(a, b) for a, b in cut}:
+        if edge in wp.forest_colors:
+            raise InternalError(f"rotation tried to cut forest edge {edge}")
+        del emap[edge]
+    emap.update(joins)
+    for a, b in zip(comp, comp[1:]):
+        edge = canonical_edge(a, b)
+        emap[edge] = wp.forest_colors[edge]
     colors = []
     for a, b in zip(new_order, new_order[1:]):
         edge = (a, b) if a < b else (b, a)
@@ -96,15 +108,7 @@ def _rebuild(wp: WorkingPath, new_order: list[int], emap: dict[Edge, int]) -> Wo
         colors.append(emap[edge])
     if len(set(colors)) != len(colors):
         raise InternalError("rebuilt path is not rainbow")
-    return WorkingPath(new_order, colors, wp.n_colors, wp.forest_colors, set(wp.absorbed))
-
-
-def _component_edge_colors(wp: WorkingPath, comp: tuple[int, ...]) -> list[tuple[Edge, int]]:
-    out = []
-    for i in range(len(comp) - 1):
-        edge = canonical_edge(comp[i], comp[i + 1])
-        out.append((edge, wp.forest_colors[edge]))
-    return out
+    return WorkingPath(new_order, colors, wp.n_colors, wp.forest_colors)
 
 
 def _pigeonhole_colors(
@@ -147,6 +151,34 @@ def _rotation_window(
     return None
 
 
+def _join(collection: GraphCollection, wp: WorkingPath, orders: list[list[int]], S: list[int],
+          w: int, ore_bound: int) -> tuple[list[int], str, int, list[tuple[Edge, int]]] | None:
+    """Join ``w`` to the front of one orientation in ``orders`` of the path.
+
+    A direct join takes the lowest spare color of ``S`` that sees the front,
+    trying the orientations in turn, and counts as window p = -1.  Otherwise
+    a degree-sum (Pósa) rotation: with the pigeonhole colors (a1, a2) and the
+    rotation window p, order[p] ~ w in a1 and order[0] ~ order[p+1] in a2,
+    and the caller cuts (order[p], order[p+1]).  Returns the orientation,
+    the mode, p and the join edges with their colors; None when no
+    orientation has a window.
+    """
+    for order in orders:
+        a = next((a for a in S if collection.has_edge(a, order[0], w)), None)
+        if a is not None:
+            return order, "direct", -1, [(canonical_edge(order[0], w), a)]
+    for order in orders:
+        pair = _pigeonhole_colors(collection, S, order[0], w, ore_bound)
+        if pair is None:
+            continue
+        a1, a2 = pair
+        p = _rotation_window(collection, wp, order, a1, a2, w)
+        if p is not None:
+            return order, "rotation", p, [(canonical_edge(order[p], w), a1),
+                                          (canonical_edge(order[0], order[p + 1]), a2)]
+    return None
+
+
 def _record(trace: list[dict], **fields) -> None:
     trace.append(fields)
 
@@ -170,103 +202,50 @@ def _assert_stage(wp: WorkingPath, expect_unused: int, expect_len: int, stage: s
 def _absorb_one(
     wp: WorkingPath,
     comp: tuple[int, ...],
-    comp_id: int,
     collection: GraphCollection,
     ore_bound: int,
     trace: list[dict],
 ) -> WorkingPath:
     vt, wt = comp[0], comp[-1]
-    order = list(wp.order)
-    emap = wp.edge_map()
     S = sorted(wp.unused_colors())
     if len(S) != 3:
         raise InternalError(f"absorption started with {len(S)} unused colors, expected 3")
-    j = order.index(vt)
-    L = len(order)
     rc = list(reversed(comp))  # [wt ... vt]
-    comp_edges = _component_edge_colors(wp, comp)
-    mode = "end"
-    position = None
-
-    if j == L - 1:
-        new_order = order + list(comp[1:])
-    elif j == 0:
-        new_order = rc[:-1] + order
+    mode, p, cut, joins = "end", None, [], []
+    if wp.order[-1] == vt:
+        new_order = wp.order + list(comp[1:])
+    elif wp.order[0] == vt:
+        new_order = rc[:-1] + wp.order
     else:
-        direct_color = next((a for a in S if collection.has_edge(a, order[0], wt)), None)
-        if direct_color is None:
-            rev_color = next((a for a in S if collection.has_edge(a, order[-1], wt)), None)
-            if rev_color is not None:
-                # Canonical edges are orientation-free; only order and j flip.
-                order.reverse()
-                j = L - 1 - j
-                direct_color = rev_color
-        if direct_color is not None:
-            mode = "direct"
-            new_order = order[j - 1 :: -1] + rc + order[j + 1 :]
-            del emap[canonical_edge(order[j - 1], order[j])]
-            emap[canonical_edge(order[0], wt)] = direct_color
+        found = _join(collection, wp, [wp.order, wp.order[::-1]], S, wt, ore_bound)
+        if found is None:
+            raise InternalError(
+                f"absorption of component {comp} found no rotation window; "
+                "the degree-sum argument guarantees one",
+                bundle={"order": list(wp.order), "component": list(comp)},
+            )
+        order, mode, p, joins = found
+        j = order.index(vt)
+        if p < j:
+            new_order = order[p + 1 : j][::-1] + order[: p + 1] + rc + order[j + 1 :]
+            cut = [(order[j - 1], vt)]
         else:
-            mode = "rotation"
-            result = None
-            for flip in (False, True):
-                if flip:
-                    order.reverse()
-                    j = L - 1 - j
-                pair = _pigeonhole_colors(collection, S, order[0], wt, ore_bound)
-                if pair is None:
-                    continue
-                a1, a2 = pair
-                p = _rotation_window(collection, wp, order, a1, a2, wt)
-                if p is not None:
-                    result = (a1, a2, p)
-                    break
-            if result is None:
-                raise InternalError(
-                    f"absorption of component {comp} found no rotation window; "
-                    "the degree-sum argument guarantees one",
-                    bundle={"order": list(wp.order), "component": list(comp)},
-                )
-            a1, a2, p = result
-            position = p
-            forest_edges = set(wp.forest_colors)
-            if p <= j - 2:
-                new_order = order[j - 1 : p : -1] + order[: p + 1] + rc + order[j + 1 :]
-                cut = [(order[p], order[p + 1]), (order[j - 1], order[j])]
-                joins = [(canonical_edge(order[0], order[p + 1]), a2),
-                         (canonical_edge(order[p], wt), a1)]
-            elif p == j - 1:
-                new_order = order[: p + 1] + rc + order[j + 1 :]
-                cut = [(order[p], order[p + 1])]
-                joins = [(canonical_edge(order[p], wt), a1)]
-            elif p == j:
-                new_order = rc + order[j - 1 :: -1] + order[j + 1 :]
-                cut = [(order[p], order[p + 1])]
-                joins = [(canonical_edge(order[0], order[p + 1]), a2)]
-            else:
-                new_order = order[j + 1 : p + 1] + rc + order[j - 1 :: -1] + order[p + 1 :]
-                cut = [(order[j], order[j + 1]), (order[p], order[p + 1])]
-                joins = [(canonical_edge(order[p], wt), a1),
-                         (canonical_edge(order[0], order[p + 1]), a2)]
-            for a, b in cut:
-                edge = canonical_edge(a, b)
-                if edge in forest_edges:
-                    raise InternalError(f"rotation tried to cut forest edge {edge}")
-                del emap[edge]
-            for edge, color in joins:
-                emap[edge] = color
+            new_order = order[j + 1 : p + 1] + rc + order[j - 1 :: -1] + order[p + 1 :]
+            cut = [(vt, order[j + 1])]
+        if p >= 0:
+            cut.append((order[p], order[p + 1]))
+        # At p = j-1 and p = j the window edge is the one cut at vt; the join
+        # there would touch vt, which keeps a single path edge.
+        joins = [(edge, color) for edge, color in joins if vt not in edge]
 
-    for edge, color in comp_edges:
-        emap[edge] = color
-    new_wp = _rebuild(wp, new_order, emap)
-    new_wp.absorbed.add(comp_id)
+    new_wp = _splice(wp, comp, new_order, cut, joins)
     _assert_stage(new_wp, 3, len(wp.order) + len(comp) - 1, f"absorb {comp}")
     _record(
         trace,
         stage="absorb",
         component=list(comp),
         mode=mode,
-        position=position,
+        position=p if mode == "rotation" else None,
         unused_after=3,
         length_after=len(new_wp.order),
         forest_edges_on_path=new_wp.forest_edges_on_path(),
@@ -288,10 +267,8 @@ def absorb_components(
     the growth argument does not depend on the order.
     """
     trace = trace if trace is not None else []
-    for comp_id, comp in enumerate(components):
-        if comp_id in wp.absorbed:
-            continue
-        wp = _absorb_one(wp, comp, comp_id, collection, ore_bound, trace)
+    for comp in components:
+        wp = _absorb_one(wp, comp, collection, ore_bound, trace)
     return wp
 
 
@@ -321,55 +298,17 @@ def attach_terminal_component(
             f"attach {endpoint_role}: {len(S)} unused colors, expected {expect_unused}"
         )
     endpoint, far = comp[0], comp[-1]
-    order = list(wp.order)
-    emap = wp.edge_map()
-    comp_edges = _component_edge_colors(wp, comp)
-    mode = "direct"
-    position = None
-
-    ends = [False, True] if endpoint_role == "u" else [False]
-    chosen = None
-    for flip in ends:
-        work = list(reversed(order)) if flip else list(order)
-        a = next((a for a in S if collection.has_edge(a, work[0], far)), None)
-        if a is not None:
-            chosen = (work, a)
-            break
-    if chosen is not None:
-        work, a = chosen
-        new_order = list(comp) + work
-        emap[canonical_edge(far, work[0])] = a
-    else:
-        mode = "rotation"
-        result = None
-        for flip in ends:
-            work = list(reversed(order)) if flip else list(order)
-            pair = _pigeonhole_colors(collection, S, work[0], far, ore_bound)
-            if pair is None:
-                continue
-            a1, a2 = pair
-            p = _rotation_window(collection, wp, work, a1, a2, far)
-            if p is not None:
-                result = (work, a1, a2, p)
-                break
-        if result is None:
-            raise InternalError(
-                f"attachment of {comp} as {endpoint_role} found no rotation window",
-                bundle={"order": list(wp.order), "component": list(comp)},
-            )
-        work, a1, a2, p = result
-        position = p
-        new_order = list(comp) + work[p::-1] + work[p + 1 :]
-        edge = canonical_edge(work[p], work[p + 1])
-        if edge in wp.forest_colors:
-            raise InternalError(f"rotation tried to cut forest edge {edge}")
-        del emap[edge]
-        emap[canonical_edge(far, work[p])] = a1
-        emap[canonical_edge(work[0], work[p + 1])] = a2
-
-    for edge, color in comp_edges:
-        emap[edge] = color
-    new_wp = _rebuild(wp, new_order, emap)
+    orders = [wp.order, wp.order[::-1]] if endpoint_role == "u" else [wp.order]
+    found = _join(collection, wp, orders, S, far, ore_bound)
+    if found is None:
+        raise InternalError(
+            f"attachment of {comp} as {endpoint_role} found no rotation window",
+            bundle={"order": list(wp.order), "component": list(comp)},
+        )
+    order, mode, p, joins = found
+    new_order = list(comp) + order[: p + 1][::-1] + order[p + 1 :]
+    cut = [(order[p], order[p + 1])] if p >= 0 else []
+    new_wp = _splice(wp, comp, new_order, cut, joins)
     if endpoint_role == "u":
         # Keep u at the back so the final attachment works on the free end.
         new_wp.order.reverse()
@@ -386,7 +325,7 @@ def attach_terminal_component(
         stage=f"attach_{endpoint_role}",
         component=list(comp),
         mode=mode,
-        position=position,
+        position=p if mode == "rotation" else None,
         unused_after=len(new_wp.unused_colors()),
         length_after=len(new_wp.order),
         forest_edges_on_path=new_wp.forest_edges_on_path(),

@@ -174,6 +174,18 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert "must be an integer" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("forest, k, message", [
+        (None, 2, "k=2 does not match the forest's 0 edges"),
+        (RainbowLinearForest(((1, 2),), {(1, 2): 0}), 0, "k=0 does not match the forest's 1 edges"),
+    ])
+    def test_declared_k_must_match_forest(self, tmp_path, capsys, command, forest, k, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(dumps(instance_to_dict(complete_collection(9), forest, 0, 4, k)))
+        assert main([command, str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_edge_lists_and_rows_decode_alike(self, tmp_path, capsys):
         collection, forest, u, v = random_instance(GenSpec(n=13, k=3, p=0.8, seed=5))
         rows = instance_to_dict(collection, forest, u, v, 3)
@@ -350,6 +362,12 @@ class TestSuiteArguments:
         (["gen", "--n", "8", "--kind", "B3", "--k", "2"], "B3 embeds no forest, so k must be 0"),
         (["gen", "--n", "10", "--k", "1", "--model", "perturbed_extremal", "--extremal-kind", "B3"],
          "B3 embeds no forest, so k must be 0, got k=1"),
+        (["gen", "--n", "8", "--model", "identical", "--p", "0.5", "--flips", "3",
+          "--extremal-kind", "B2"], "the identical model does not read --extremal-kind, --flips, --p"),
+        (["gen", "--n", "8", "--extremal-kind", "B3"],
+         "the uniform_supergraph model does not read --extremal-kind"),
+        (["gen", "--n", "8", "--model", "perturbed_extremal", "--p", "0.2"],
+         "the perturbed_extremal model does not read --p"),
     ])
     def test_bad_range_or_list_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
