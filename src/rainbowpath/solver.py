@@ -8,12 +8,13 @@ interior forest components into the path (end-splices aside) and then
 attaches the endpoint components with one join step: a direct join in a
 spare color, else a degree-sum rotation; the identical-split case
 threads the forest through the two cliques via the deleted layer; the
-heavy-side case grows the forest inside the small side, contracts it, and
-routes an alternating path through the complete bipartite remainder, with
-no search: its top-up links are one pass and its piece order a first-fit
-loop.  When the rotation heuristic finds no spanning path, the fallback
-runs the oracle's exact-search kernel, so an exhausted budget raises
-BudgetExceeded.
+heavy-side case grows the forest inside the small side as paths keyed by
+their ends and routes an alternating path through the complete bipartite
+remainder, with no search: its top-up links are one pass, and its pieces
+(whole forest paths, lone X vertices, free Y vertices) are placed by a
+first-fit loop, each oriented as it is placed.  When the rotation
+heuristic finds no spanning path, the fallback runs the oracle's
+exact-search kernel, so an exhausted budget raises BudgetExceeded.
 
 Every quantity the underlying counting arguments pin down (unused-color
 budgets, path lengths, nonempty rotation windows) is asserted at runtime;
@@ -23,7 +24,7 @@ a violation raises InternalError with a repro bundle instead of degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .forest import (
     RainbowLinearForest,
@@ -639,31 +640,43 @@ def _finish_path(
 # Case 3: heavy independent side
 # ---------------------------------------------------------------------------
 
-class _ForestScratch:
-    """Union-find over the growing linear forest on vertices 0..n-1, with degrees."""
+class _GrowingForest:
+    """A linear forest under construction: its paths as vertex lists keyed by
+    their two ends, and its edge colors.  A vertex outside it is a path of its own."""
 
-    def __init__(self, forest: RainbowLinearForest, n: int) -> None:
-        self.parent = list(range(n))
-        self.degree = [0] * n
+    def __init__(self, forest: RainbowLinearForest) -> None:
+        self.colors = dict(forest.fixed_colors)
+        self.ends: dict[int, list[int]] = {}
+        self.inner: set[int] = set()
         for comp in forest.components:
-            for a, b in zip(comp, comp[1:]):
-                self.join(a, b)
+            self.ends[comp[0]] = self.ends[comp[-1]] = list(comp)
+            self.inner.update(comp[1:-1])
 
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def join(self, a: int, b: int) -> None:
-        self.degree[a] += 1
-        self.degree[b] += 1
-        self.parent[self.find(a)] = self.find(b)
+    def path(self, a: int) -> list[int]:
+        """The path that ends at ``a``; only ends and outside vertices are asked for."""
+        return self.ends.get(a) or [a]
 
     def can_link(self, a: int, b: int) -> bool:
-        return self.degree[a] <= 1 and self.degree[b] <= 1 and self.find(a) != self.find(b)
+        return a not in self.inner and b not in self.inner and self.path(a) is not self.path(b)
+
+    def link(self, a: int, b: int, color: int) -> None:
+        left, right = self.path(a), self.path(b)
+        if left[-1] != a:
+            left.reverse()
+        if right[0] != b:
+            right.reverse()
+        self.inner.update(x for x, side in ((a, left), (b, right)) if len(side) > 1)
+        self.ends.pop(a, None)
+        self.ends.pop(b, None)
+        joined = left + right
+        self.ends[joined[0]] = self.ends[joined[-1]] = joined
+        self.colors[canonical_edge(a, b)] = color
+
+    def forest(self) -> RainbowLinearForest:
+        """Each path read from its smaller end, ordered by that end."""
+        paths = sorted(tuple(p if p[0] == end else p[::-1])
+                       for end, p in self.ends.items() if end == min(p[0], p[-1]))
+        return RainbowLinearForest(tuple(paths), self.colors)
 
 
 def case3_extend_forest(
@@ -680,7 +693,8 @@ def case3_extend_forest(
     vertices to the dropped endpoints, each matched in a color where it has
     enough dropped-endpoint neighbors.  The result keeps u and v in distinct
     components with degree at most one: the extended forest must still admit
-    a Hamiltonian u,v-path around it.
+    a Hamiltonian u,v-path around it.  It is read straight off the growing
+    paths, each from its smaller end and ordered by that end.
 
     The top-up is one pass.  Each usable X' vertex in ascending order takes
     its first link in scan order (fresh robust colors ascending, then ends
@@ -691,37 +705,22 @@ def case3_extend_forest(
     where the search would undo a link, and there it raises InternalError
     instead.  On the generated case-3 families the search never backtracks.
     """
-    forest = _plan_forest(plan)
     q = plan.q
     target = q - 1
-    scratch = _ForestScratch(forest, collection.n_vertices)
-    used_colors = set(forest.fixed_colors.values())
-    new_edges: dict[Edge, int] = {}
-    anchors_in_x = sum(1 for v in plan.kept_endpoints if v in x_prime)
-    count = anchors_in_x  # forest edges already incident to X'
+    grown = _GrowingForest(_plan_forest(plan))
+    # Forest edges already incident to X': one per kept endpoint there.
+    count = sum(1 for v in plan.kept_endpoints if v in x_prime)
 
     x_sorted = sorted(x_prime)
-    for i, a in enumerate(x_sorted):
+    for a, b in combinations(x_sorted, 2):
         if count >= target:
             break
-        for b in x_sorted[i + 1 :]:
-            if count >= target:
-                break
-            if not scratch.can_link(a, b):
-                continue
-            color = next(
-                (
-                    c
-                    for c in plan.retained_colors
-                    if c not in used_colors and collection.has_edge(c, a, b)
-                ),
-                None,
-            )
-            if color is None:
-                continue
-            new_edges[canonical_edge(a, b)] = color
-            used_colors.add(color)
-            scratch.join(a, b)
+        if not grown.can_link(a, b):
+            continue
+        color = next((c for c in plan.retained_colors
+                      if c not in grown.colors.values() and collection.has_edge(c, a, b)), None)
+        if color is not None:
+            grown.link(a, b, color)
             count += 1
 
     if count < target:
@@ -733,24 +732,22 @@ def case3_extend_forest(
             # (color, end) in scan order: fresh robust colors ascending, ends ascending.
             for c in plan.retained_colors:
                 row = collection.neighbors_mask(c, z)
-                if c in used_colors or (row & ends).bit_count() < q - t:
+                if c in grown.colors.values() or (row & ends).bit_count() < q - t:
                     continue
                 for w in bits(row & ends & ~linked):
                     # Never chain the endpoint components together.
-                    if scratch.can_link(z, w) and {scratch.find(z), scratch.find(w)} != {
-                            scratch.find(plan.u), scratch.find(plan.v)}:
+                    joined = {*grown.path(z), *grown.path(w)}
+                    if grown.can_link(z, w) and not {plan.u, plan.v} <= joined:
                         yield c, w
 
-        for z in [x for x in x_sorted if scratch.degree[x] <= 1]:
+        for z in x_sorted:
             if count == target:
                 break
             link = next(links(z), None)
             if link is not None:
                 c, w = link
-                new_edges[canonical_edge(z, w)] = c
-                used_colors.add(c)
+                grown.link(z, w, c)
                 linked |= 1 << w
-                scratch.join(z, w)
                 count += 1
         if count < target:
             raise InternalError(
@@ -759,45 +756,29 @@ def case3_extend_forest(
                 bundle={"x_prime": sorted(x_prime), "target": target, "reached": t},
             )
 
-    # Assemble H' as explicit paths from the merged edge set.
-    adjacency: dict[int, list[int]] = {}
-    colors: dict[Edge, int] = dict(forest.fixed_colors)
-    colors.update(new_edges)
-    for a, b in colors:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    vertices = forest.vertices() | set(adjacency)
-    comps: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        neighbors = adjacency.get(v, [])
-        if len(neighbors) > 2:
-            raise InternalError(f"extended forest has degree {len(neighbors)} at {v}")
-        if len(neighbors) == 2:
-            continue  # interior vertex; start from an endpoint
-        comp = [v]
-        seen.add(v)
-        prev, cur = v, (neighbors[0] if neighbors else None)
-        while cur is not None:
-            comp.append(cur)
-            seen.add(cur)
-            nxt = [x for x in adjacency.get(cur, []) if x != prev]
-            prev, cur = cur, (nxt[0] if nxt else None)
-        comps.append(tuple(comp))
-    if vertices - seen:
-        raise InternalError("extended forest contains a cycle")
-    hprime = RainbowLinearForest(tuple(comps), colors)
-
+    hprime = grown.forest()
+    problems = hprime.structure_violations()
+    if problems:
+        raise InternalError("extended forest is not a linear forest: " + "; ".join(problems))
     if not is_h_compatible(hprime, plan.u, plan.v):
         raise InternalError("extended forest broke endpoint compatibility")
-    touching = sum(1 for (a, b) in colors if a in x_prime or b in x_prime)
+    touching = sum(1 for (a, b) in hprime.fixed_colors if a in x_prime or b in x_prime)
     if touching != target:
         raise InternalError(
             f"extended forest has {touching} edges touching X', expected {target}"
         )
     return hprime
+
+
+def _read_from(piece: tuple[int, ...], end: int, Y: set[int]) -> tuple[int, ...]:
+    """``piece`` read from ``end``, which must be one of its two ends."""
+    if piece[0] != end:
+        piece = piece[::-1]
+    if piece[0] != end:
+        core = [x for x in piece if x not in Y]
+        core = core if core[0] == end else core[::-1]
+        raise InternalError(f"cannot exit component {core} at {end}")
+    return piece
 
 
 def case3_contract_and_route(
@@ -809,152 +790,73 @@ def case3_contract_and_route(
     v: int,
     plan: ReductionPlan,
 ) -> PathCertificate:
-    """Contract the extended forest inside X and route an alternating path.
+    """Route an alternating path through the pieces of the extended forest.
 
-    Components of the extended forest restricted to X become super-vertices;
-    there is exactly one more of them than |Y|, so a Hamiltonian u,v-path of
-    the contracted system alternates sides.  Forest edges that cross into Y
-    force their anchor next to the matching super-vertex; everything else is
-    free because the X-Y bipartite layer is complete in every retained color.
+    A piece is a component of the extended forest (its Y vertices are
+    always its ends), an X vertex outside it, or a free Y vertex.  The
+    pieces with an X vertex are the super-vertices of the contracted system;
+    there is exactly one more of them than |Y|, so a Hamiltonian u,v-path
+    alternates sides: every X end meets a y and every y an X end.  Nothing
+    else constrains it, because the X-Y bipartite layer is complete in
+    every retained color.
 
-    The middle is arranged by appending the first piece that fits.  After a
-    super-vertex: a two-sided piece [y, comp, y], then a one-sided piece
-    [y, comp], then a free y.  After a y: a plain comp, then a one-sided
-    piece [comp, y].  One-sided pieces keep the side the walk ends on; the
-    others switch it, two-sided and free-y pieces from a comp to a y, plain
-    ones back.  An order exists iff these switches can alternate from the
-    head's side to the side the tail needs, which depends only on how many
-    switches of each direction are left, and appending any piece that fits
-    keeps that condition.  A dead end thus means that no order exists, so
-    the loop returns the first order that backtracking over the same
-    preferences would find, or raises where it would.  With |Y| one less
-    than the number of super-vertices the switch counts always balance, so
-    that InternalError is a check only.
+    The walk starts with u's piece read from u and ends with v's piece read
+    into v.  The middle is arranged by appending the first piece that fits,
+    oriented to start on the side the walk is not on.  After an X end: a
+    piece with a y at both ends (smaller y first), then a piece with a y at
+    one end, then a free y.  After a y: a piece with X at both ends (as
+    stored), then a piece with a y at one end.  One-ended pieces keep the
+    side the walk ends on; the others switch it.  An order exists iff these
+    switches can alternate from the head's side to the side the tail needs,
+    which depends only on how many switches of each direction are left, and
+    appending any piece that fits keeps that condition.  A dead end thus
+    means that no order exists, so the loop returns the first order that
+    backtracking over the same preferences would find, or raises where it
+    would.  With |Y| one less than the number of super-vertices the switch
+    counts always balance, so that InternalError is a check only.
     """
-    colors = hprime.fixed_colors
-    # Split each component at its Y vertices (always component endpoints).
-    comp_paths: list[tuple[int, ...]] = []
-    in_comp: dict[int, int] = {}
-    anchor_entry: dict[int, int] = {}
     for comp in hprime.components:
-        core = [x for x in comp if x in X]
-        for y in comp:
+        for y in comp[1:-1]:
             if y in Y:
-                if y not in (comp[0], comp[-1]):
-                    raise InternalError(f"crossing vertex {y} is interior to {comp}")
-                neighbor = comp[1] if y == comp[0] else comp[-2]
-                anchor_entry[y] = neighbor
-        if core:
-            comp_paths.append(tuple(core))
-    for x in sorted(X):
-        if not any(x in comp for comp in hprime.components):
-            comp_paths.append((x,))
-    for idx, path in enumerate(comp_paths):
-        for x in path:
-            in_comp[x] = idx
-
+                raise InternalError(f"crossing vertex {y} is interior to {comp}")
+    covered = hprime.vertices()
+    pieces = [*hprime.components, *((x,) for x in sorted(X - covered))]
     n = collection.n_vertices
-    k = plan.k
-    expected = (n - k) // 2 + 1
-    if len(comp_paths) != expected:
+    expected = (n - plan.k) // 2 + 1
+    if len(pieces) != expected:
         raise InternalError(
-            f"contraction yielded {len(comp_paths)} super-vertices, expected {expected}"
+            f"contraction yielded {len(pieces)} super-vertices, expected {expected}"
         )
     if len(Y) != expected - 1:
         raise InternalError("side sizes violate the alternation identity")
 
-    u_comp = in_comp[u]
-    v_comp = in_comp[v]
-    if u_comp == v_comp:
+    u_piece, v_piece = (next(p for p in pieces if end in p) for end in (u, v))
+    if u_piece == v_piece:
         raise InternalError("endpoints were contracted together")
+    if any(p[0] in Y and p[-1] in Y for p in (u_piece, v_piece)):
+        raise InternalError("a super-vertex owes adjacency to too many anchors")
+    route = list(_read_from(u_piece, u, Y))
+    tail = _read_from(v_piece, v, Y)[::-1]
 
-    required: dict[int, list[int]] = {}
-    for y, entry in anchor_entry.items():
-        required.setdefault(in_comp[entry], []).append(y)
-    for comp_idx, ys in required.items():
-        if len(ys) > 2 or (comp_idx in (u_comp, v_comp) and len(ys) > 1):
-            raise InternalError("a super-vertex owes adjacency to too many anchors")
-
-    # Units: [anchor?, comp, anchor?] pieces that concatenate into an
-    # alternating comp/Y sequence starting at u's and ending at v's component.
-    middle = [i for i in range(len(comp_paths)) if i not in (u_comp, v_comp)]
-    two_sided = sorted(i for i in middle if len(required.get(i, ())) == 2)
-    one_sided = sorted(i for i in middle if len(required.get(i, ())) == 1)
-    plain = sorted(i for i in middle if i not in required)
-    free_ys = sorted(set(Y) - set(anchor_entry))
-
-    arranged: list[tuple[str, int]] = [("comp", u_comp)]
-    if u_comp in required:
-        arranged.append(("y", required[u_comp][0]))
-    tail: list[tuple[str, int]] = []
-    if v_comp in required:
-        tail.append(("y", required[v_comp][0]))
-    tail.append(("comp", v_comp))
-    while two_sided or one_sided or plain or free_ys:
-        if arranged[-1][0] == "comp":
-            if two_sided:
-                i = two_sided.pop(0)
-                a, b = sorted(required[i])
-                arranged += [("y", a), ("comp", i), ("y", b)]
-            elif one_sided:
-                i = one_sided.pop(0)
-                arranged += [("y", required[i][0]), ("comp", i)]
-            elif free_ys:
-                arranged.append(("y", free_ys.pop(0)))
-            else:
-                break
-        elif plain:
-            arranged.append(("comp", plain.pop(0)))
-        elif one_sided:
-            i = one_sided.pop(0)
-            arranged += [("comp", i), ("y", required[i][0])]
-        else:
-            break
-    if (two_sided or one_sided or plain or free_ys
-            or (arranged[-1][0] == "comp") != (tail[0][0] == "y")):
+    middle = [p for p in pieces if p not in (u_piece, v_piece)]
+    two_sided = [min(p, p[::-1]) for p in middle if p[0] in Y and p[-1] in Y]
+    one_sided = [p for p in middle if (p[0] in Y) != (p[-1] in Y)]
+    plain = [p for p in middle if p[0] not in Y and p[-1] not in Y]
+    free_ys = [(y,) for y in sorted(Y - covered)]
+    prefer = ((two_sided, one_sided, free_ys), (plain, one_sided))  # after an X end, after a y
+    while group := next((g for g in prefer[route[-1] in Y] if g), None):
+        piece = group.pop(0)
+        route += piece[::-1] if (piece[0] in Y) == (route[-1] in Y) else piece
+    unplaced = two_sided + one_sided + plain + free_ys
+    if unplaced or (route[-1] in Y) == (tail[0] in Y):
         raise InternalError(
             "no alternating arrangement of contracted components and anchors",
-            bundle={"required": {str(k_): v_ for k_, v_ in required.items()}},
+            bundle={"route": route, "unplaced": [list(p) for p in unplaced], "tail": list(tail)},
         )
-    arranged += tail
-
-    # Expand super-vertices, honoring forced entry/exit endpoints.
-    order: list[int] = []
-    for pos, (kind, ident) in enumerate(arranged):
-        if kind == "y":
-            order.append(ident)
-            continue
-        path = list(comp_paths[ident])
-        entry_forced = None
-        exit_forced = None
-        if pos > 0 and arranged[pos - 1][0] == "y":
-            y_prev = arranged[pos - 1][1]
-            if y_prev in anchor_entry and in_comp[anchor_entry[y_prev]] == ident:
-                entry_forced = anchor_entry[y_prev]
-        if pos + 1 < len(arranged) and arranged[pos + 1][0] == "y":
-            y_next = arranged[pos + 1][1]
-            if y_next in anchor_entry and in_comp[anchor_entry[y_next]] == ident:
-                exit_forced = anchor_entry[y_next]
-        if ident == u_comp:
-            entry_forced = u
-        if ident == v_comp:
-            exit_forced = v
-        if entry_forced is not None and path[0] != entry_forced:
-            path.reverse()
-        elif entry_forced is None and exit_forced is not None and path[-1] != exit_forced:
-            path.reverse()
-        if entry_forced is not None and path[0] != entry_forced:
-            raise InternalError(f"cannot enter component {path} at {entry_forced}")
-        if exit_forced is not None and path[-1] != exit_forced:
-            raise InternalError(f"cannot exit component {path} at {exit_forced}")
-        order.extend(path)
-
+    order = route + list(tail)
     if sorted(order) != list(range(n)):
         raise InternalError("case-3 route is not a permutation of the vertex set")
-    if order[0] != u or order[-1] != v:
-        raise InternalError("case-3 route endpoints are wrong")
-
-    return _finish_path(collection, order, colors, _plan_forest(plan))
+    return _finish_path(collection, order, hprime.fixed_colors, _plan_forest(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -1101,13 +1003,17 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
 
     Runs the pair solver over every vertex pair; the first blocked pair
     yields a cycle through its extremal structure, and if no pair is blocked
-    the collected paths witness connectedness.
+    the collected paths witness connectedness.  Needs n >= 4, the pair
+    solver's bound k = 0 <= (n-4)/3.
     """
+    n = collection.n_vertices
+    if n < 4:
+        raise InputError(f"the cycle-or-connected corollary needs n >= 4, got n={n}")
     if not check_hypothesis(collection, 0):
         raise InputError("collection violates sigma2 >= n")
     paths: dict[tuple[int, int], PathCertificate] = {}
-    for u in range(collection.n_vertices):
-        for v in range(u + 1, collection.n_vertices):
+    for u in range(n):
+        for v in range(u + 1, n):
             outcome = solve_pair(collection, u, v)
             if outcome.extremal is not None:
                 cycle = cycle_from_extremal(collection, outcome.extremal)

@@ -8,6 +8,7 @@ code so the two routes can disagree loudly when one is wrong.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -194,6 +195,33 @@ def case3_family(seed: int):
     collection = GraphCollection(n, tuple(tuple(row) for row in masks))
     forest = _family_forest(rng, [h_u, h_v, *interior], k)
     return collection, forest, h_u[0], h_v[0], k
+
+
+@cache
+def case3_tight_family(seed: int):
+    """``case3_family(seed)`` with its retained colors thinned to the bound.
+
+    The edges of colors k..n-1 are deleted in a seeded random order, and a
+    deletion stands only while that color keeps sigma2 >= n + k: deleting ab
+    changes only the degree sums of pairs at a or b.  Two vertices of Y
+    already sum to n + k, so every X-Y edge stays and solve still builds a
+    case-3 path.  The pass is slow, so each seed's instance is built once
+    per test run.  Returns (collection, forest, u, v, k).
+    """
+    collection, forest, u, v, k = case3_family(seed)
+    n, bound = collection.n_vertices, collection.n_vertices + k
+    masks = [list(row) for row in collection.adjacency]
+    edges = [(c, a, b) for c in range(k, n) for a, b in collection.edges(c)]
+    random.Random(f"tight {seed}").shuffle(edges)
+    for c, a, b in edges:
+        row = masks[c]
+        row[a] ^= 1 << b
+        row[b] ^= 1 << a
+        if any(row[z].bit_count() + row[y].bit_count() < bound
+               for z in (a, b) for y in bits(((1 << n) - 1) & ~row[z] & ~(1 << z))):
+            row[a] ^= 1 << b
+            row[b] ^= 1 << a
+    return GraphCollection(n, tuple(tuple(row) for row in masks)), forest, u, v, k
 
 
 def edges_form(data: dict) -> dict:

@@ -74,6 +74,12 @@ class TestSolveCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["outcome"] == "cycle"
 
+    def test_corollary_below_four_vertices_exit_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, complete_collection(1))
+        assert main(["solve", path, "--corollary"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "needs n >= 4, got n=1" in err and "Traceback" not in err
+
     def test_reduction_bound_error_writes_bundle(self, tmp_path, capsys, monkeypatch):
         import rainbowpath.solver
 
@@ -329,6 +335,19 @@ class TestSweepCommand:
         assert summary["candidates"] == 0
         assert summary["unknown"] == 0
         assert summary["found"] == len(records)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_clean_report_revalidates(self, tmp_path, capsys, k):
+        # Sweep records carry p, and k = 1 at n = 5 passes only with the
+        # sweep's oracle_only setting.
+        report = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "--samples", "6", "--k", str(k), "--n-min", "5", "--n-max", "7",
+                   "--out", str(report)])
+        capsys.readouterr()
+        assert rc == EXIT_PATH
+        records, _ = load_report(str(report))
+        assert all(rec["p"] == 0.7 and "certificate" in rec for rec in records)
+        assert revalidate_report(str(report))
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

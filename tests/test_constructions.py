@@ -31,10 +31,11 @@ from rainbowpath.model import Edge, GraphCollection, PathCertificate, canonical_
 from rainbowpath.serialize import dumps, outcome_to_dict
 from rainbowpath.solver import _finish_path, _plan_forest
 
-from .conftest import case2_family, case3_family
+from .conftest import case2_family, case3_family, case3_tight_family
 
 CASE2_SEEDS = range(500)
 CASE3_SEEDS = range(1000)
+CASE3_TIGHT_SEEDS = range(500)
 ORACLE_MAX_N = 9
 
 
@@ -406,7 +407,8 @@ def reference_case3_contract_and_route(
 
 
 def _family_runs():
-    for family, seeds in ((case2_family, CASE2_SEEDS), (case3_family, CASE3_SEEDS)):
+    for family, seeds in ((case2_family, CASE2_SEEDS), (case3_family, CASE3_SEEDS),
+                          (case3_tight_family, CASE3_TIGHT_SEEDS)):
         for seed in seeds:
             coll, forest, u, v, k = family(seed)
             assert check_hypothesis(coll, k), (family.__name__, seed)

@@ -341,6 +341,28 @@ class TestSolveEndToEnd:
         assert out.path.edge_coloring()[(4, 10)] == 5
         assert validate_path_certificate(coll, out.path, forest)
 
+    def test_case3_top_up_keeps_endpoint_components_apart(self):
+        # The greedy step links 6-7 and stalls one short of q - 1 = 3, so two
+        # top-up links follow: 6 takes v = 0, the first end.  For 7 the first
+        # end is then u = 1, which would put u and v on one path, so it takes 10.
+        n, k = 16, 4
+        D = {0, 1, 10, 11, 12, 13}
+        Xp, Yp = {6, 7, 8, 9}, {2, 3, 4, 5, 14, 15}
+        structured = clique_edges(D) + cross_edges(D, Xp) + cross_edges(Xp | D, Yp) + [(6, 7)]
+        complete = clique_edges(range(n))
+        lists = [complete if c < k else structured for c in range(n)]
+        coll = _mask_collection(n, lists)
+        forest = RainbowLinearForest.from_paths(
+            [(2, 10), (3, 11), (4, 12), (5, 13)],
+            {(2, 10): 0, (3, 11): 1, (4, 12): 2, (5, 13): 3},
+        )
+        assert check_hypothesis(coll, k)
+        out = solve(coll, forest, 1, 0)
+        assert out.trace[-1] == {"stage": "case3", "outcome": "path", "top_up": 2}
+        colors = out.path.edge_coloring()
+        assert (colors[(6, 7)], colors[(0, 6)], colors[(7, 10)]) == (4, 5, 6)
+        assert validate_path_certificate(coll, out.path, forest)
+
     def test_precondition_errors(self, k4):
         with pytest.raises(InputError):
             solve(k4, None, 0, 0)
@@ -473,9 +495,9 @@ class TestHamiltonianOrConnected:
         # Every pair of a corollary run shares the collection's memo.
         assert scans and len(scans) == len(set(scans)) <= n * (n - 1) // 2
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_small_rejected(self, n):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"needs n >= 4, got n={n}"):
             hamiltonian_or_connected(complete_collection(n))
 
     def test_hypothesis_violation_rejected(self, k23):
