@@ -396,6 +396,8 @@ def _sweep_task(task: tuple) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n_min < 3:
+        raise InputError(f"a Hamiltonian cycle needs n >= 3, got n={args.n_min}")
     tasks = []
     for i, n in enumerate(_cycled_sizes(args.n_min, args.n_max, args.samples)):
         tasks.append((i, n, args.k, args.seed + i, args.p,

@@ -45,7 +45,8 @@ class OracleBudget:
     time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.node_limit <= 0 or self.time_limit <= 0:
+        # Written as "not > 0" so that a NaN limit is rejected too.
+        if not (self.node_limit > 0 and self.time_limit > 0):
             raise InputError("budget limits must be positive")
 
 

@@ -541,12 +541,8 @@ def case2_construct(
     forest = _plan_forest(plan)
     _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
-        cert = ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v))
-        problems = certificate_violations(collection, cert, forest)
-        if problems:
-            raise InternalError(
-                "derived C2 certificate fails verification: " + "; ".join(problems)
-            )
+        cert = _certified(collection, ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v)),
+                          forest, "derived")
         _record(trace, stage="case2", outcome="extremal")
         return cert
 
@@ -602,6 +598,17 @@ def _plan_forest(plan: ReductionPlan) -> RainbowLinearForest:
             edge = canonical_edge(comp[i], comp[i + 1])
             colors[edge] = plan.forest_edge_colors[edge]
     return RainbowLinearForest(tuple(comps), colors)
+
+
+def _certified(collection: GraphCollection, cert: ExtremalCertificate,
+               forest: RainbowLinearForest | None, role: str) -> ExtremalCertificate:
+    """``cert`` once it verifies; a failing clause is an internal error."""
+    problems = certificate_violations(collection, cert, forest)
+    if problems:
+        raise InternalError(
+            f"{role} {cert.kind} certificate fails verification: " + "; ".join(problems)
+        )
+    return cert
 
 
 def _finish_path(
@@ -943,12 +950,8 @@ def solve(
     X = x_prime | set(plan.deleted)
     forest_norm = _plan_forest(plan)
     if not forest_norm.vertices() & y_side:
-        cert = ExtremalCertificate("C3", frozenset(X), frozenset(y_side), pair=(u, v))
-        problems = certificate_violations(collection, cert, forest_norm)
-        if problems:
-            raise InternalError(
-                "derived C3 certificate fails verification: " + "; ".join(problems)
-            )
+        cert = _certified(collection, ExtremalCertificate("C3", frozenset(X), frozenset(y_side),
+                                                          pair=(u, v)), forest_norm, "derived")
         _record(trace, stage="case3", outcome="extremal")
         return SolverOutcome(extremal=cert, trace=tuple(trace))
     hprime = case3_extend_forest(collection, plan, x_prime, y_side)
@@ -976,12 +979,8 @@ def solve_pair(
         return outcome
     old = outcome.extremal
     kind = "B2" if old.kind == "C2" else "B3"
-    cert = ExtremalCertificate(kind, old.X, old.Y, pair=(u, v))
-    problems = certificate_violations(collection, cert)
-    if problems:
-        raise InternalError(
-            f"retagged {kind} certificate fails verification: " + "; ".join(problems)
-        )
+    cert = _certified(collection, ExtremalCertificate(kind, old.X, old.Y, pair=(u, v)), None,
+                      "retagged")
     return SolverOutcome(extremal=cert, trace=outcome.trace)
 
 

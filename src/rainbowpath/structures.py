@@ -1,10 +1,14 @@
 """Extremal-structure detectors, clause-level verifiers, and cycle builders.
 
-Six certificate kinds explain why a rainbow Hamiltonian path can fail to
-exist.  Two (A2p, A3p) live at the reduced level of the spanning-path
-dispatch; two (B2, B3) block a specific vertex pair without a forest; two
-(C2, C3) block a pair relative to an embedded forest.  Every clause is
-checked literally against the collection, so a verified certificate is a
+An extremal certificate explains why a rainbow Hamiltonian path can fail
+to exist, in one of two shapes: two cliques with no edges between them
+(A2p, B2, C2), or a heavy side Y independent in every color (A3p, B3, C3;
+complete to X at levels B and C).  Each shape appears at one of three
+levels: the reduced spanning path (A), a bare vertex pair (B) and a pair
+around an embedded forest (C); level B is level C with the empty forest.
+The verifier checks one clause set per shape, and the level supplies only
+the hub, the colors checked and the size gap.  Every clause is checked
+literally against the collection, so a verified certificate is a
 machine-checkable witness.  The two reduced-level detectors read their
 structure off one vertex's neighbourhood, with no search.
 """
@@ -131,24 +135,34 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _normalized_components(forest: RainbowLinearForest, pair: tuple[int, int] | None) -> list[tuple[int, ...]]:
-    comps = list(forest.components)
-    if pair is not None:
-        present = forest.vertices()
-        for endpoint in pair:
-            if endpoint not in present:
-                comps.append((endpoint,))
-    return comps
-
-
 def certificate_violations(
     collection: GraphCollection,
     cert: ExtremalCertificate,
     forest: RainbowLinearForest | None = None,
 ) -> list[str]:
-    """Literal clause-by-clause check of ``cert`` against the collection."""
+    """Literal clause-by-clause check of ``cert`` against the collection.
+
+    The hub is empty at level A and the pair plus the forest's vertices at
+    levels B and C; levels A and B check every color, level C the colors
+    the forest leaves unused.
+    """
     n = collection.n_vertices
-    X, Y = cert.X, cert.Y
+    kind, level, X, Y = cert.kind, cert.kind[0], cert.X, cert.Y
+    if level == "B":
+        if cert.pair is None:
+            return [f"{kind} requires a blocked pair"]
+        forest = RainbowLinearForest.empty()
+    elif level == "C" and forest is None:
+        return [f"{kind} requires the forest context"]
+    hub, colors = set(), range(collection.n_colors)
+    if level != "A":
+        # A pair endpoint the forest lacks counts as a singleton component.
+        # The hub's insertion order fixes the order the clauses scan it in.
+        hub = forest.vertices()
+        components = len(forest.components) + sum(x not in hub for x in cert.pair or ())
+        hub.update(cert.pair or ())
+        used = forest.colors()
+        colors = [c for c in colors if c not in used]
     problems: list[str] = []
 
     def check_partition_of(universe: set[int]) -> None:
@@ -159,7 +173,7 @@ def certificate_violations(
 
     # Each helper compares whole neighbour masks with a side mask, and reports
     # the first failing pair in the order a pair-by-pair scan would meet it.
-    def all_pairs_present(colors, side_a, side_b, label) -> None:
+    def all_pairs_present(side_a, side_b, label) -> None:
         b_mask = mask_of(side_b)
         for c, a in product(colors, side_a):
             missing = b_mask & ~collection.adjacency[c][a] & ~(1 << a)
@@ -168,7 +182,7 @@ def certificate_violations(
                 problems.append(f"{label}: edge ({min(a,b)},{max(a,b)}) missing in color {c}")
                 return
 
-    def within(colors, side, label, edges: bool) -> None:
+    def within(side, label, edges: bool) -> None:
         # Every pair inside ``side`` is an edge (a clique) or none is.
         side_mask = mask_of(side)
         for c, a in product(colors, sorted(side)):
@@ -180,96 +194,48 @@ def certificate_violations(
                                 else f"{label}: edge {pair} present in color {c}")
                 return
 
-    def no_cross(colors, label) -> None:
+    def no_cross() -> None:
         y_mask = mask_of(Y)
         for c, a in product(colors, sorted(X)):
             present = y_mask & collection.adjacency[c][a]
             if present:
                 b = _low(present)
-                problems.append(f"{label}: cross edge ({min(a,b)},{max(a,b)}) present in color {c}")
+                problems.append(f"{kind}: cross edge ({min(a,b)},{max(a,b)}) present in color {c}")
                 return
 
-    every_color = range(collection.n_colors)
-
-    if cert.kind == "A2p":
-        check_partition_of(set(range(n)))
+    if kind[1] == "2":
+        # Two cliques with no edges between them, both seen by the whole hub.
+        if level != "A" and components != 2:
+            problems.append(f"{kind} requires exactly two forest components, got {components}")
+        check_partition_of(set(range(n)) - hub)
         if not X or not Y:
-            problems.append("A2p requires both cliques nonempty")
-        if cert.ell is not None and cert.ell != len(X):
-            problems.append(f"ell={cert.ell} does not match |X|={len(X)}")
-        first = collection.adjacency[0] if collection.n_colors else None
-        for row in collection.adjacency[1:]:
-            if row != first:
+            problems.append(f"{kind} requires both {'cliques' if level == 'A' else 'sides'} nonempty")
+        if level == "A":
+            if cert.ell is not None and cert.ell != len(X):
+                problems.append(f"ell={cert.ell} does not match |X|={len(X)}")
+            if any(row != collection.adjacency[0] for row in collection.adjacency[1:]):
                 problems.append("colors are not identical")
-                break
-        within(every_color, X, "A2p X", edges=True)
-        within(every_color, Y, "A2p Y", edges=True)
-        no_cross(every_color, "A2p")
-    elif cert.kind == "A3p":
-        if n % 2 != 0:
-            problems.append("A3p requires an even vertex count")
+        within(X, f"{kind} X", edges=True)
+        within(Y, f"{kind} Y", edges=True)
+        no_cross()
+        all_pairs_present(hub, X | Y, f"{kind} forest adjacency")
+    else:
+        # A heavy side Y, independent, with the hub inside X.  At level A its
+        # size alone blocks; at levels B and C it is also complete to X.
+        if level == "A":
+            gap, parity, sizes = -2, "an even vertex count", "sizes must be (n/2-1, n/2+1)"
         else:
-            if len(X) != n // 2 - 1 or len(Y) != n // 2 + 1:
-                problems.append(f"A3p sizes must be (n/2-1, n/2+1), got ({len(X)},{len(Y)})")
+            gap, parity, sizes = forest.edge_count, "n+k even", "sides must be ((n+k)/2,(n-k)/2)"
+        if (n + gap) % 2 != 0:
+            problems.append(f"{kind} requires {parity}")
+        elif len(X) != (n + gap) // 2 or len(Y) != (n - gap) // 2:
+            problems.append(f"{kind} {sizes}, got ({len(X)},{len(Y)})")
         check_partition_of(set(range(n)))
-        within(every_color, Y, "A3p Y", edges=False)
-    elif cert.kind in ("B2", "B3"):
-        if cert.pair is None:
-            problems.append(f"{cert.kind} requires a blocked pair")
-            return problems
-        u, v = cert.pair
-        if cert.kind == "B2":
-            check_partition_of(set(range(n)) - {u, v})
-            if not X or not Y:
-                problems.append("B2 requires both sides nonempty")
-            within(every_color, X, "B2 X", edges=True)
-            within(every_color, Y, "B2 Y", edges=True)
-            no_cross(every_color, "B2")
-            all_pairs_present(every_color, {u}, X | Y, "B2 u-adjacency")
-            all_pairs_present(every_color, {v}, X | Y, "B2 v-adjacency")
-        else:
-            if n % 2 != 0:
-                problems.append("B3 requires an even vertex count")
-            elif len(X) != n // 2 or len(Y) != n // 2:
-                problems.append(f"B3 sides must both have n/2 vertices, got ({len(X)},{len(Y)})")
-            check_partition_of(set(range(n)))
-            if u not in X or v not in X:
-                problems.append("B3 requires the blocked pair inside X")
-            all_pairs_present(every_color, X, Y, "B3 bipartite completeness")
-    elif cert.kind in ("C2", "C3"):
-        if forest is None:
-            problems.append(f"{cert.kind} requires the forest context")
-            return problems
-        unused = [c for c in every_color if c not in forest.colors()]
-        comps = _normalized_components(forest, cert.pair)
-        h_vertices = {x for comp in comps for x in comp}
-        if cert.kind == "C2":
-            if len(comps) != 2:
-                problems.append(f"C2 requires exactly two forest components, got {len(comps)}")
-            if cert.pair is not None:
-                u, v = cert.pair
-                if not any(u in comp for comp in comps) or not any(v in comp for comp in comps):
-                    problems.append("C2 endpoints must lie in the forest components")
-            check_partition_of(set(range(n)) - h_vertices)
-            if not X or not Y:
-                problems.append("C2 requires both sides nonempty")
-            within(unused, X, "C2 X", edges=True)
-            within(unused, Y, "C2 Y", edges=True)
-            no_cross(unused, "C2")
-            all_pairs_present(unused, h_vertices, X | Y, "C2 forest adjacency")
-        else:
-            k = forest.edge_count
-            if (n + k) % 2 != 0:
-                problems.append("C3 requires n+k even")
-            elif len(X) != (n + k) // 2 or len(Y) != (n - k) // 2:
-                problems.append(
-                    f"C3 sides must be ((n+k)/2,(n-k)/2), got ({len(X)},{len(Y)})"
-                )
-            check_partition_of(set(range(n)))
-            if not h_vertices <= X:
-                problems.append("C3 requires every forest vertex inside X")
-            all_pairs_present(unused, X, Y, "C3 bipartite completeness")
-            within(unused, Y, "C3 Y", edges=False)
+        if not hub <= X:
+            problems.append(f"{kind} requires every forest vertex inside X")
+        if level != "A":
+            all_pairs_present(X, Y, f"{kind} bipartite completeness")
+        within(Y, f"{kind} Y", edges=False)
     return problems
 
 

@@ -241,6 +241,11 @@ class TestOracleCommand:
         path = write_instance(tmp_path, complete_collection(9), u=0, v=8)
         assert main(["oracle", path, "--budget-nodes", "2"]) == 20
 
+    def test_nan_time_limit_exit_two(self, tmp_path, capsys):
+        path = write_instance(tmp_path, complete_collection(6), u=0, v=5)
+        assert main(["oracle", path, "--budget-seconds", "nan"]) == EXIT_INPUT
+        assert "budget limits must be positive" in capsys.readouterr().err
+
 
 class TestGenCommand:
     def test_random_round_trip(self, tmp_path, capsys):
@@ -348,6 +353,15 @@ class TestSweepCommand:
         records, _ = load_report(str(report))
         assert all(rec["p"] == 0.7 and "certificate" in rec for rec in records)
         assert revalidate_report(str(report))
+
+    def test_below_three_vertices_exit_two(self, tmp_path, capsys, monkeypatch):
+        # Two vertices have no Hamiltonian cycle: every sample would be a candidate.
+        monkeypatch.chdir(tmp_path)
+        report = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "--samples", "2", "--n-min", "2", "--n-max", "2", "--out", str(report)])
+        assert rc == EXIT_INPUT
+        assert "a Hamiltonian cycle needs n >= 3, got n=2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

@@ -73,6 +73,13 @@ class TestHamPath:
         result = exact_rainbow_ham_path(coll, 0, 8, budget=OracleBudget(node_limit=2))
         assert result.status == UNKNOWN
 
+    @pytest.mark.parametrize("limits", [
+        {"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
+    ])
+    def test_budget_limit_not_positive_rejected(self, limits):
+        with pytest.raises(InputError, match="budget limits must be positive"):
+            OracleBudget(**limits)
+
     def test_same_endpoints_rejected(self, k4):
         with pytest.raises(InputError):
             exact_rainbow_ham_path(k4, 1, 1)

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from rainbowpath import (
     FOUND,
+    NOT_FOUND,
     ExtremalCertificate,
     GraphCollection,
     InputError,
@@ -14,6 +16,7 @@ from rainbowpath import (
     detect_independent_heavy_side,
     enumerate_collections,
     exact_rainbow_ham_cycle,
+    exact_rainbow_ham_path,
     validate_cycle_certificate,
     verify_certificate,
 )
@@ -335,7 +338,7 @@ class TestVerifyCertificate:
         ("B2", 7, 0, [(3, 2, 4), (0, 3, 5), (5, 0, 6)], [
             "B2 X: clique edge (2,4) missing in color 3",
             "B2: cross edge (3,5) present in color 0",
-            "B2 u-adjacency: edge (0,6) missing in color 5",
+            "B2 forest adjacency: edge (0,6) missing in color 5",
         ]),
         ("B3", 8, 0, [(2, 1, 6)], ["B3 bipartite completeness: edge (1,6) missing in color 2"]),
         ("C3", 10, 2, [(5, 6, 9), (3, 4, 7)], [
@@ -375,6 +378,68 @@ class TestVerifyCertificate:
         forest = RainbowLinearForest(comps, fixed)
         cert = ExtremalCertificate("C2", frozenset(sides[0]), frozenset(sides[1]), pair=(0, 1))
         assert certificate_violations(_flipped(coll, flips), cert, forest) == expected
+
+    def test_b3_on_complete_collection_rejected(self):
+        # Y = {3, 4, 5} is a clique in every color, so it blocks nothing.
+        coll = complete_collection(6)
+        cert = ExtremalCertificate("B3", frozenset({0, 1, 2}), frozenset({3, 4, 5}), pair=(0, 1))
+        assert certificate_violations(coll, cert) == ["B3 Y: edge (3,4) present in color 0"]
+        assert not verify_certificate(coll, cert)
+        with pytest.raises(InputError):
+            cycle_from_extremal(coll, cert)
+
+
+def _shape_partitions(kind, n, hub, k):
+    """Every (X, Y) a certificate of ``kind`` could claim around ``hub``.
+
+    Two-clique kinds split V minus the hub into two nonempty sides; heavy-side
+    kinds split V with the hub inside X and |X| - |Y| = k.
+    """
+    rest = sorted(set(range(n)) - hub)
+    if kind.endswith("2"):
+        for size in range(1, len(rest)):
+            for X in combinations(rest, size):
+                yield frozenset(X), frozenset(rest) - frozenset(X)
+    elif (n + k) % 2 == 0:
+        for extra in combinations(rest, (n + k) // 2 - len(hub)):
+            X = hub | frozenset(extra)
+            yield X, frozenset(range(n)) - X
+
+
+def _soundness_inputs(kind, n):
+    """Canonical family with 0-2 seeded flips, then the complete collection."""
+    k = {"B2": 0, "B3": 0, "C2": 1, "C3": n % 2}[kind]
+    coll, meta = build_extremal(kind, n, k)
+    for seed in range(9):
+        rng = random.Random(seed)
+        flips = [(rng.randrange(n), *rng.sample(range(n), 2)) for _ in range(seed % 3)]
+        yield _flipped(coll, flips), meta["forest"], meta["pair"], k
+    yield complete_collection(n), meta["forest"], meta["pair"], k
+
+
+@pytest.mark.parametrize("kind", ["B2", "B3", "C2", "C3"])
+def test_verifier_is_sound_against_oracle(kind):
+    # An accepted certificate claims the pair is blocked; the exact oracle
+    # must agree.  The complete collection blocks nothing, so a verifier
+    # that drops the cross-edge or the Y-independence clause fails here.
+    accepted, unsound = 0, []
+    for n in (6, 7, 8):
+        if kind == "B3" and n % 2:
+            continue
+        for coll, forest, pair, k in _soundness_inputs(kind, n):
+            hub = frozenset(pair) | (forest.vertices() if forest else frozenset())
+            status = None
+            for X, Y in _shape_partitions(kind, n, hub, k):
+                cert = ExtremalCertificate(kind, X, Y, pair=pair)
+                if not verify_certificate(coll, cert, forest):
+                    continue
+                accepted += 1
+                if status is None:
+                    status = exact_rainbow_ham_path(coll, *pair, forest).status
+                if status != NOT_FOUND:
+                    unsound.append((n, sorted(X), sorted(Y), status))
+    assert not unsound
+    assert accepted > 0
 
 
 class TestCycleFromExtremal:
