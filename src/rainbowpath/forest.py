@@ -256,6 +256,9 @@ class ReductionBoundError(InternalError):
     """A retained color restricted to V minus D misses the inherited Ore bound.
 
     Signals that the input collection violated the n+k hypothesis (or the
-    plan does not belong to it); deleting D itself cannot cause this.
-    ``bundle`` names the retained color, its sigma2 and the bound.
+    plan does not belong to it); deleting D itself cannot cause this, since
+    it lowers a non-adjacent pair's degree sum by at most 2|D|.  The check
+    reads each color's cached sigma2 minus 2|D| first and runs the exact
+    masked scan only where that falls short of the bound, so ``bundle``
+    names the retained color, its exact masked sigma2 and the bound.
     """

@@ -200,19 +200,29 @@ def extremal_certificate_to_dict(cert: ExtremalCertificate) -> dict:
     return data
 
 
+def _ints(data: dict, key: str) -> tuple[int, ...]:
+    """``data[key]`` as a tuple, if it is a JSON list of integers."""
+    values = data.get(key)
+    if not isinstance(values, list):
+        raise InputError(f"certificate {key} must be a list of integers, got {values!r}")
+    return tuple(_int(value, f"certificate {key} entry") for value in values)
+
+
 def certificate_from_dict(data: dict):
+    """Decode a certificate; a missing field or a non-integer vertex or color
+    raises InputError.  Ranges are the verifiers' business."""
     kind = data.get("type")
     if kind == "path":
-        return PathCertificate(tuple(data["order"]), tuple(data["colors"]))
+        return PathCertificate(_ints(data, "order"), _ints(data, "colors"))
     if kind == "cycle":
-        return CycleCertificate(tuple(data["order"]), tuple(data["colors"]))
+        return CycleCertificate(_ints(data, "order"), _ints(data, "colors"))
     if kind == "extremal":
         return ExtremalCertificate(
-            data["kind"],
-            frozenset(data["X"]),
-            frozenset(data["Y"]),
-            ell=data.get("l"),
-            pair=tuple(data["pair"]) if data.get("pair") else None,
+            data.get("kind"),
+            frozenset(_ints(data, "X")),
+            frozenset(_ints(data, "Y")),
+            ell=None if data.get("l") is None else _int(data["l"], "certificate l"),
+            pair=_ints(data, "pair") if data.get("pair") else None,
         )
     raise InputError(f"unknown certificate type {kind!r}")
 

@@ -450,7 +450,11 @@ def li2_dispatch(
 
     The precondition comes first.  On the whole collection a shortfall is an
     InputError; on a restriction, which the n+k hypothesis guarantees in
-    ``solve``, it raises ReductionBoundError with its repro bundle.
+    ``solve``, it raises ReductionBoundError with its repro bundle.  Deleting
+    d = |V| - n vertices lowers a non-adjacent pair's degree sum by at most
+    2d, so a color passes at once when its cached sigma2 minus 2d reaches
+    n-2; only a color that falls short gets the exact masked scan, which
+    then decides and supplies the error's value.
     """
     restricted = active is not None
     active = (1 << collection.n_vertices) - 1 if active is None else active
@@ -458,8 +462,11 @@ def li2_dispatch(
     n = active.bit_count()
     if palette.bit_count() < n:
         raise InputError(f"dispatch needs at least n={n} colors, got {palette.bit_count()}")
+    loss = 2 * (collection.n_vertices - n)
     for c in bits(palette):
-        value = row_sigma2(collection.adjacency[c], active) if restricted else collection.sigma2s[c]
+        value = collection.sigma2s[c]
+        if value - loss < n - 2:
+            value = row_sigma2(collection.adjacency[c], active)
         if value >= n - 2:
             continue
         if not restricted:

@@ -144,10 +144,16 @@ def certificate_violations(
 
     The hub is empty at level A and the pair plus the forest's vertices at
     levels B and C; levels A and B check every color, level C the colors
-    the forest leaves unused.
+    the forest leaves unused.  A named vertex that is not an int in [0, n)
+    is the only problem reported: no clause can read it.
     """
     n = collection.n_vertices
     kind, level, X, Y = cert.kind, cert.kind[0], cert.X, cert.Y
+    named = (("pair", cert.pair or ()), ("X", X), ("Y", Y))
+    outside = [f"{kind} {side} vertex {x!r} is not in [0,{n})" for side, members in named
+               for x in sorted(members, key=repr) if type(x) is not int or not 0 <= x < n]
+    if outside:
+        return outside
     if level == "B":
         if cert.pair is None:
             return [f"{kind} requires a blocked pair"]

@@ -83,15 +83,14 @@ class TestSolveCommand:
     def test_reduction_bound_error_writes_bundle(self, tmp_path, capsys, monkeypatch):
         import rainbowpath.solver
 
-        # Every color restricted to V minus D = {1, 2, 3} reads sigma2 0,
-        # below the inherited bound 1; the whole collection reads true.
-        original = rainbowpath.solver.row_sigma2
-
-        def short_when_masked(row, active=None):
-            return original(row) if active is None else 0
-
-        monkeypatch.setattr(rainbowpath.solver, "row_sigma2", short_when_masked)
-        path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+        # Color 0 is empty, so it breaks the hypothesis; with the hypothesis
+        # check bypassed, color 0 restricted to V minus D = {1, 2, 3} reads
+        # sigma2 0, below the inherited bound 1, in the real reduced check.
+        monkeypatch.setattr(rainbowpath.solver, "check_hypothesis", lambda *args: True)
+        n = 5
+        full = complete_collection(n).adjacency[0]
+        coll = GraphCollection(n, ((0,) * n,) + (full,) * (n - 1))
+        path = write_instance(tmp_path, coll, u=0, v=4)
         monkeypatch.chdir(tmp_path)
         assert main(["solve", path]) == EXIT_VIOLATION
         err = capsys.readouterr().err
@@ -353,6 +352,16 @@ class TestSweepCommand:
         records, _ = load_report(str(report))
         assert all(rec["p"] == 0.7 and "certificate" in rec for rec in records)
         assert revalidate_report(str(report))
+
+    def test_out_of_range_certificate_fails_revalidation(self, tmp_path, capsys):
+        report = tmp_path / "sweep.jsonl"
+        main(["sweep", "--samples", "2", "--out", str(report)])
+        capsys.readouterr()
+        lines = report.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["certificate"] = {"type": "extremal", "kind": "B2", "X": [], "Y": [], "pair": [0, 99]}
+        report.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        assert revalidate_report(str(report)) is False
 
     def test_below_three_vertices_exit_two(self, tmp_path, capsys, monkeypatch):
         # Two vertices have no Hamiltonian cycle: every sample would be a candidate.

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +16,10 @@ from rainbowpath import (
     sigma2,
 )
 from rainbowpath.forest import ReductionBoundError
-from rainbowpath.gen import GenSpec, random_instance
+from rainbowpath.gen import GenSpec, random_instance, small_vertex_probe_family
 from rainbowpath.model import row_sigma2
 
-from .conftest import complete_collection
+from .conftest import case3_tight_family, complete_collection
 
 
 def edge_forest(*paths_and_colors):
@@ -204,6 +205,77 @@ class TestReduceCollection:
         assert ks == {0, 1, 2}
         assert ends_deleted >= 60
         assert below_full >= 1000
+
+    def test_cached_sigma2_bounds_masked_sigma2(self):
+        # li2_dispatch passes a retained color on sigma2s[c] - 2|D| alone:
+        # deleting D lowers a non-adjacent pair's degree sum by at most 2|D|.
+        def plans():
+            for seed in range(60):
+                n = 10 + seed % 8
+                coll, forest, u, v = random_instance(GenSpec(n=n, k=seed % 3, p=0.8, seed=seed))
+                yield coll, select_deletion_set(forest, u, v, n)
+            for seed in range(0, 500, 10):
+                coll, forest, u, v, k = case3_tight_family(seed)
+                yield coll, select_deletion_set(forest, u, v, coll.n_vertices)
+            for n in (5, 8, 11):
+                coll = small_vertex_probe_family(n, seed=n)
+                for u, v in combinations(range(n), 2):
+                    yield coll, select_deletion_set(RainbowLinearForest.empty(), u, v, n)
+
+        checked = below_at_zero = tight = 0
+        ks = set()
+        for coll, plan in plans():
+            ks.add(plan.k)
+            loss = 2 * len(plan.deleted)
+            for c in plan.retained_colors:
+                masked = row_sigma2(coll.adjacency[c], plan.active)
+                assert coll.sigma2s[c] - loss <= masked, (plan.deleted, c)
+                below_at_zero += coll.sigma2s[c] > masked
+                tight += coll.sigma2s[c] - loss == masked
+                checked += 1
+        assert ks == {0, 1, 2, 3, 4} and checked > 2000
+        # With d = 0 the same check fails: the bound needs its 2|D|.
+        assert below_at_zero >= 1000
+        # The bound is sharp: every retained color of the tight family meets it.
+        assert tight >= 540
+
+    def test_exact_scan_decides_below_cached_bound(self, monkeypatch):
+        # Vertices 0 and 1 are isolated in every color and {2..6} is a clique,
+        # so every color has sigma2 0: any deletion falls short of the cached
+        # bound and the exact masked scan decides.
+        n = 7
+        coll = GraphCollection.from_edge_lists(n, [list(combinations(range(2, n), 2))] * n)
+        assert set(coll.sigma2s) == {0}
+        scans = []
+        original = rainbowpath.solver.row_sigma2
+
+        def counting(row, active=None):
+            scans.append(active)
+            return original(row, active)
+
+        monkeypatch.setattr(rainbowpath.solver, "row_sigma2", counting)
+        # Deleting {0, 1} leaves K5: masked sigma2 is infinite and it passes.
+        assert li2_dispatch(coll, 0b1111100).kind == "A1"
+        assert scans == [0b1111100] * n
+        # Deleting {6} keeps the isolated pair: masked sigma2 0 < 6 - 2.
+        scans.clear()
+        with pytest.raises(ReductionBoundError) as excinfo:
+            li2_dispatch(coll, 0b0111111)
+        assert scans == [0b0111111]
+        assert excinfo.value.bundle == {"retained_color": 0, "sigma2": 0, "bound": 4}
+
+    def test_cached_bound_subtracts_two_per_deleted_vertex(self):
+        # Cliques {0, 1, 2} minus the edge 01 and {3, 4, 5}, with D = {6, 7, 8}
+        # joined to everything: sigma2 is 8 at the pair 01, which loses 2|D| = 6
+        # on deleting D.  Subtracting only |D| would pass the color at 5 >= 4.
+        n = 9
+        edges = [e for e in combinations(range(n), 2) if e != (0, 1) and
+                 (max(e) >= 6 or (e[0] < 3) == (e[1] < 3))]
+        coll = GraphCollection.from_edge_lists(n, [edges] * n)
+        assert set(coll.sigma2s) == {8}
+        with pytest.raises(ReductionBoundError) as excinfo:
+            li2_dispatch(coll, 0b000111111)
+        assert excinfo.value.bundle == {"retained_color": 0, "sigma2": 2, "bound": 4}
 
     def test_generated_instances_meet_bound(self):
         for seed in range(30):

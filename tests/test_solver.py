@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from rainbowpath import (
     exact_rainbow_ham_path,
     hamiltonian_or_connected,
     li2_dispatch,
+    select_deletion_set,
     solve,
     solve_pair,
     validate_cycle_certificate,
@@ -447,8 +449,6 @@ class TestHamiltonianOrConnected:
         assert validate_cycle_certificate(coll, res.cycle)
 
     def test_sigma2_computed_once_per_collection(self, monkeypatch):
-        # Every module binding of sigma2 is counted, not only the one in
-        # model: a caller that imports its own copy must not escape.
         original = rainbowpath.model.sigma2
         calls = []
 
@@ -464,6 +464,11 @@ class TestHamiltonianOrConnected:
                 masked.append(active)
             return original_row(row, active)
 
+        # A fresh copy: building the random instance already cached its sigma2s.
+        random16 = random_instance(GenSpec(n=16, k=0, p=0.7))[0]
+        random16 = GraphCollection(random16.n_vertices, random16.adjacency)
+        # Every module binding of sigma2 is counted, not only the one in
+        # model: a caller that imports its own copy must not escape.
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "rainbowpath" or name.startswith("rainbowpath.")):
                 for attr, value in list(vars(module).items()):
@@ -471,14 +476,21 @@ class TestHamiltonianOrConnected:
                         monkeypatch.setattr(module, attr, counting)
                     elif value is original_row:
                         monkeypatch.setattr(module, attr, counting_row)
-        n = 8
-        res = hamiltonian_or_connected(complete_collection(n))
-        assert res.kind == "connected"
-        # The full collection once; then each pair's restriction to V minus
-        # D once per retained color (k=0 keeps all n), never a second time.
-        assert len(calls) == n
-        assert len(masked) == n * (n - 1) // 2 * n
-        assert len(set(masked)) == n * (n - 1) // 2
+        for coll, any_below in ((complete_collection(8), False), (random16, True)):
+            n = coll.n_vertices
+            calls.clear()
+            res = hamiltonian_or_connected(coll)
+            assert res.kind == "connected"
+            # The full collection once.  Each pair's restriction to V minus D
+            # passes on the cached sigma2 minus 2|D|, so no masked scan runs,
+            # even where the masked sigma2 is below the full one.
+            assert len(calls) == n
+            assert masked == []
+            actives = [select_deletion_set(RainbowLinearForest.empty(), u, v, n).active
+                       for u, v in combinations(range(n), 2)]
+            below = sum(original_row(coll.adjacency[c], active) < coll.sigma2s[c]
+                        for active in actives for c in range(n))
+            assert (below > 0) == any_below
 
     def test_pair_color_masks_computed_once(self, monkeypatch):
         original = GraphCollection._scan_color_mask

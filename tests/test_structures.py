@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -387,6 +388,20 @@ class TestVerifyCertificate:
         assert not verify_certificate(coll, cert)
         with pytest.raises(InputError):
             cycle_from_extremal(coll, cert)
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"pair": (0, 99)}, "B2 pair vertex 99 is not in [0,6)"),
+        ({"pair": (-1, 1)}, "B2 pair vertex -1 is not in [0,6)"),
+        ({"pair": (0, 1.0)}, "B2 pair vertex 1.0 is not in [0,6)"),
+        ({"X": frozenset({2, 3, 7})}, "B2 X vertex 7 is not in [0,6)"),
+        ({"Y": frozenset({4, "5"})}, "B2 Y vertex '5' is not in [0,6)"),
+    ])
+    def test_vertex_outside_collection_reported(self, change, problem):
+        coll, meta = build_extremal("B2", 6)
+        cert = replace(meta["certificate"], **change)
+        assert verify_certificate(coll, meta["certificate"])
+        assert certificate_violations(coll, cert) == [problem]
+        assert not verify_certificate(coll, cert)
 
 
 def _shape_partitions(kind, n, hub, k):
