@@ -16,17 +16,11 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import gen as genmod
 from . import serialize
-from .model import (
-    GraphCollection,
-    InputError,
-    InternalError,
-    check_hypothesis,
-    validate_cycle_certificate,
-    validate_path_certificate,
-)
+from .model import GraphCollection, InputError, InternalError, check_hypothesis
 from .oracle import (
     FOUND,
     NOT_FOUND,
@@ -73,8 +67,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _emit(
                 {
                     "outcome": "cycle",
-                    "certificate": serialize.cycle_certificate_to_dict(result.cycle),
-                    "extremal": serialize.extremal_certificate_to_dict(result.extremal),
+                    "certificate": serialize.certificate_to_dict(result.cycle),
+                    "extremal": serialize.certificate_to_dict(result.extremal),
                 },
                 args.out,
             )
@@ -83,7 +77,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             {
                 "outcome": "connected",
                 "pairs": {
-                    f"{u},{v}": serialize.path_certificate_to_dict(cert)
+                    f"{u},{v}": serialize.certificate_to_dict(cert)
                     for (u, v), cert in sorted(result.paths.items())
                 },
             },
@@ -116,12 +110,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     data: dict = {"status": result.status, "nodes": result.nodes}
     if result.certificate is not None:
-        to_dict = (
-            serialize.cycle_certificate_to_dict
-            if args.cycle
-            else serialize.path_certificate_to_dict
-        )
-        data["certificate"] = to_dict(result.certificate)
+        data["certificate"] = serialize.certificate_to_dict(result.certificate)
     _emit(data, args.out)
     if result.status == FOUND:
         return EXIT_PATH
@@ -161,7 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sidecar = {"kind": args.kind, "n": args.n, "k": args.k,
                    "sigma2_level": meta.get("sigma2_level")}
         if meta.get("certificate") is not None:
-            sidecar["certificate"] = serialize.extremal_certificate_to_dict(meta["certificate"])
+            sidecar["certificate"] = serialize.certificate_to_dict(meta["certificate"])
     else:
         if args.ell is not None:
             raise InputError("--ell applies only with --kind")
@@ -185,10 +174,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # verify subcommand: generated suites through the solver, oracle cross-checked
 # ---------------------------------------------------------------------------
 
+def _suite_instance(n: int, k: int, seed: int, p: float):
+    """The uniform-supergraph instance a verify or sweep record names.
+
+    ``oracle_only`` only lifts the k <= (n-4)/3 bound: the sweep needs that,
+    and verify tasks always meet the bound, so one rule rebuilds every record.
+    """
+    return genmod.random_instance(genmod.GenSpec(
+        n=n, k=k, model="uniform_supergraph", seed=seed, p=p, oracle_only=True))
+
+
 def _verify_task(task: tuple) -> dict:
     (index, n, k, seed, p, oracle_max_n, mode, nodes, seconds) = task
-    spec = genmod.GenSpec(n=n, k=k, model="uniform_supergraph", seed=seed, p=p)
-    collection, forest, u, v = genmod.random_instance(spec)
+    collection, forest, u, v = _suite_instance(n, k, seed, p)
     instance_data = serialize.instance_to_dict(collection, forest, u, v, k)
     record: dict = {
         "type": "record",
@@ -204,52 +202,29 @@ def _verify_task(task: tuple) -> dict:
     try:
         if mode == "corollary":
             result = hamiltonian_or_connected(collection)
-            if result.cycle is not None:
-                ok = validate_cycle_certificate(collection, result.cycle)
-                oracle_view = None
-                if n <= oracle_max_n:
-                    oracle_view = exact_rainbow_ham_cycle(
-                        collection, OracleBudget(nodes, seconds)
-                    ).status
-                    ok = ok and oracle_view == FOUND
-                record.update(
-                    outcome="cycle",
-                    certificate=serialize.cycle_certificate_to_dict(result.cycle),
-                    oracle_agreement=oracle_view,
-                    ok=ok,
-                )
-            else:
-                ok = all(
-                    validate_path_certificate(collection, cert)
-                    for cert in result.paths.values()
-                ) and len(result.paths) == n * (n - 1) // 2
-                record.update(outcome="connected", ok=ok, pair_count=len(result.paths))
+            kind, cert = result.kind, result.cycle
+            search = partial(exact_rainbow_ham_cycle, collection)
+            if cert is None:
+                paths = result.paths.values()
+                record.update(pair_count=len(paths), ok=len(paths) == n * (n - 1) // 2
+                              and all(verify_certificate(collection, path) for path in paths))
         else:
             outcome = solve(collection, forest, u, v, k)
-            if outcome.path is not None:
-                ok = validate_path_certificate(collection, outcome.path, forest)
-                cert_data = serialize.path_certificate_to_dict(outcome.path)
-            else:
-                ok = verify_certificate(collection, outcome.extremal, forest)
-                cert_data = serialize.extremal_certificate_to_dict(outcome.extremal)
+            kind, cert = outcome.kind, outcome.path or outcome.extremal
+            search = partial(exact_rainbow_ham_path, collection, u, v, forest)
+        record["outcome"] = kind
+        if cert is not None:
+            ok = verify_certificate(collection, cert, forest)
             oracle_view = None
             if n <= oracle_max_n:
-                oracle = exact_rainbow_ham_path(
-                    collection, u, v, forest, OracleBudget(nodes, seconds)
-                )
-                if oracle.status == UNKNOWN:
-                    ok = False
-                    oracle_view = UNKNOWN
-                else:
-                    oracle_view = oracle.status
-                    ok = ok and (oracle.status == FOUND) == (outcome.path is not None)
-            record.update(
-                outcome=outcome.kind,
-                certificate=cert_data,
-                certificate_hash=serialize.digest(cert_data),
-                oracle_agreement=oracle_view,
-                ok=ok,
-            )
+                # The oracle must find a path or cycle exactly when the solver
+                # did; Unknown agrees with neither answer.
+                oracle_view = search(OracleBudget(nodes, seconds)).status
+                ok = ok and oracle_view == (NOT_FOUND if kind == "extremal" else FOUND)
+            cert_data = serialize.certificate_to_dict(cert)
+            record.update(certificate=cert_data, oracle_agreement=oracle_view, ok=ok)
+            if mode == "solve":
+                record["certificate_hash"] = serialize.digest(cert_data)
     except (InternalError, BudgetExceeded) as exc:
         record.update(outcome="error", ok=False, error=str(exc),
                       instance=instance_data)
@@ -359,9 +334,7 @@ def minimize_counterexample(
 
 def _sweep_task(task: tuple) -> dict:
     (index, n, k, seed, p, nodes, seconds) = task
-    spec = genmod.GenSpec(n=n, k=k, model="uniform_supergraph", seed=seed, p=p,
-                          oracle_only=True)
-    collection, _forest, _u, _v = genmod.random_instance(spec)
+    collection, _forest, _u, _v = _suite_instance(n, k, seed, p)
     instance_data = serialize.instance_to_dict(collection)
     record: dict = {
         "type": "record", "index": index, "seed": seed, "n": n, "k": k, "p": p,
@@ -372,8 +345,8 @@ def _sweep_task(task: tuple) -> dict:
     result = exact_rainbow_ham_cycle(collection, budget)
     record["outcome"] = result.status
     if result.status == FOUND:
-        record["certificate"] = serialize.cycle_certificate_to_dict(result.certificate)
-        record["ok"] = validate_cycle_certificate(collection, result.certificate)
+        record["certificate"] = serialize.certificate_to_dict(result.certificate)
+        record["ok"] = verify_certificate(collection, result.certificate)
     elif result.status == NOT_FOUND:
         # Candidate counterexample: re-check with a fresh doubled budget,
         # then shrink it to a reproducible bundle.
@@ -450,28 +423,16 @@ def load_report(path: str) -> tuple[list[dict], dict]:
 def revalidate_report(path: str) -> bool:
     """Re-derive every record's pass bit: certificates must still check out.
 
-    Each instance is rebuilt from its record's n, k, seed and p.  ``oracle_only``
-    is set as the sweep sets it: it only lifts the k <= (n-4)/3 bound, which
-    verify records always meet, so it rebuilds their instances unchanged.
+    Each instance is rebuilt from its record's n, k, seed and p by
+    ``_suite_instance``, the rule both suites build them by.
     """
     records, _summary = load_report(path)
     for rec in records:
         if "certificate" not in rec:
             continue
-        spec = genmod.GenSpec(
-            n=rec["n"], k=rec["k"], model="uniform_supergraph",
-            seed=rec["seed"], p=rec["p"], oracle_only=True,
-        )
-        collection, forest, _u, _v = genmod.random_instance(spec)
+        collection, forest, _u, _v = _suite_instance(rec["n"], rec["k"], rec["seed"], rec["p"])
         cert = serialize.certificate_from_dict(rec["certificate"])
-        data = rec["certificate"]
-        if data["type"] == "path":
-            ok = validate_path_certificate(collection, cert, forest)
-        elif data["type"] == "cycle":
-            ok = validate_cycle_certificate(collection, cert)
-        else:
-            ok = verify_certificate(collection, cert, forest)
-        if ok != bool(rec.get("ok")):
+        if verify_certificate(collection, cert, forest) != bool(rec.get("ok")):
             return False
     return True
 

@@ -178,15 +178,12 @@ def load_instance(path: str) -> Instance:
     return instance_from_dict(data)
 
 
-def path_certificate_to_dict(cert: PathCertificate) -> dict:
-    return {"type": "path", "order": list(cert.order), "colors": list(cert.coloring)}
-
-
-def cycle_certificate_to_dict(cert: CycleCertificate) -> dict:
-    return {"type": "cycle", "order": list(cert.order), "colors": list(cert.coloring)}
-
-
-def extremal_certificate_to_dict(cert: ExtremalCertificate) -> dict:
+def certificate_to_dict(cert: PathCertificate | CycleCertificate | ExtremalCertificate) -> dict:
+    """Encode any certificate: a path or cycle as its order and edge colors,
+    an extremal certificate as its kind, sides, and split size or pair if set."""
+    if not isinstance(cert, ExtremalCertificate):
+        kind = "path" if isinstance(cert, PathCertificate) else "cycle"
+        return {"type": kind, "order": list(cert.order), "colors": list(cert.coloring)}
     data: dict = {
         "type": "extremal",
         "kind": cert.kind,
@@ -228,15 +225,9 @@ def certificate_from_dict(data: dict):
 
 
 def outcome_to_dict(outcome) -> dict:
-    """Serialize a SolverOutcome-shaped object (path/extremal plus trace)."""
-    if getattr(outcome, "path", None) is not None:
-        cert = path_certificate_to_dict(outcome.path)
-        kind = "path"
-    else:
-        cert = extremal_certificate_to_dict(outcome.extremal)
-        kind = "extremal"
+    """Serialize a SolverOutcome: its kind, its certificate and its trace."""
     return {
-        "outcome": kind,
-        "certificate": cert,
-        "trace": [dict(rec) for rec in getattr(outcome, "trace", ())],
+        "outcome": outcome.kind,
+        "certificate": certificate_to_dict(outcome.path or outcome.extremal),
+        "trace": [dict(rec) for rec in outcome.trace],
     }

@@ -47,7 +47,6 @@ from .model import (
     path_certificate_violations,
     rainbow_assignment,
     row_sigma2,
-    validate_path_certificate,
 )
 from .oracle import OracleBudget, exact_search
 from .structures import (
@@ -549,7 +548,7 @@ def case2_construct(
     _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
         cert = _certified(collection, ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v)),
-                          forest, "derived")
+                          forest, "derived C2")
         _record(trace, stage="case2", outcome="extremal")
         return cert
 
@@ -607,14 +606,12 @@ def _plan_forest(plan: ReductionPlan) -> RainbowLinearForest:
     return RainbowLinearForest(tuple(comps), colors)
 
 
-def _certified(collection: GraphCollection, cert: ExtremalCertificate,
-               forest: RainbowLinearForest | None, role: str) -> ExtremalCertificate:
-    """``cert`` once it verifies; a failing clause is an internal error."""
+def _certified(collection: GraphCollection, cert, forest: RainbowLinearForest | None,
+               role: str):
+    """``cert`` once it verifies; any problem is an internal error."""
     problems = certificate_violations(collection, cert, forest)
     if problems:
-        raise InternalError(
-            f"{role} {cert.kind} certificate fails verification: " + "; ".join(problems)
-        )
+        raise InternalError(f"{role} certificate fails verification: " + "; ".join(problems))
     return cert
 
 
@@ -626,7 +623,7 @@ def _finish_path(
 ) -> PathCertificate:
     """Color the edges of a completed walk outside ``fixed`` and certify it.
 
-    The loose edges avoid every fixed color; the result must validate
+    The loose edges avoid every fixed color; the result must verify
     against ``forest``.
     """
     loose = []
@@ -644,10 +641,7 @@ def _finish_path(
     full = dict(fixed)
     full.update(assignment)
     coloring = tuple(full[canonical_edge(seq[i], seq[i + 1])] for i in range(len(seq) - 1))
-    cert = PathCertificate(tuple(seq), coloring)
-    if not validate_path_certificate(collection, cert, forest):
-        raise InternalError("constructed path certificate fails validation")
-    return cert
+    return _certified(collection, PathCertificate(tuple(seq), coloring), forest, "constructed path")
 
 
 # ---------------------------------------------------------------------------
@@ -901,8 +895,8 @@ def solve(
 
     Preconditions (input errors when violated): n colors with sigma2 >= n+k,
     a rainbow forest with k <= (n-4)/3 edges valid in its fixed colors, and a
-    compatible endpoint pair.  The result is always self-checked: paths
-    validate, certificates verify.
+    compatible endpoint pair.  The result always passes ``verify_certificate``
+    before it is returned.
     """
     forest = forest or RainbowLinearForest.empty()
     problems = forest.validate_against(collection)
@@ -938,11 +932,9 @@ def solve(
         wp = absorb_components(wp, plan.middle_components, collection, ore_bound, trace)
         wp = attach_terminal_component(wp, plan.h_u, "u", collection, ore_bound, trace)
         wp = attach_terminal_component(wp, plan.h_v, "v", collection, ore_bound, trace)
-        order = list(reversed(wp.order))
-        colors = list(reversed(wp.colors))
-        cert = PathCertificate(tuple(order), tuple(colors))
-        if not validate_path_certificate(collection, cert, _plan_forest(plan)):
-            raise InternalError("case-1 certificate fails validation")
+        cert = _certified(collection, PathCertificate(tuple(reversed(wp.order)),
+                                                      tuple(reversed(wp.colors))),
+                          _plan_forest(plan), "case-1 path")
         return SolverOutcome(path=cert, trace=tuple(trace))
 
     if dispatch.kind == "A2":
@@ -958,7 +950,7 @@ def solve(
     forest_norm = _plan_forest(plan)
     if not forest_norm.vertices() & y_side:
         cert = _certified(collection, ExtremalCertificate("C3", frozenset(X), frozenset(y_side),
-                                                          pair=(u, v)), forest_norm, "derived")
+                                                          pair=(u, v)), forest_norm, "derived C3")
         _record(trace, stage="case3", outcome="extremal")
         return SolverOutcome(extremal=cert, trace=tuple(trace))
     hprime = case3_extend_forest(collection, plan, x_prime, y_side)
@@ -987,7 +979,7 @@ def solve_pair(
     old = outcome.extremal
     kind = "B2" if old.kind == "C2" else "B3"
     cert = _certified(collection, ExtremalCertificate(kind, old.X, old.Y, pair=(u, v)), None,
-                      "retagged")
+                      f"retagged {kind}")
     return SolverOutcome(extremal=cert, trace=outcome.trace)
 
 
@@ -1009,8 +1001,9 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
 
     Runs the pair solver over every vertex pair; the first blocked pair
     yields a cycle through its extremal structure, and if no pair is blocked
-    the collected paths witness connectedness.  Needs n >= 4, the pair
-    solver's bound k = 0 <= (n-4)/3.
+    the collected paths witness connectedness; the cycle, like every path,
+    passes the certificate checker.  Needs n >= 4, the pair solver's bound
+    k = 0 <= (n-4)/3.
     """
     n = collection.n_vertices
     if n < 4:
@@ -1022,7 +1015,8 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
         for v in range(u + 1, n):
             outcome = solve_pair(collection, u, v)
             if outcome.extremal is not None:
-                cycle = cycle_from_extremal(collection, outcome.extremal)
+                cycle = _certified(collection, cycle_from_extremal(collection, outcome.extremal),
+                                   None, "corollary cycle")
                 return HamiltonianConnectivityResult(cycle=cycle, extremal=outcome.extremal)
             paths[(u, v)] = outcome.path
     return HamiltonianConnectivityResult(paths=paths)

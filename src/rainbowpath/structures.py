@@ -9,8 +9,9 @@ around an embedded forest (C); level B is level C with the empty forest.
 The verifier checks one clause set per shape, and the level supplies only
 the hub, the colors checked and the size gap.  Every clause is checked
 literally against the collection, so a verified certificate is a
-machine-checkable witness.  The two reduced-level detectors read their
-structure off one vertex's neighbourhood, with no search.
+machine-checkable witness.  The same checker takes path and cycle
+certificates, so one function checks every answer.  The two reduced-level
+detectors read their structure off one vertex's neighbourhood, with no search.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from .model import (
     GraphCollection,
     InputError,
     InternalError,
+    PathCertificate,
     bits,
     canonical_edge,
     check_hypothesis,
+    cycle_certificate_violations,
     mask_of,
+    path_certificate_violations,
     rainbow_assignment,
 )
 
@@ -137,18 +141,27 @@ def _low(mask: int) -> int:
 
 def certificate_violations(
     collection: GraphCollection,
-    cert: ExtremalCertificate,
+    cert: PathCertificate | CycleCertificate | ExtremalCertificate,
     forest: RainbowLinearForest | None = None,
 ) -> list[str]:
-    """Literal clause-by-clause check of ``cert`` against the collection.
+    """Every problem with any certificate against the collection; empty when valid.
 
-    The hub is empty at level A and the pair plus the forest's vertices at
-    levels B and C; levels A and B check every color, level C the colors
-    the forest leaves unused.  A named vertex that is not an int in [0, n)
-    is the only problem reported: no clause can read it.
+    A path must contain ``forest`` in its fixed colors; a cycle ignores it.
+    An extremal certificate is checked clause by clause.  The hub is empty
+    at level A and the pair plus the forest's vertices at levels B and C;
+    levels A and B check every color, level C the colors the forest leaves
+    unused.  A pair that is not two distinct vertices, or a named vertex
+    that is not an int in [0, n), is the only problem reported: no clause
+    can read it.
     """
+    if isinstance(cert, PathCertificate):
+        return path_certificate_violations(collection, cert, forest)
+    if isinstance(cert, CycleCertificate):
+        return cycle_certificate_violations(collection, cert)
     n = collection.n_vertices
     kind, level, X, Y = cert.kind, cert.kind[0], cert.X, cert.Y
+    if cert.pair is not None and (len(cert.pair) != 2 or cert.pair[0] == cert.pair[1]):
+        return [f"{kind} pair {list(cert.pair)} is not two distinct vertices"]
     named = (("pair", cert.pair or ()), ("X", X), ("Y", Y))
     outside = [f"{kind} {side} vertex {x!r} is not in [0,{n})" for side, members in named
                for x in sorted(members, key=repr) if type(x) is not int or not 0 <= x < n]
@@ -247,7 +260,7 @@ def certificate_violations(
 
 def verify_certificate(
     collection: GraphCollection,
-    cert: ExtremalCertificate,
+    cert: PathCertificate | CycleCertificate | ExtremalCertificate,
     forest: RainbowLinearForest | None = None,
 ) -> bool:
     return not certificate_violations(collection, cert, forest)

@@ -37,13 +37,7 @@ from rainbowpath import (
 )
 from rainbowpath.cli import load_report, main as cli_main
 from rainbowpath.gen import build_extremal
-from rainbowpath.serialize import (
-    cycle_certificate_to_dict,
-    dumps,
-    extremal_certificate_to_dict,
-    outcome_to_dict,
-    path_certificate_to_dict,
-)
+from rainbowpath.serialize import certificate_to_dict, dumps, outcome_to_dict
 
 from .conftest import clique_edges
 
@@ -222,6 +216,33 @@ def test_pinned_outcome_digest(trichotomy_suite):
           "results match the pinned digest")
 
 
+#: sha256 of the path oracle on every corpus record at n <= 8 whose forest has
+#: an interior component (one holding neither u nor v).  The slice pinned above
+#: has endpoint components only, so this pins how the oracle threads the rest.
+PINNED_ORACLE_FOREST_DIGEST = "c22bf27bb491ff1898e894122fedd3dea915319dda31b7434991f10ba6612a42"
+
+
+def test_pinned_oracle_forest_digest(trichotomy_suite):
+    h = hashlib.sha256()
+    runs = 0
+    for rec in trichotomy_suite["records"][:SUITE_SIZE]:
+        u, v = rec["u"], rec["v"]
+        if rec["n"] > ORACLE_MAX_N or not any(
+            len(comp) > 1 and u not in comp and v not in comp
+            for comp in rec["forest"].components
+        ):
+            continue
+        result = exact_rainbow_ham_path(rec["collection"], u, v, rec["forest"])
+        cert = result.certificate
+        cert_data = None if cert is None else [list(cert.order), list(cert.coloring)]
+        h.update(dumps([result.status, result.nodes, cert_data]).encode() + b"\n")
+        runs += 1
+    assert runs == 525
+    assert h.hexdigest() == PINNED_ORACLE_FOREST_DIGEST
+    print(f"ACCEPTANCE ORACLE FOREST PIN PASS: {runs} oracle results on forests with "
+          "interior components match the pinned digest")
+
+
 #: sha256 of ``hamiltonian_or_connected`` on seeded dense collections and the
 #: canonical B2/B3 builds; the corollary's paths and cycles are pinned too.
 PINNED_COROLLARY_DIGEST = "cfc228703b9c74782945db3079e8b0605c72fa944c0f6ba184327c77cf792eda"
@@ -243,11 +264,11 @@ def test_pinned_corollary_digest():
         kinds.append(result.kind)
         h.update(dumps({
             "kind": result.kind,
-            "cycle": None if result.cycle is None else cycle_certificate_to_dict(result.cycle),
+            "cycle": None if result.cycle is None else certificate_to_dict(result.cycle),
             "extremal": None if result.extremal is None
-            else extremal_certificate_to_dict(result.extremal),
+            else certificate_to_dict(result.extremal),
             "paths": None if result.paths is None
-            else [[u, v, path_certificate_to_dict(c)] for (u, v), c in sorted(result.paths.items())],
+            else [[u, v, certificate_to_dict(c)] for (u, v), c in sorted(result.paths.items())],
         }).encode() + b"\n")
     assert h.hexdigest() == PINNED_COROLLARY_DIGEST
     print(f"ACCEPTANCE COROLLARY PIN PASS: {len(kinds)} results ({', '.join(kinds)}) "

@@ -306,6 +306,29 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert rc == EXIT_PATH
 
+    @pytest.mark.parametrize("argv, counts, flipped", [
+        # Record 16 is a C2 certificate: the extremal branch.
+        (["--p", "0", "--n-min", "5", "--n-max", "8", "--count", "17"],
+         {"path": 16, "extremal": 1}, 16),
+        # A blocked pair at n = 5: the corollary's cycle branch.
+        (["--mode", "corollary", "--p", "0", "--n-min", "5", "--n-max", "5", "--count", "1"],
+         {"cycle": 1}, 0),
+    ])
+    def test_certificate_branches_revalidate(self, tmp_path, capsys, argv, counts, flipped):
+        report = tmp_path / "report.jsonl"
+        assert main(["verify", *argv, "--out", str(report)]) == EXIT_PATH
+        capsys.readouterr()
+        _, summary = load_report(str(report))
+        assert summary["counts"] == counts
+        assert revalidate_report(str(report))
+        lines = report.read_text().splitlines()
+        rec = json.loads(lines[flipped])
+        assert rec["outcome"] in ("extremal", "cycle")
+        rec["ok"] = not rec["ok"]
+        lines[flipped] = json.dumps(rec)
+        report.write_text("\n".join(lines) + "\n")
+        assert revalidate_report(str(report)) is False
+
     def test_fault_injection_caught(self, tmp_path, capsys, monkeypatch):
         # A solver that lies must be flagged and exit nonzero.
         from rainbowpath import cli as climod

@@ -9,8 +9,10 @@ from rainbowpath import (
     FOUND,
     NOT_FOUND,
     BudgetExceeded,
+    CycleCertificate,
     GraphCollection,
     InputError,
+    InternalError,
     OracleBudget,
     RainbowLinearForest,
     check_hypothesis,
@@ -506,6 +508,19 @@ class TestHamiltonianOrConnected:
         assert res.kind == "connected"
         # Every pair of a corollary run shares the collection's memo.
         assert scans and len(scans) == len(set(scans)) <= n * (n - 1) // 2
+
+    def test_cycle_is_checked_before_it_is_returned(self, monkeypatch):
+        # A cycle builder that emits an out-of-range color must not get through.
+        build = rainbowpath.solver.cycle_from_extremal
+
+        def broken(collection, cert):
+            cycle = build(collection, cert)
+            return CycleCertificate(cycle.order, (collection.n_colors, *cycle.coloring[1:]))
+
+        monkeypatch.setattr(rainbowpath.solver, "cycle_from_extremal", broken)
+        with pytest.raises(InternalError, match="corollary cycle certificate fails verification: "
+                                                "color 5 out of range"):
+            hamiltonian_or_connected(build_extremal("B2", 5)[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_small_rejected(self, n):

@@ -403,6 +403,21 @@ class TestVerifyCertificate:
         assert certificate_violations(coll, cert) == [problem]
         assert not verify_certificate(coll, cert)
 
+    @pytest.mark.parametrize("kind, n, k", [("B3", 6, 0), ("C3", 9, 1)])
+    @pytest.mark.parametrize("pair", [(0,), (0, 0), (0, 1, 2)])
+    def test_pair_must_be_two_distinct_vertices(self, kind, n, k, pair):
+        # No clause reads the pair's arity, so it is the only problem reported;
+        # the cycle builder then refuses it instead of unpacking it.
+        coll, meta = build_extremal(kind, n, k)
+        cert = replace(meta["certificate"], pair=pair)
+        assert verify_certificate(coll, meta["certificate"], meta["forest"])
+        assert certificate_violations(coll, cert, meta["forest"]) == [
+            f"{kind} pair {list(pair)} is not two distinct vertices"
+        ]
+        if kind == "B3":
+            with pytest.raises(InputError):
+                cycle_from_extremal(coll, cert)
+
 
 def _shape_partitions(kind, n, hub, k):
     """Every (X, Y) a certificate of ``kind`` could claim around ``hub``.
