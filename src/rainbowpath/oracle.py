@@ -2,9 +2,12 @@
 
 One exponential-time but exhaustive kernel, ``exact_search``, serves every
 caller: a depth-first search over vertex orders with forest components
-forced contiguous, pruned by an exact edge-to-color matchability test.  The
-oracles below use it as ground truth against the constructive solver at
-desk scale, and the solver's spanning-path fallback calls it directly.
+forced contiguous.  It keeps an edge-to-color matching of the chosen edges
+as it goes, so it never extends an order whose edges cannot be rainbow, and
+it remembers the states that have no completion even in the union graph, so
+it never searches one twice.  The oracles below use it as ground truth
+against the constructive solver at desk scale, and the solver's
+spanning-path fallback calls it directly.
 Budgets make exhaustion explicit: the kernel raises BudgetExceeded, which
 the oracles report as Unknown, never a silent wrong answer.
 """
@@ -24,7 +27,6 @@ from .model import (
     InputError,
     PathCertificate,
     _augment,
-    bits,
     canonical_edge,
     mask_of,
 )
@@ -32,9 +34,6 @@ from .model import (
 FOUND = "found"
 NOT_FOUND = "not_found"
 UNKNOWN = "unknown"
-
-#: The search re-checks matchability after every this many chosen edges.
-MATCH_CHECK_INTERVAL = 4
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,22 @@ def exact_search(
     from whichever end has fewer continuations, and the order closes by
     joining the two; otherwise it closes open, or with ``cycle`` back onto
     the prefix's first vertex.  A symmetry break at the close accepts open
-    orders and cycles in one direction only.  Chosen edges are matched
-    exactly to colors outside ``reserved``, every MATCH_CHECK_INTERVAL edges
-    and at the close.  With ``active`` (a vertex mask) the order spans only
-    those vertices.
+    orders and cycles in one direction only.  With ``active`` (a vertex
+    mask) the order spans only those vertices.
+
+    Chosen edges are matched to colors outside ``reserved`` incrementally:
+    each new edge takes its lowest free admissible color, else one
+    augmenting path, and an edge that cannot be matched is never descended
+    into.  A state (free vertices, segments left, both ends) whose subtree
+    failed with no matching failure or symmetry break inside it has no
+    completion in the union graph at all, so it is remembered as dead and
+    not searched again (the subset DP of Bellman and of Held and Karp,
+    1962, restricted to the states the search meets).
 
     Returns (order, edge -> color, nodes), with order None when no order
-    exists.  Raises BudgetExceeded once the node or time budget runs out.
+    exists; the coloring is the Kuhn matching of the order's new edges in
+    the order they were chosen.  Raises BudgetExceeded once the node or
+    time budget runs out.
     """
     n = collection.n_vertices
     union = [0] * n
@@ -112,72 +120,120 @@ def exact_search(
                 return None
         return {edges[idx]: color for color, idx in owner.items()}
 
-    oriented = [(seg, seg[::-1]) for seg in segments]
-    in_segments = {x for seg in segments for x in seg}
+    # Bit x of ``left`` is free vertex x; bit n + i is segments[i], still unplaced.
+    steps = [((x,), 1 << x) for x in range(n)]
+    pieces = [(piece, 1 << n + idx)
+              for idx, seg in enumerate(segments) for piece in (seg, seg[::-1])]
     suffix = list(reversed(tail))  # grows at its end, so stored reversed
     deadline = time.monotonic() + budget.time_limit
     nodes = 0
+    owner: dict[int, int] = {}  # color -> index in ``chosen``: the live matching
+    admissible: list[int] = []
+    used = 0  # mask of the colors in ``owner``
+    dead: set[int] = set()
+    taint = 0  # bumped at each matching failure and symmetry break
+    width = n.bit_length()
+
+    def match(edge: Edge) -> int | dict[int, int] | None:
+        """Match ``edge`` on top of the live matching; None if it cannot be.
+
+        Returns what ``unmatch`` needs: the color bit taken, or the owners
+        before an augmenting path moved them."""
+        nonlocal used
+        idx = len(admissible)
+        admissible.append(color_mask(*edge) & allowed)
+        spare = admissible[idx] & ~used
+        if spare:
+            low = spare & -spare
+            owner[low.bit_length() - 1] = idx
+            used |= low
+            return low
+        before = dict(owner)
+        if _augment(idx, admissible, owner, [0]):
+            used = mask_of(owner)
+            return before
+        admissible.pop()
+        return None
+
+    def unmatch(undo: int | dict[int, int]) -> None:
+        nonlocal used
+        admissible.pop()
+        if isinstance(undo, int):
+            del owner[undo.bit_length() - 1]
+            used ^= undo
+        else:
+            owner.clear()
+            owner.update(undo)
+            used = mask_of(owner)
 
     def candidates(end: int) -> list[tuple[tuple[int, ...], int]]:
         row = union[end]
-        out = [((x,), -1) for x in sorted(free) if row >> x & 1]
-        for idx in sorted(segs_left):
-            for piece in oriented[idx]:
-                if row >> piece[0] & 1:
-                    out.append((piece, idx))
+        out = []
+        reach = row & left
+        while reach:
+            low = reach & -reach
+            out.append(steps[low.bit_length() - 1])
+            reach ^= low
+        if left >> n:
+            out.extend(p for p in pieces if left & p[1] and row >> p[0][0] & 1)
         return out
 
     def dfs() -> dict[Edge, int] | None:
-        nonlocal nodes
+        nonlocal nodes, left, taint
+        target = suffix[-1] if suffix else prefix[0] if cycle else 0
+        key = (left << width | prefix[-1]) << width | target
+        if key in dead:
+            return None
         nodes += 1
         if nodes > budget.node_limit:
             raise BudgetExceeded(f"exact search exceeded {budget.node_limit} nodes", nodes)
         if nodes % 256 == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("exact search exceeded its time budget", nodes)
-        if not free and not segs_left:
-            if suffix:
-                last = suffix[-1]
-            elif cycle:
-                if prefix[1] > prefix[-1]:
-                    return None
-                last = prefix[0]
-            else:
-                return None if prefix[0] > prefix[-1] else matching(chosen)
-            if not union[prefix[-1]] >> last & 1:
+        if not left:
+            if not suffix and (prefix[1] if cycle else prefix[0]) > prefix[-1]:
+                taint += 1
                 return None
-            return matching(chosen + [canonical_edge(prefix[-1], last)])
-        if chosen and len(chosen) % MATCH_CHECK_INTERVAL == 0 and matching(chosen) is None:
-            return None
+            if not suffix and not cycle:
+                return matching(chosen)
+            if not union[prefix[-1]] >> target & 1:
+                return None
+            closing = canonical_edge(prefix[-1], target)
+            if match(closing) is None:
+                taint += 1
+                return None
+            return matching(chosen + [closing])
+        start = taint
         moves, end_list = candidates(prefix[-1]), prefix
         if suffix:
             back = candidates(suffix[-1])
-            if not back:
-                return None
             if len(back) < len(moves):  # fail-first: the end with fewer moves
                 moves, end_list = back, suffix
-        for added, seg in moves:
-            if seg < 0:
-                free.discard(added[0])
-            else:
-                segs_left.discard(seg)
+        for added, bit in moves:
             a, b = end_list[-1], added[0]
-            chosen.append((a, b) if a < b else (b, a))
+            edge = (a, b) if a < b else (b, a)
+            undo = match(edge)
+            if undo is None:
+                taint += 1
+                continue
+            left ^= bit
+            chosen.append(edge)
             end_list.extend(added)
             result = dfs()
             if result is not None:
                 return result
-            chosen.pop()
             del end_list[-len(added):]
-            if seg < 0:
-                free.add(added[0])
-            else:
-                segs_left.add(seg)
+            chosen.pop()
+            left ^= bit
+            unmatch(undo)
+        if taint == start:
+            dead.add(key)
         return None
 
+    spanned = (1 << n) - 1 if active is None else active
+    spanned &= ~mask_of(x for seg in segments for x in seg)
     for head in heads:
         prefix = list(head)
-        free = set(range(n) if active is None else bits(active)) - set(prefix + suffix) - in_segments
-        segs_left = set(range(len(segments)))
+        left = spanned & ~mask_of(prefix + suffix) | ((1 << len(segments)) - 1) << n
         chosen: list[Edge] = []
         assignment = dfs()
         if assignment is not None:

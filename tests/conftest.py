@@ -42,15 +42,21 @@ def union_masks(collection) -> list[int]:
 
 
 def brute_rainbow_exists(collection, edges, forbidden=frozenset()) -> bool:
-    """Exhaustive injection search: some permutation of colors fits the edges."""
+    """Exhaustive injection search: some permutation of colors fits the edges.
+
+    Permutations are grown one edge at a time and a prefix is dropped once
+    its last color lacks its edge, which skips only permutations that fail.
+    """
     edges = list(edges)
     colors = [c for c in range(collection.n_colors) if c not in forbidden]
-    if len(edges) > len(colors):
-        return False
-    for combo in permutations(colors, len(edges)):
-        if all(collection.has_edge(c, u, v) for (u, v), c in zip(edges, combo)):
-            return True
-    return False
+
+    def extend(i: int, taken: frozenset[int]) -> bool:
+        return i == len(edges) or any(
+            extend(i + 1, taken | {c}) for c in colors
+            if c not in taken and collection.has_edge(c, *edges[i])
+        )
+
+    return len(edges) <= len(colors) and extend(0, frozenset())
 
 
 def brute_ham_path_exists(collection, u, v, forest=None) -> bool:
@@ -81,6 +87,21 @@ def brute_ham_path_exists(collection, u, v, forest=None) -> bool:
         if not ok:
             continue
         if brute_rainbow_exists(collection, loose, frozenset(fixed.values())):
+            return True
+    return False
+
+
+def brute_ham_cycle_exists(collection) -> bool:
+    """Permutation-level search for a rainbow Hamiltonian cycle (n >= 3).
+
+    Vertex 0 is fixed first; every order of the rest is tried and its n
+    edges rainbow-colored exhaustively.  Keep n <= 7.
+    """
+    n = collection.n_vertices
+    for perm in permutations(range(1, n)):
+        order = (0, *perm)
+        edges = [canonical_edge(order[i], order[(i + 1) % n]) for i in range(n)]
+        if brute_rainbow_exists(collection, edges):
             return True
     return False
 

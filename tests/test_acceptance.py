@@ -190,30 +190,48 @@ def test_criterion_2_oracle_equivalence(trichotomy_suite):
     )
 
 
-#: sha256 of every corpus outcome plus both oracles' results on the
-#: perturbed-extremal slice; a refactor that changes any of them fails.
-PINNED_DIGEST = "572cd99239252071bb378e2c4c072fe7be2c95286f96879f82e637365ccf8718"
+@pytest.fixture(scope="module")
+def oracle_slice(trichotomy_suite):
+    """Both oracles' results on the perturbed-extremal slice at n <= 8."""
+    results = []
+    for rec in trichotomy_suite["records"][:SUITE_SIZE]:
+        if rec["index"] % 10 != 7 or rec["n"] > ORACLE_MAX_N:
+            continue
+        coll = rec["collection"]
+        results.append(exact_rainbow_ham_path(coll, rec["u"], rec["v"], rec["forest"]))
+        results.append(exact_rainbow_ham_cycle(coll))
+    return results
 
 
-def test_pinned_outcome_digest(trichotomy_suite):
+#: sha256 of every corpus outcome plus both oracles' statuses and certificates
+#: on the perturbed-extremal slice; a refactor that changes any of them fails.
+PINNED_DIGEST = "a8aa5b0f16f82d1f6b90c5f4fefdae0d62f99494a65d24f65af0d162d8341cda"
+
+
+def test_pinned_outcome_digest(trichotomy_suite, oracle_slice):
     records = trichotomy_suite["records"]
     h = hashlib.sha256()
     for rec in records:
         h.update(dumps(outcome_to_dict(rec["outcome"])).encode() + b"\n")
-    oracle_runs = 0
-    for rec in records[:SUITE_SIZE]:
-        if rec["index"] % 10 != 7 or rec["n"] > ORACLE_MAX_N:
-            continue
-        coll = rec["collection"]
-        for result in (exact_rainbow_ham_path(coll, rec["u"], rec["v"], rec["forest"]),
-                       exact_rainbow_ham_cycle(coll)):
-            cert = result.certificate
-            cert_data = None if cert is None else [list(cert.order), list(cert.coloring)]
-            h.update(dumps([result.status, result.nodes, cert_data]).encode() + b"\n")
-            oracle_runs += 1
+    for result in oracle_slice:
+        cert = result.certificate
+        cert_data = None if cert is None else [list(cert.order), list(cert.coloring)]
+        h.update(dumps([result.status, cert_data]).encode() + b"\n")
     assert h.hexdigest() == PINNED_DIGEST
-    print(f"ACCEPTANCE PIN PASS: {len(records)} outcomes and {oracle_runs} oracle "
+    print(f"ACCEPTANCE PIN PASS: {len(records)} outcomes and {len(oracle_slice)} oracle "
           "results match the pinned digest")
+
+
+#: sha256 of the search nodes of the same oracle runs.  A change to the search
+#: that keeps every answer but prunes differently moves this pin only.
+PINNED_ORACLE_NODES_DIGEST = "613deb4ef4d3ceb35e7f1e72b2b9c9c8825509518692243957fcd4a421062f2f"
+
+
+def test_pinned_oracle_nodes_digest(oracle_slice):
+    h = hashlib.sha256(dumps([result.nodes for result in oracle_slice]).encode())
+    assert h.hexdigest() == PINNED_ORACLE_NODES_DIGEST
+    print(f"ACCEPTANCE NODES PIN PASS: the node counts of {len(oracle_slice)} oracle "
+          "runs match the pinned digest")
 
 
 #: sha256 of the path oracle on every corpus record at n <= 8 whose forest has

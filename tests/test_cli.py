@@ -395,6 +395,32 @@ class TestSweepCommand:
         assert "a Hamiltonian cycle needs n >= 3, got n=2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_candidate_costs_one_oracle_call(self, tmp_path, capsys, monkeypatch):
+        # NotFound is a finished, deterministic search: the record goes
+        # straight to minimization, with no second oracle run first.
+        from rainbowpath import cli as climod
+        from rainbowpath.oracle import NOT_FOUND, OracleResult
+
+        calls = []
+        monkeypatch.setattr(
+            climod, "exact_rainbow_ham_cycle",
+            lambda collection, budget=None: calls.append(budget) or OracleResult(NOT_FOUND),
+        )
+        before_minimize = []
+        monkeypatch.setattr(
+            climod, "minimize_counterexample",
+            lambda collection, k, budget: before_minimize.append(len(calls)) or collection,
+        )
+        monkeypatch.chdir(tmp_path)
+        report = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "--samples", "1", "--out", str(report)])
+        capsys.readouterr()
+        assert rc == EXIT_EXTREMAL
+        assert before_minimize == [1]
+        records, summary = load_report(str(report))
+        assert summary["candidates"] == 1
+        assert records[0]["candidate"] and "refuted_on_recheck" not in records[0]
+
     def test_deterministic_rerun(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from rainbowpath import (
     FOUND,
     NOT_FOUND,
     UNKNOWN,
+    GraphCollection,
     InputError,
     OracleBudget,
     RainbowLinearForest,
@@ -15,7 +18,12 @@ from rainbowpath import (
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
 
-from .conftest import brute_ham_path_exists, complete_collection
+from .conftest import (
+    brute_ham_cycle_exists,
+    brute_ham_path_exists,
+    clique_edges,
+    complete_collection,
+)
 
 
 class TestHamPath:
@@ -118,6 +126,14 @@ class TestHamCycle:
         coll = complete_collection(9)
         assert exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=2)).status == UNKNOWN
 
+    def test_canonical_c3_within_node_budget(self):
+        # Remembering dead states settles this in 6,961 nodes; the search
+        # without them needed 21,427 and ran out of this budget.
+        coll = build_extremal("C3", 11, 1)[0]
+        result = exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=10_000))
+        assert result.status == FOUND
+        assert validate_cycle_certificate(coll, result.certificate)
+
 
 class TestEnumerate:
     def test_all_graphs_n3(self):
@@ -155,3 +171,44 @@ class TestEnumerate:
     def test_bound_refusal(self):
         with pytest.raises(InputError):
             enumerate_collections(6, None, lambda c: None)
+
+
+def _sparse_case(rng: random.Random, n: int, m: int):
+    """A sparse collection, a random u, v and a forest of at most one path."""
+    p = rng.choice((0.2, 0.3, 0.4))
+    lists = [[e for e in clique_edges(range(n)) if rng.random() < p] for _ in range(m)]
+    coll = GraphCollection.from_edge_lists(n, lists)
+    u, v = rng.sample(range(n), 2)
+    forest = RainbowLinearForest.empty()
+    if rng.random() < 0.5:
+        verts = rng.sample(range(n), rng.choice((2, 3)))
+        colors = rng.sample(range(m), len(verts) - 1)
+        forest = RainbowLinearForest.from_paths(
+            [verts], {(a, b): c for a, b, c in zip(verts, verts[1:], colors)}
+        )
+    return coll, u, v, forest
+
+
+def test_sparse_statuses_match_permutation_search():
+    """Exact search agrees with the permutation searches where colors are scarce.
+
+    With m close to n, a state the search reaches twice can fail the first
+    time only because the colors are already spent; remembering it as dead
+    would then lose a real order.  Sparse collections with m in {n-1, n, n+1}
+    make that case common; inputs that meet the degree-sum hypothesis,
+    as the acceptance corpus does, rarely reach it.
+    """
+    rng = random.Random(2024)
+    for _ in range(3000):
+        n = rng.randint(4, 7)
+        m = n + rng.choice((-1, 0, 1))
+        coll, u, v, forest = _sparse_case(rng, n, m)
+        path = exact_rainbow_ham_path(coll, u, v, forest)
+        assert path.status == (FOUND if brute_ham_path_exists(coll, u, v, forest) else NOT_FOUND)
+        if path.found:
+            assert validate_path_certificate(coll, path.certificate, forest)
+        if m >= n:
+            cycle = exact_rainbow_ham_cycle(coll)
+            assert cycle.status == (FOUND if brute_ham_cycle_exists(coll) else NOT_FOUND)
+            if cycle.found:
+                assert validate_cycle_certificate(coll, cycle.certificate)
