@@ -14,7 +14,7 @@ from .forest import (
     is_h_compatible,
     select_deletion_set,
 )
-from .gen import GenSpec, GenerationError, build_extremal, random_instance, small_vertex_probe_family
+from .gen import GenSpec, GenerationError, build_extremal, random_instance
 from .model import (
     CycleCertificate,
     GraphCollection,
@@ -36,7 +36,6 @@ from .oracle import (
     BudgetExceeded,
     OracleBudget,
     OracleResult,
-    enumerate_collections,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "degree",
     "detect_identical_split",
     "detect_independent_heavy_side",
-    "enumerate_collections",
     "exact_rainbow_ham_cycle",
     "exact_rainbow_ham_path",
     "hamiltonian_or_connected",
@@ -94,7 +92,6 @@ __all__ = [
     "random_instance",
     "select_deletion_set",
     "sigma2",
-    "small_vertex_probe_family",
     "solve",
     "solve_pair",
     "validate_cycle_certificate",

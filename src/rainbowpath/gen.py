@@ -345,43 +345,3 @@ def random_instance(spec: GenSpec) -> tuple[GraphCollection, RainbowLinearForest
     raise GenerationError(
         f"no valid instance after 200 attempts for n={n}, k={k}, model={spec.model}"
     )
-
-
-def small_vertex_probe_family(n: int, seed: int = 0) -> GraphCollection:
-    """Collection with exactly one vertex of sub-half degree in every color.
-
-    Vertex 0 gets ceil(n/2)-1 neighbors per color (just below half), all
-    other vertices form a clique; the degree-sum bound survives because 0's
-    non-neighbors are clique vertices.  Needs n >= 5: below that the small
-    vertex drags the bound under n.
-    """
-    if n < 5:
-        raise GenerationError(f"probe construction needs n >= 5, got {n}")
-    rng = random.Random(seed)
-    target = (n + 1) // 2 - 1
-    rest = list(range(1, n))
-    lists = []
-    for _color in range(n):
-        attached = rng.sample(rest, target)
-        edges = _clique_edges(rest) + [canonical_edge(0, a) for a in attached]
-        lists.append(edges)
-    collection = GraphCollection.from_edge_lists(n, lists)
-    audit = audit_small_vertices(collection)
-    if audit != {0}:
-        raise GenerationError(f"probe family audit failed: small-everywhere set {audit}")
-    if not check_hypothesis(collection, 0):
-        raise GenerationError("probe family misses the sigma2 >= n bound")
-    return collection
-
-
-def audit_small_vertices(collection: GraphCollection) -> set[int]:
-    """Vertices whose degree is below n/2 in every color."""
-    n = collection.n_vertices
-    out = set()
-    for x in range(n):
-        if all(
-            collection.adjacency[c][x].bit_count() < n / 2
-            for c in range(collection.n_colors)
-        ):
-            out.add(x)
-    return out

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from .forest import RainbowLinearForest, is_h_compatible
@@ -327,38 +326,3 @@ def exact_rainbow_ham_cycle(
         assignment[canonical_edge(order[i], order[(i + 1) % n])] for i in range(n)
     )
     return OracleResult(FOUND, CycleCertificate(tuple(order), coloring), nodes)
-
-
-ENUMERATION_VERTEX_BOUND = 5
-
-
-def enumerate_collections(n: int, per_color_edge_predicate, visitor) -> int:
-    """Visit every n-color collection on n vertices whose colors pass the predicate.
-
-    ``per_color_edge_predicate(n, edges)`` filters candidate color graphs
-    (None admits all); ``visitor(collection)`` may return False to abort
-    early.  Returns the number of collections visited.  Refuses n above
-    ENUMERATION_VERTEX_BOUND: the full space grows doubly exponentially.
-    """
-    if n < 1 or n > ENUMERATION_VERTEX_BOUND:
-        raise InputError(
-            f"exhaustive enumeration is limited to 1 <= n <= {ENUMERATION_VERTEX_BOUND}"
-        )
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    candidates: list[tuple[tuple[int, ...], tuple[Edge, ...]]] = []
-    for picks in range(1 << len(all_pairs)):
-        edges = tuple(all_pairs[i] for i in range(len(all_pairs)) if picks >> i & 1)
-        if per_color_edge_predicate is not None and not per_color_edge_predicate(n, edges):
-            continue
-        masks = [0] * n
-        for a, b in edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        candidates.append((tuple(masks), edges))
-    visited = 0
-    for combo in product(range(len(candidates)), repeat=n):
-        collection = GraphCollection(n, tuple(candidates[i][0] for i in combo))
-        visited += 1
-        if visitor(collection) is False:
-            break
-    return visited

@@ -23,6 +23,7 @@ a violation raises InternalError with a repro bundle instead of degrading.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -996,14 +997,69 @@ class HamiltonianConnectivityResult:
         return "cycle" if self.cycle is not None else "connected"
 
 
+def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
+               spare: int, skip: dict[tuple[int, int], PathCertificate]):
+    """The paths one Pósa rotation away from ``order`` whose end pair is not in ``skip``.
+
+    Rotates at the back end, then at the front (the back of the reversed
+    order).  Pivot p joins order[p] to the back in the lowest color of
+    ``spare`` or of the cut edge (order[p], order[p+1]), reverses the tail,
+    and makes order[p+1] the new end.  Yields (pair, order, colors) with
+    the pair sorted.  ``skip`` is read as the rotations are made, so a pair
+    the caller adds meanwhile is skipped too.
+    """
+    for order, colors in ((order, colors), (order[::-1], colors[::-1])):
+        front, back = order[0], order[-1]
+        for p in range(len(order) - 2):
+            w = order[p + 1]
+            pair = (front, w) if front < w else (w, front)
+            if pair in skip:
+                continue
+            free = collection.color_mask(order[p], back) & (spare | 1 << colors[p])
+            if free:
+                c = (free & -free).bit_length() - 1
+                yield (pair, order[: p + 1] + order[p + 1 :][::-1],
+                       colors[:p] + [c] + colors[p + 1 :][::-1])
+
+
+def _rotate_into(collection: GraphCollection, seed: PathCertificate,
+                 paths: dict[tuple[int, int], PathCertificate], total: int) -> None:
+    """Add to ``paths`` every pair that Pósa rotations reach from ``seed``.
+
+    A breadth-first search: each path with a new end pair is certified,
+    stored under its sorted pair read from the smaller end, and queued; it
+    stops once ``paths`` holds ``total`` pairs.  With n colors a Hamiltonian
+    path leaves one color spare; a rotation's new edge takes that color or
+    the color of the edge it cuts, so the rotated path stays rainbow.
+    """
+    full = (1 << collection.n_colors) - 1
+    queue = deque([(list(seed.order), list(seed.coloring))])
+    while queue:
+        order, colors = queue.popleft()
+        for pair, new_order, new_colors in _rotations(collection, order, colors,
+                                                      full & ~mask_of(colors), paths):
+            queue.append((new_order, new_colors))
+            if new_order[0] != pair[0]:
+                new_order, new_colors = new_order[::-1], new_colors[::-1]
+            paths[pair] = _certified(collection, PathCertificate(tuple(new_order), tuple(new_colors)),
+                                     None, "rotated corollary path")
+            if len(paths) == total:
+                return
+
+
 def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnectivityResult:
     """Rainbow Hamiltonian cycle, or rainbow Hamiltonian-connectedness witness.
 
-    Runs the pair solver over every vertex pair; the first blocked pair
-    yields a cycle through its extremal structure, and if no pair is blocked
-    the collected paths witness connectedness; the cycle, like every path,
-    passes the certificate checker.  Needs n >= 4, the pair solver's bound
-    k = 0 <= (n-4)/3.
+    Walks the vertex pairs in lexicographic order and runs the pair solver
+    on each pair no path covers yet.  The first blocked pair yields a cycle
+    through its extremal structure.  Each path the solver returns seeds a
+    breadth-first search of Pósa rotations (``_rotate_into``), which covers
+    further pairs without solving them; a covered pair has a checked path,
+    so it cannot be blocked, and the first blocked pair is the same as if
+    every pair were solved.  If no pair is blocked the paths, one per pair
+    and each read from its smaller end, witness connectedness.  The cycle,
+    like every path, passes the certificate checker before it is returned.
+    Needs n >= 4, the pair solver's bound k = 0 <= (n-4)/3.
     """
     n = collection.n_vertices
     if n < 4:
@@ -1011,12 +1067,14 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
     if not check_hypothesis(collection, 0):
         raise InputError("collection violates sigma2 >= n")
     paths: dict[tuple[int, int], PathCertificate] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            outcome = solve_pair(collection, u, v)
-            if outcome.extremal is not None:
-                cycle = _certified(collection, cycle_from_extremal(collection, outcome.extremal),
-                                   None, "corollary cycle")
-                return HamiltonianConnectivityResult(cycle=cycle, extremal=outcome.extremal)
-            paths[(u, v)] = outcome.path
-    return HamiltonianConnectivityResult(paths=paths)
+    for u, v in combinations(range(n), 2):
+        if (u, v) in paths:
+            continue
+        outcome = solve_pair(collection, u, v)
+        if outcome.extremal is not None:
+            cycle = _certified(collection, cycle_from_extremal(collection, outcome.extremal),
+                               None, "corollary cycle")
+            return HamiltonianConnectivityResult(cycle=cycle, extremal=outcome.extremal)
+        paths[(u, v)] = outcome.path
+        _rotate_into(collection, outcome.path, paths, n * (n - 1) // 2)
+    return HamiltonianConnectivityResult(paths=dict(sorted(paths.items())))

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
 
-from rainbowpath import GraphCollection, RainbowLinearForest, canonical_edge
+from rainbowpath import (
+    GenerationError,
+    GraphCollection,
+    InputError,
+    RainbowLinearForest,
+    canonical_edge,
+    check_hypothesis,
+)
 from rainbowpath.gen import _repair_sigma2
 from rainbowpath.model import bits, mask_of
 from rainbowpath.serialize import instance_from_dict
@@ -104,6 +111,73 @@ def brute_ham_cycle_exists(collection) -> bool:
         if brute_rainbow_exists(collection, edges):
             return True
     return False
+
+
+ENUMERATION_VERTEX_BOUND = 5
+
+
+def enumerate_collections(n: int, per_color_edge_predicate, visitor) -> int:
+    """Visit every n-color collection on n vertices whose colors pass the predicate.
+
+    ``per_color_edge_predicate(n, edges)`` filters candidate color graphs
+    (None admits all); ``visitor(collection)`` may return False to abort
+    early.  Returns the number of collections visited.  Refuses n above
+    ENUMERATION_VERTEX_BOUND: the full space grows doubly exponentially.
+    """
+    if n < 1 or n > ENUMERATION_VERTEX_BOUND:
+        raise InputError(
+            f"exhaustive enumeration is limited to 1 <= n <= {ENUMERATION_VERTEX_BOUND}"
+        )
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    candidates: list[tuple[int, ...]] = []
+    for picks in range(1 << len(all_pairs)):
+        edges = tuple(all_pairs[i] for i in range(len(all_pairs)) if picks >> i & 1)
+        if per_color_edge_predicate is not None and not per_color_edge_predicate(n, edges):
+            continue
+        masks = [0] * n
+        for a, b in edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        candidates.append(tuple(masks))
+    visited = 0
+    for combo in product(candidates, repeat=n):
+        visited += 1
+        if visitor(GraphCollection(n, combo)) is False:
+            break
+    return visited
+
+
+def small_vertex_probe_family(n: int, seed: int = 0) -> GraphCollection:
+    """Collection with exactly one vertex of sub-half degree in every color.
+
+    Vertex 0 gets ceil(n/2)-1 neighbors per color (just below half), all
+    other vertices form a clique; the degree-sum bound survives because 0's
+    non-neighbors are clique vertices.  Needs n >= 5: below that the small
+    vertex drags the bound under n.
+    """
+    if n < 5:
+        raise GenerationError(f"probe construction needs n >= 5, got {n}")
+    rng = random.Random(seed)
+    target = (n + 1) // 2 - 1
+    rest = list(range(1, n))
+    lists = []
+    for _color in range(n):
+        attached = rng.sample(rest, target)
+        lists.append(clique_edges(rest) + [canonical_edge(0, a) for a in attached])
+    collection = GraphCollection.from_edge_lists(n, lists)
+    audit = audit_small_vertices(collection)
+    if audit != {0}:
+        raise GenerationError(f"probe family audit failed: small-everywhere set {audit}")
+    if not check_hypothesis(collection, 0):
+        raise GenerationError("probe family misses the sigma2 >= n bound")
+    return collection
+
+
+def audit_small_vertices(collection: GraphCollection) -> set[int]:
+    """Vertices whose degree is below n/2 in every color."""
+    n = collection.n_vertices
+    return {x for x in range(n)
+            if all(row[x].bit_count() < n / 2 for row in collection.adjacency)}
 
 
 @st.composite

@@ -263,7 +263,9 @@ def test_pinned_oracle_forest_digest(trichotomy_suite):
 
 #: sha256 of ``hamiltonian_or_connected`` on seeded dense collections and the
 #: canonical B2/B3 builds; the corollary's paths and cycles are pinned too.
-PINNED_COROLLARY_DIGEST = "cfc228703b9c74782945db3079e8b0605c72fa944c0f6ba184327c77cf792eda"
+#: The connected entries hold the paths that Pósa rotations derive from the
+#: first solved pair; the cycle entries (B2 n=9, B3 n=10) predate them.
+PINNED_COROLLARY_DIGEST = "7e4666caa994fb6c1656656460b60b05f4728102602ed60d56b33868b5cbd74c"
 
 
 def _corollary_collections() -> list[GraphCollection]:

@@ -16,10 +16,10 @@ from rainbowpath import (
     sigma2,
 )
 from rainbowpath.forest import ReductionBoundError
-from rainbowpath.gen import GenSpec, random_instance, small_vertex_probe_family
+from rainbowpath.gen import GenSpec, random_instance
 from rainbowpath.model import row_sigma2
 
-from .conftest import case3_tight_family, complete_collection
+from .conftest import case3_tight_family, complete_collection, small_vertex_probe_family
 
 
 def edge_forest(*paths_and_colors):

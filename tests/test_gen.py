@@ -11,11 +11,12 @@ from rainbowpath import (
     is_h_compatible,
     random_instance,
     sigma2,
-    small_vertex_probe_family,
     verify_certificate,
 )
-from rainbowpath.gen import _repair_sigma2, audit_small_vertices, build_extremal
+from rainbowpath.gen import _repair_sigma2, build_extremal
 from rainbowpath.serialize import dumps, instance_to_dict
+
+from .conftest import audit_small_vertices, small_vertex_probe_family
 
 
 class TestBuildExtremal:

@@ -10,7 +10,6 @@ from rainbowpath import (
     InputError,
     OracleBudget,
     RainbowLinearForest,
-    enumerate_collections,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
     validate_cycle_certificate,
@@ -23,6 +22,7 @@ from .conftest import (
     brute_ham_path_exists,
     clique_edges,
     complete_collection,
+    enumerate_collections,
 )
 
 

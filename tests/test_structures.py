@@ -15,7 +15,6 @@ from rainbowpath import (
     cycle_from_extremal,
     detect_identical_split,
     detect_independent_heavy_side,
-    enumerate_collections,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
     validate_cycle_certificate,
@@ -25,7 +24,7 @@ from rainbowpath.gen import build_extremal
 from rainbowpath.solver import solve_pair
 from rainbowpath.structures import certificate_violations
 
-from .conftest import clique_edges, complete_collection, union_masks
+from .conftest import clique_edges, complete_collection, enumerate_collections, union_masks
 
 
 def split_by_component_search(collection):
