@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -85,26 +86,35 @@ class GraphCollection:
         if n_vertices < 1:
             raise InputError(f"need at least one vertex, got {n_vertices}")
         n = n_vertices
-        width = f"0{n}b"
+        stride, rounds, diagonal = _bit_matrix_plan(n)
         checked: list[tuple[int, ...]] = []
         for color, masks in enumerate(rows):
             masks = tuple(masks)
             if len(masks) != n:
                 raise InputError(f"color {color} has {len(masks)} masks, expected {n}")
-            for vertex, mask in enumerate(masks):
-                if mask >> n:
-                    raise InputError(
-                        f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})"
-                    )
-            # bits[vertex * n + other] is bit ``other`` of ``vertex``'s mask, so
-            # row ``vertex`` is a slice and column ``vertex`` a strided slice.
-            bits = "".join([format(mask, width) for mask in reversed(masks)])[::-1]
-            loop = bits[:: n + 1].find("1")
-            if loop >= 0:
-                raise InputError(f"loop at vertex {loop} in color {color}")
-            for vertex in range(n):
-                if bits[vertex::n] != bits[vertex * n : vertex * n + n]:
-                    raise InputError(f"mask of vertex {vertex} in color {color} is not symmetric")
+            if min(masks) < 0 or max(masks) >> n:
+                vertex = next(v for v, mask in enumerate(masks) if mask >> n)
+                raise InputError(
+                    f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})"
+                )
+            # Bit vertex * stride + other is bit ``other`` of ``vertex``'s mask.
+            matrix = int.from_bytes(
+                b"".join(map(int.to_bytes, masks, repeat(stride // 8), repeat("little"))), "little"
+            )
+            loops = matrix & diagonal
+            if loops:
+                vertex = ((loops & -loops).bit_length() - 1) // stride
+                raise InputError(f"loop at vertex {vertex} in color {color}")
+            transpose = matrix
+            for shift, block in rounds:
+                flip = (transpose ^ transpose >> shift) & block
+                transpose ^= flip | flip << shift
+            # Row ``vertex`` of the difference is nonzero iff ``vertex``'s mask
+            # differs from its column, so the lowest set bit names the first one.
+            asymmetric = transpose ^ matrix
+            if asymmetric:
+                vertex = ((asymmetric & -asymmetric).bit_length() - 1) // stride
+                raise InputError(f"mask of vertex {vertex} in color {color} is not symmetric")
             checked.append(masks)
         return cls(n, tuple(checked))
 
@@ -155,7 +165,31 @@ class GraphCollection:
         return self._color_masks[key]
 
     def _scan_color_mask(self, u: int, v: int) -> int:
-        return mask_of(c for c, row in enumerate(self.adjacency) if row[u] >> v & 1)
+        bit = 1 << v
+        return sum(1 << c for c, row in enumerate(self.adjacency) if row[u] & bit)
+
+
+@cache
+def _bit_matrix_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """How ``from_rows`` lays out and transposes the masks of n vertices.
+
+    Returns ``stride``, the row length in bits (a power of two, at least 8
+    so that a row is whole bytes); the (shift, block) rounds that transpose a
+    ``stride`` x ``stride`` bit matrix by masked delta swaps (Warren,
+    *Hacker's Delight*, 2nd ed., section 7-3); and the diagonal of the first n
+    rows.  The round for half-width h swaps entry (r, c) with (r + h, c - h)
+    wherever bit h of r is clear and of c set; ``block`` marks those (r, c).
+    """
+    stride = max(8, 1 << (n - 1).bit_length())
+    rounds = []
+    half = stride // 2
+    while half:
+        columns = sum(1 << c for c in range(stride) if c & half)
+        block = sum(columns << r * stride for r in range(stride) if not r & half)
+        rounds.append((half * (stride - 1), block))
+        half //= 2
+    diagonal = sum(1 << v * (stride + 1) for v in range(n))
+    return stride, tuple(rounds), diagonal
 
 
 def bits(mask: int) -> list[int]:
@@ -192,7 +226,7 @@ def row_sigma2(row: Sequence[int], active: int | None = None) -> float:
     n = len(row)
     if active is None:
         active = (1 << n) - 1
-        degs = [mask.bit_count() for mask in row]
+        degs = list(map(int.bit_count, row))
     else:
         degs = [(mask & active).bit_count() for mask in row]
     best: float = INFINITE_SIGMA2

@@ -23,6 +23,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .forest import RainbowLinearForest
 from .model import (
@@ -115,6 +116,7 @@ def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
         if n < 1:
             raise InputError(f"need at least one vertex, got {n}")
         width = _row_width(n)
+        chunks = [slice(i, i + width) for i in range(0, n * width, width)]
         masks = []
         for color, text in enumerate(texts):
             # int(., 16) alone would also take "0x", "_", whitespace and uppercase.
@@ -122,7 +124,7 @@ def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
                 raise InputError(
                     f"rows[{color}] must be {n * width} lowercase hex digits ({width} per vertex)"
                 )
-            masks.append([int(text[i : i + width], 16) for i in range(0, n * width, width)])
+            masks.append(list(map(int, map(text.__getitem__, chunks), repeat(16))))
         return GraphCollection.from_rows(n, masks)
     graphs = data["graphs"]
     if not isinstance(graphs, list) or len(graphs) != m:

@@ -102,6 +102,72 @@ class TestFromRows:
             GraphCollection.from_rows(3, [(0b010, 0b101, 0b010), masks])
 
 
+def _reference_from_rows_error(n, rows):
+    """The InputError text ``from_rows`` must raise, by an O(n^2) scan of
+    every bit; None when the rows are valid."""
+    for color, masks in enumerate(rows):
+        for vertex, mask in enumerate(masks):
+            if not 0 <= mask < 1 << n:
+                return f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})"
+        for vertex in range(n):
+            if masks[vertex] >> vertex & 1:
+                return f"loop at vertex {vertex} in color {color}"
+        for vertex in range(n):
+            if any(masks[vertex] >> other & 1 != masks[other] >> vertex & 1 for other in range(n)):
+                return f"mask of vertex {vertex} in color {color} is not symmetric"
+    return None
+
+
+def _defective_rows(rng, n):
+    """Three symmetric colors on n vertices, then up to three defects
+    (one-sided bit flip, diagonal bit, bit >= n, negative mask) in colors 0 and 1."""
+    rows = []
+    for _ in range(3):
+        masks = [0] * n
+        density = rng.random()
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+        rows.append(masks)
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+        masks, vertex = rows[rng.randrange(2)], rng.randrange(n)
+        defect = rng.choice(("flip", "flip", "loop", "high", "negative"))
+        if defect == "flip":
+            masks[vertex] ^= 1 << rng.randrange(n)
+        elif defect == "loop":
+            masks[vertex] |= 1 << vertex
+        elif defect == "high":
+            masks[vertex] |= 1 << rng.randrange(n, n + 70)
+        else:
+            masks[vertex] = -1 - masks[vertex]
+    return rows
+
+
+class TestFromRowsReference:
+    """``from_rows`` against a brute-force checker at every bit-matrix stride
+    up to 256: same accept/reject result, same message."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                   100, 127, 128, 129])
+    def test_matches_bit_by_bit_reference(self, n):
+        rng = random.Random(n)
+        rejected = 0
+        for _ in range(30):
+            rows = _defective_rows(rng, n)
+            want = _reference_from_rows_error(n, rows)
+            try:
+                got = GraphCollection.from_rows(n, rows)
+            except InputError as exc:
+                assert str(exc) == want, rows
+                rejected += 1
+            else:
+                assert want is None, rows
+                assert got.adjacency == tuple(map(tuple, rows))
+        assert 0 < rejected < 30
+
+
 class TestCheckHypothesis:
     def test_complete(self, k4):
         assert check_hypothesis(k4, 0)
