@@ -134,6 +134,7 @@ def _flags(names) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    serialize.check_vertex_count(args.n)  # solve and oracle must read the file back
     given = {name: getattr(args, name) for name in RANDOM_MODEL_OPTIONS
              if getattr(args, name) is not None}
     if args.kind:

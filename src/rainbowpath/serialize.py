@@ -14,7 +14,7 @@ Each row string is n*w lowercase hex digits, w = ceil(n/4): the slice
 also accept ``"graphs": [[[u, v], ...], ...]`` (one edge list per color) in
 place of ``"rows"``; writers emit rows only, so decoding a file and encoding
 it again gives the same bytes whichever form it was in, and hashes are taken
-over that re-encoding.  Every number must be a JSON integer.
+over that re-encoding.  Every number is a JSON integer; n <= MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -98,6 +98,17 @@ def instance_to_dict(
 
 _HEX_ROW = re.compile("[0-9a-f]*")
 
+#: The most vertices an instance may declare: an edge list, or rows with no
+#: colors, can declare any n in a few bytes.
+MAX_VERTICES = 1024
+
+
+def check_vertex_count(n: int) -> int:
+    """``n`` if an instance file may declare that many vertices, else InputError."""
+    if n > MAX_VERTICES:
+        raise InputError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
+    return n
+
 
 def _int(value, what: str) -> int:
     """``value`` if it is a JSON integer (not a bool, float or string)."""
@@ -140,7 +151,7 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InputError("an instance must be a JSON object")
     try:
-        n = _int(data["n"], "n")
+        n = check_vertex_count(_int(data["n"], "n"))
         m = _int(data["m"], "m")
         collection = _collection_from_dict(data, n, m)
         forest = RainbowLinearForest.empty()

@@ -12,8 +12,8 @@ heavy-side case grows the forest inside the small side as paths keyed by
 their ends and routes an alternating path through the complete bipartite
 remainder, with no search: its top-up links are one pass, and its pieces
 (whole forest paths, lone X vertices, free Y vertices) are placed by a
-first-fit loop, each oriented as it is placed.  When the rotation
-heuristic finds no spanning path, the fallback runs the oracle's
+first-fit loop, each oriented as it is placed.  When no greedy run with
+end rotations finds a spanning path, the fallback runs the oracle's
 exact-search kernel, so an exhausted budget raises BudgetExceeded.
 
 Every quantity the underlying counting arguments pin down (unused-color
@@ -59,7 +59,7 @@ from .structures import (
 )
 
 
-#: End rotations the heuristic may spend per vertex before it gives up on a start.
+#: End rotations in a row with no growth before the heuristic gives up on a start.
 HEURISTIC_STALL_LIMIT = 6
 
 
@@ -361,21 +361,29 @@ def _try_extend(collection: GraphCollection, end: int, used: int, free: int) -> 
     return None
 
 
-def _rotate(collection: GraphCollection, order: list[int], colors: list[int], used: int) -> bool:
-    """Pósa rotation at the back end, else at the front: the first position p
-    whose vertex sees the end in a color outside ``used``, in the lowest one."""
-    for flip in (False, True):
-        if flip:
-            order.reverse()
-            colors.reverse()
-        back = order[-1]
+def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
+               spare: int, skip: dict[tuple[int, int], PathCertificate]):
+    """The paths one Pósa rotation away from ``order`` whose end pair is not in ``skip``.
+
+    Rotates at the back end, then at the front (the back of the reversed
+    order).  Pivot p joins order[p] to the back in the lowest color of
+    ``spare`` or of the cut edge (order[p], order[p+1]), reverses the tail,
+    and makes order[p+1] the new end.  Yields (pair, order, colors) with
+    the pair sorted.  ``skip`` is read as the rotations are made, so a pair
+    the caller adds meanwhile is skipped too (the heuristic passes none).
+    """
+    for order, colors in ((order, colors), (order[::-1], colors[::-1])):
+        front, back = order[0], order[-1]
         for p in range(len(order) - 2):
-            available = collection.color_mask(order[p], back) & ~used
-            if available:
-                order[p + 1 :] = reversed(order[p + 1 :])
-                colors[p:] = [(available & -available).bit_length() - 1] + colors[p + 1 :][::-1]
-                return True
-    return False
+            w = order[p + 1]
+            pair = (front, w) if front < w else (w, front)
+            if pair in skip:
+                continue
+            free = collection.color_mask(order[p], back) & (spare | 1 << colors[p])
+            if free:
+                c = (free & -free).bit_length() - 1
+                yield (pair, order[: p + 1] + order[p + 1 :][::-1],
+                       colors[:p] + [c] + colors[p + 1 :][::-1])
 
 
 def _heuristic_spanning_path(
@@ -384,9 +392,10 @@ def _heuristic_spanning_path(
     """Greedy growth plus end rotations; incomplete but fast on dense inputs.
 
     Spans the ``active`` vertex mask in ``palette`` colors, trying starts,
-    candidates and colors in ascending order.
+    candidates and colors in ascending order.  Stalled ends take the first
+    ``_rotations`` path; a start is dropped after HEURISTIC_STALL_LIMIT
+    rotations in a row with no growth, or when no rotation is left.
     """
-    n = active.bit_count()
     for start in bits(active):
         order, colors = [start], []
         used, free = ~palette, active & ~(1 << start)
@@ -404,8 +413,10 @@ def _heuristic_spanning_path(
                     stalls = 0
                     break
             else:
-                if stalls >= HEURISTIC_STALL_LIMIT * n or not _rotate(collection, order, colors, used):
+                if (stalls >= HEURISTIC_STALL_LIMIT
+                        or (rotated := next(_rotations(collection, order, colors, ~used, {}), None)) is None):
                     break
+                _, order, colors = rotated
                 used = ~palette | mask_of(colors)
                 stalls += 1
         if not free:
@@ -443,9 +454,10 @@ def li2_dispatch(
     vertex and color ids.  Detects the identical two-clique split, then the
     independent heavy side, both in closed form (the precondition makes each
     unique and readable off one vertex's neighbourhood); otherwise a
-    spanning rainbow path exists and is produced by rotation heuristics with
-    an exhaustive fallback.  An exhausted fallback raises BudgetExceeded; a
-    completed fallback that finds nothing raises InternalError, because the
+    spanning rainbow path exists and is produced by greedy runs with
+    ``_rotations`` end rotations, else by the exact-search fallback
+    (``heuristic_used`` False).  An exhausted fallback raises BudgetExceeded;
+    a completed fallback that finds nothing raises InternalError, because the
     trichotomy says it cannot happen.
 
     The precondition comes first.  On the whole collection a shortfall is an
@@ -995,31 +1007,6 @@ class HamiltonianConnectivityResult:
     @property
     def kind(self) -> str:
         return "cycle" if self.cycle is not None else "connected"
-
-
-def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
-               spare: int, skip: dict[tuple[int, int], PathCertificate]):
-    """The paths one Pósa rotation away from ``order`` whose end pair is not in ``skip``.
-
-    Rotates at the back end, then at the front (the back of the reversed
-    order).  Pivot p joins order[p] to the back in the lowest color of
-    ``spare`` or of the cut edge (order[p], order[p+1]), reverses the tail,
-    and makes order[p+1] the new end.  Yields (pair, order, colors) with
-    the pair sorted.  ``skip`` is read as the rotations are made, so a pair
-    the caller adds meanwhile is skipped too.
-    """
-    for order, colors in ((order, colors), (order[::-1], colors[::-1])):
-        front, back = order[0], order[-1]
-        for p in range(len(order) - 2):
-            w = order[p + 1]
-            pair = (front, w) if front < w else (w, front)
-            if pair in skip:
-                continue
-            free = collection.color_mask(order[p], back) & (spare | 1 << colors[p])
-            if free:
-                c = (free & -free).bit_length() - 1
-                yield (pair, order[: p + 1] + order[p + 1 :][::-1],
-                       colors[:p] + [c] + colors[p + 1 :][::-1])
 
 
 def _rotate_into(collection: GraphCollection, seed: PathCertificate,

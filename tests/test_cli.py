@@ -1,16 +1,21 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rainbowpath import GraphCollection, OracleBudget, RainbowLinearForest, check_hypothesis
 from rainbowpath.cli import (
     EXIT_EXTREMAL,
     EXIT_INPUT,
     EXIT_PATH,
+    EXIT_UNKNOWN,
     EXIT_VIOLATION,
     load_report,
     main,
@@ -153,6 +158,10 @@ NON_INTEGERS = {
 }
 
 
+#: Address-space limit, in bytes, of the child process that reads a huge n.
+CHILD_ADDRESS_SPACE = 1536 << 20
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     @pytest.mark.parametrize("defect", list(ROW_DEFECTS))
@@ -214,6 +223,91 @@ class TestInputBoundary:
         assert out.stat().st_size < 500_000
         assert check_hypothesis(load_instance(str(out)).collection, 32)
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("n", [10**7, 10**30])
+    @pytest.mark.parametrize("form", ["rows", "graphs"])
+    def test_huge_declared_n_exit_two(self, tmp_path, command, n, form):
+        # Ten short rows or edge lists cannot hold n vertices.  The child caps
+        # its own address space, so a decoder that allocates by n fails there
+        # with a MemoryError instead of taking the machine's memory.
+        data = {"n": n, "m": 10, "u": 0, "v": 1,
+                form: ["00000000"] * 10 if form == "rows" else [[[0, 1]]] * 10}
+        path = tmp_path / "huge.json"
+        path.write_text(dumps(data))
+        code = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
+                "from rainbowpath.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, command, str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == EXIT_INPUT, out.stderr
+        assert f"n={n} exceeds the limit" in out.stderr and "Traceback" not in out.stderr
+
+
+def _fuzz_bases():
+    bases = []
+    for n, k, seed in ((5, 0, 0), (7, 1, 1), (8, 1, 2)):
+        collection, forest, u, v = random_instance(GenSpec(n=n, k=k, p=0.8, seed=seed))
+        bases.append(instance_to_dict(collection, forest, u, v, k))
+    collection, _ = build_extremal("B3", 6)
+    bases.append(instance_to_dict(collection, None, 0, 1, 0))
+    return bases
+
+
+FUZZ_BASES = _fuzz_bases()
+_FUZZ_INTS = st.one_of(st.integers(-2, 12), st.sampled_from((10**7, 10**30)))
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), _FUZZ_INTS, st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(_FUZZ_INTS, max_size=4),
+)
+
+
+def _edit(draw, value):
+    """``value`` with one nested list entry dropped, or one integer or row digit replaced."""
+    if isinstance(value, list) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        rest = [] if draw(st.booleans()) else [_edit(draw, value[i])]
+        return value[:i] + rest + value[i + 1 :]
+    if isinstance(value, dict) and value:
+        key = draw(st.sampled_from(sorted(value)))
+        return {**value, key: _edit(draw, value[key])}
+    if isinstance(value, str) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + draw(st.sampled_from("0123456789abcdefA x")) + value[i + 1 :]
+    return draw(_FUZZ_INTS)
+
+
+@st.composite
+def mutated_instances(draw):
+    """A base instance in either form with one to three keys dropped, set or edited."""
+    data = json.loads(dumps(draw(st.sampled_from(FUZZ_BASES))))
+    if draw(st.booleans()):
+        data = edges_form(data)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(("n", "m", "u", "v", "k", "forest", "rows", "graphs")))
+        action = draw(st.sampled_from(("drop", "set", "edit")))
+        if action == "drop":
+            data.pop(key, None)
+        elif action == "set" or key not in data:
+            data[key] = draw(_FUZZ_VALUES)
+        else:
+            data[key] = _edit(draw, data[key])
+    return data
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_instances(), st.sampled_from((
+    ["solve"], ["oracle", "--budget-nodes", "20000"], ["solve", "--corollary"],
+)))
+def test_mutated_instance_gets_a_documented_exit_code(tmp_path, data, command):
+    # Exit 1 would mean a suite violation, and an exception a traceback.
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main([*command, str(path)])
+    assert code in (EXIT_PATH, EXIT_INPUT, EXIT_EXTREMAL, EXIT_UNKNOWN)
+
 
 class TestOracleCommand:
     def test_found(self, tmp_path, capsys):
@@ -274,6 +368,14 @@ class TestGenCommand:
         assert sidecar["certificate"]["kind"] == "B3"
         instance = load_instance(str(out))
         assert instance.u == 0 and instance.v == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--kind", "B3"]])
+    def test_writes_only_what_solve_reads(self, tmp_path, capsys, extra):
+        # Past MAX_VERTICES gen refuses before generating, as solve would
+        # refuse the file.
+        out = tmp_path / "big.json"
+        assert main(["gen", "--n", "1025", *extra, "--out", str(out)]) == EXIT_INPUT
+        assert "n=1025 exceeds the limit" in capsys.readouterr().err and not out.exists()
 
 
 class TestVerifyCommand:

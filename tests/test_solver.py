@@ -14,6 +14,7 @@ from rainbowpath import (
     InputError,
     InternalError,
     OracleBudget,
+    PathCertificate,
     RainbowLinearForest,
     check_hypothesis,
     exact_rainbow_ham_cycle,
@@ -86,6 +87,21 @@ class TestLi2Dispatch:
         for coll, got in zip(colls, with_h):
             without = li2_dispatch(coll)
             assert got.kind == without.kind == "A1"
+
+    def test_later_start_answers_after_a_stalled_one(self, monkeypatch):
+        # Perturbed B3: the run from vertex 0 stalls and gives up after
+        # HEURISTIC_STALL_LIMIT rotations; a later start spans, so the exact
+        # kernel is not needed.
+        coll = random_instance(GenSpec(n=10, k=0, model="perturbed_extremal",
+                                       extremal_kind="B3", flips=3, seed=13))[0]
+        full = (1 << 10) - 1
+        with monkeypatch.context() as m:
+            m.setattr(rainbowpath.solver, "bits", lambda mask: iter([0]))
+            assert rainbowpath.solver._heuristic_spanning_path(coll, full, full) is None
+        assert rainbowpath.solver._heuristic_spanning_path(coll, full, full) is not None
+        got = li2_dispatch(coll)
+        assert got.kind == "A1" and got.heuristic_used
+        assert verify_certificate(coll, PathCertificate(got.order, got.colors))
 
     def test_fallback_budget_escalates(self):
         coll = complete_collection(9, m=11)
