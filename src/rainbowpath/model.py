@@ -351,12 +351,31 @@ class CycleCertificate:
         }
 
 
+def _walk_accepted(collection: GraphCollection, starts: Iterable[int], ends: Iterable[int],
+                   colors: Sequence[int]) -> bool:
+    """The accept pass: True iff no step (a, b, color) of the walk is at fault.
+
+    The colors are distinct, and each is in range with its edge ab present
+    in that color, so ``_walk_violations`` would report nothing.  One plain
+    loop that builds no edge, dict or set entry per step.
+    """
+    if len(set(colors)) != len(colors):
+        return False
+    m, adjacency = collection.n_colors, collection.adjacency
+    for a, b, color in zip(starts, ends, colors):
+        if not (0 <= color < m and adjacency[color][a] >> b & 1):
+            return False
+    return True
+
+
 def _walk_violations(collection: GraphCollection, steps: Iterable[tuple[int, int, int]],
                      problems: list[str]) -> dict[Edge, int]:
     """Check each (a, b, color) step of a walk with distinct vertices.
 
-    Appends the violations to ``problems`` in walk order and returns the
-    color of every edge whose color is in range.
+    The message pass, run only when ``_walk_accepted`` fails or a path's
+    forest needs the edge colors.  Appends the violations to ``problems``
+    in walk order and returns the color of every edge whose color is in
+    range.
     """
     consecutive: dict[Edge, int] = {}
     seen_colors: set[int] = set()
@@ -386,23 +405,27 @@ def path_certificate_violations(
     ``forest`` (a RainbowLinearForest) is the fixed-forest context: each of
     its edges must appear consecutively in the order and carry exactly its
     fixed color.  With ``active`` (a vertex mask) the path must span exactly
-    those vertices instead of all of them.
+    those vertices instead of all of them.  After the permutation check a
+    path with no fixed edges takes the accept pass (``_walk_accepted``) and
+    returns at once when it passes; any other path goes through
+    ``_walk_violations``, whose messages come in walk order, then the
+    forest's, which read the edge colors it returns.
     """
     n = collection.n_vertices
-    if sorted(cert.order) != (list(range(n)) if active is None else bits(active)):
+    order, coloring = cert.order, cert.coloring
+    if sorted(order) != (list(range(n)) if active is None else bits(active)):
         span = f"0..{n - 1}" if active is None else "the active vertices"
         return [f"order is not a permutation of {span}"]
     problems: list[str] = []
-    consecutive = _walk_violations(collection, zip(cert.order, cert.order[1:], cert.coloring),
-                                   problems)
-    if forest is not None:
-        for edge, color in forest.fixed_colors.items():
-            if edge not in consecutive:
-                problems.append(f"forest edge {edge} is not consecutive on the path")
-            elif consecutive[edge] != color:
-                problems.append(
-                    f"forest edge {edge} carries color {consecutive[edge]}, fixed {color}"
-                )
+    fixed = {} if forest is None else forest.fixed_colors
+    if not fixed and _walk_accepted(collection, order, order[1:], coloring):
+        return problems
+    consecutive = _walk_violations(collection, zip(order, order[1:], coloring), problems)
+    for edge, color in fixed.items():
+        if edge not in consecutive:
+            problems.append(f"forest edge {edge} is not consecutive on the path")
+        elif consecutive[edge] != color:
+            problems.append(f"forest edge {edge} carries color {consecutive[edge]}, fixed {color}")
     return problems
 
 
@@ -415,14 +438,22 @@ def validate_path_certificate(
 
 
 def cycle_certificate_violations(collection: GraphCollection, cert: CycleCertificate) -> list[str]:
+    """All violated invariants of a cycle certificate, empty when valid.
+
+    Checks the permutation and n >= 3, then runs the accept pass over the
+    walk with its closing edge; only a walk it rejects goes through
+    ``_walk_violations`` for the messages.
+    """
     n = collection.n_vertices
-    if sorted(cert.order) != list(range(n)):
+    order = cert.order
+    if sorted(order) != list(range(n)):
         return [f"order is not a permutation of 0..{n - 1}"]
     if n < 3:
         return ["a cycle needs at least 3 vertices"]
     problems: list[str] = []
-    _walk_violations(collection, zip(cert.order, cert.order[1:] + cert.order[:1], cert.coloring),
-                     problems)
+    ends = order[1:] + order[:1]
+    if not _walk_accepted(collection, order, ends, cert.coloring):
+        _walk_violations(collection, zip(order, ends, cert.coloring), problems)
     return problems
 
 

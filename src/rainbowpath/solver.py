@@ -382,8 +382,7 @@ def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
             free = collection.color_mask(order[p], back) & (spare | 1 << colors[p])
             if free:
                 c = (free & -free).bit_length() - 1
-                yield (pair, order[: p + 1] + order[p + 1 :][::-1],
-                       colors[:p] + [c] + colors[p + 1 :][::-1])
+                yield pair, order[: p + 1] + order[:p:-1], colors[:p] + [c] + colors[:p:-1]
 
 
 def _heuristic_spanning_path(
@@ -1026,10 +1025,11 @@ def _rotate_into(collection: GraphCollection, seed: PathCertificate,
         for pair, new_order, new_colors in _rotations(collection, order, colors,
                                                       full & ~mask_of(colors), paths):
             queue.append((new_order, new_colors))
-            if new_order[0] != pair[0]:
-                new_order, new_colors = new_order[::-1], new_colors[::-1]
-            paths[pair] = _certified(collection, PathCertificate(tuple(new_order), tuple(new_colors)),
-                                     None, "rotated corollary path")
+            if new_order[0] == pair[0]:
+                path = PathCertificate(tuple(new_order), tuple(new_colors))
+            else:
+                path = PathCertificate(tuple(reversed(new_order)), tuple(reversed(new_colors)))
+            paths[pair] = _certified(collection, path, None, "rotated corollary path")
             if len(paths) == total:
                 return
 

@@ -13,11 +13,13 @@ from itertools import combinations
 
 import pytest
 
+import rainbowpath.model
 import rainbowpath.solver
 from rainbowpath import (
     GenSpec,
     InputError,
     InternalError,
+    PathCertificate,
     check_hypothesis,
     cycle_from_extremal,
     hamiltonian_or_connected,
@@ -130,3 +132,23 @@ def test_dense_collection_needs_one_pair_solve(monkeypatch, n, seed):
     res = hamiltonian_or_connected(random_instance(GenSpec(n=n, k=0, p=0.7, seed=seed))[0])
     assert res.kind == "connected" and len(res.paths) == n * (n - 1) // 2
     assert len(calls) <= PINNED_SOLVE_CALLS
+
+
+def test_valid_paths_take_the_accept_pass(monkeypatch):
+    # The message walk runs only for a certificate the accept pass rejects.
+    calls = []
+    walk = rainbowpath.model._walk_violations
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(rainbowpath.model, "_walk_violations", counting)
+    coll = random_instance(GenSpec(n=24, k=0, p=0.7, seed=1))[0]
+    res = hamiltonian_or_connected(coll)
+    assert res.kind == "connected" and len(res.paths) == 276
+    assert calls == []
+    path = res.paths[(0, 1)]
+    spoiled = PathCertificate(path.order, path.coloring[:-1] + path.coloring[:1])
+    assert not verify_certificate(coll, spoiled)
+    assert len(calls) >= 1

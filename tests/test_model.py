@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rainbowpath import (
     CycleCertificate,
+    GenSpec,
     GraphCollection,
     InputError,
     PathCertificate,
@@ -14,12 +16,20 @@ from rainbowpath import (
     canonical_edge,
     check_hypothesis,
     degree,
+    exact_rainbow_ham_cycle,
     rainbow_assignment,
+    random_instance,
     sigma2,
+    solve_pair,
     validate_path_certificate,
 )
 from rainbowpath.gen import build_extremal
-from rainbowpath.model import bits, cycle_certificate_violations, path_certificate_violations
+from rainbowpath.model import (
+    bits,
+    cycle_certificate_violations,
+    mask_of,
+    path_certificate_violations,
+)
 
 from .conftest import brute_rainbow_exists, complete_collection, small_collections
 
@@ -276,6 +286,39 @@ class TestPathCertificate:
                 seen += got
         assert sum(expected in problem for problem in seen) >= 100
 
+    @pytest.mark.parametrize("defect, expected", [
+        (None, None),
+        ("wrong_color", "out of range on edge"),
+        ("missing_edge", "absent from color"),
+        ("repeated_color", "used more than once"),
+    ])
+    def test_valid_walks_and_last_edge_defects_match_reference(self, defect, expected):
+        # Solver paths, their prefixes on an active mask, and oracle cycles, each
+        # whole or with one defect on its last edge (a cycle's closing edge).
+        seen = []
+        for seed in range(40):
+            coll, path, prefix, cycle, forest = _valid_certificates(seed)
+            rng = random.Random(seed)
+            path, prefix, cycle = (_spoil_last_edge(coll, cert, defect, rng)
+                                   for cert in (path, prefix, cycle))
+            active = mask_of(prefix.order)
+            for got, want in (
+                (path_certificate_violations(coll, path), reference_path_violations(coll, path)),
+                (path_certificate_violations(coll, path, forest),
+                 reference_path_violations(coll, path, forest)),
+                (path_certificate_violations(coll, prefix, active=active),
+                 reference_path_violations(coll, prefix, active=active)),
+                (path_certificate_violations(coll, prefix, forest, active),
+                 reference_path_violations(coll, prefix, forest, active)),
+                (cycle_certificate_violations(coll, cycle), reference_cycle_violations(coll, cycle)),
+            ):
+                assert got == want, seed
+                seen.append(got)
+        if defect is None:
+            assert seen == [[]] * 200
+        else:
+            assert sum(any(expected in problem for problem in got) for got in seen) >= 150
+
     def test_canonical_edge_rejects_loop(self):
         with pytest.raises(InputError):
             canonical_edge(2, 2)
@@ -320,6 +363,39 @@ def _corrupted_certificates(rng: random.Random, corruption: str):
     forest = RainbowLinearForest(tuple(forest_edges), {e: rng.randrange(m) for e in forest_edges})
     return (coll, forest, PathCertificate(tuple(order), tuple(path_colors)),
             CycleCertificate(tuple(order), tuple(cycle_colors)))
+
+
+@cache
+def _valid_certificates(seed: int):
+    """A dense collection, a ``solve_pair`` path, its first half as a path on
+    the active mask of its vertices, an exact cycle, and a one-edge forest
+    that the path and its first half both carry."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    coll = random_instance(GenSpec(n=n, k=0, p=0.7, seed=seed))[0]
+    path = solve_pair(coll, *rng.sample(range(n), 2)).path
+    half = (n + 1) // 2
+    prefix = PathCertificate(path.order[:half], path.coloring[: half - 1])
+    cycle = exact_rainbow_ham_cycle(coll).certificate
+    forest = RainbowLinearForest.from_paths([path.order[:2]], {path.order[:2]: path.coloring[0]})
+    return coll, path, prefix, cycle, forest
+
+
+def _spoil_last_edge(collection, cert, defect, rng: random.Random):
+    """``cert`` with the color of its last edge made out of range, absent from
+    that edge, or equal to the first edge's color; unchanged for None."""
+    colors = list(cert.coloring)
+    m = collection.n_colors
+    a, b = cert.order[len(colors) - 1], cert.order[len(colors) % len(cert.order)]
+    if defect == "wrong_color":
+        colors[-1] = rng.choice((-1, m, m + 5))
+    elif defect == "missing_edge":
+        absent = [c for c in range(m) if not collection.has_edge(c, a, b)]
+        if absent:
+            colors[-1] = rng.choice(absent)
+    elif defect == "repeated_color":
+        colors[-1] = colors[0]
+    return type(cert)(cert.order, tuple(colors))
 
 
 def reference_path_violations(collection, cert, forest=None, active=None):
