@@ -40,12 +40,27 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 1
 
 
+def _print(text: str) -> None:
+    """Print ``text``; a reader that closes stdout early (``| head``) loses it.
+
+    The command keeps its exit code.  Stdout then points at the null
+    device, so the flush at exit cannot raise again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(data: dict, out: str | None) -> None:
+    """Write ``data`` to ``out`` (when given), then print it, so a closed
+    stdout cannot cost the file."""
     text = json.dumps(data, sort_keys=True, indent=2)
-    print(text)
     if out:
         with open(out, "w") as handle:
             handle.write(text + "\n")
+    _print(text)
 
 
 def _write_bundle(bundle: dict, prefix: str) -> str:
@@ -250,7 +265,7 @@ def _write_report(records: list[dict], summary: dict, out: str | None) -> None:
         with open(out, "w") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _cycled_sizes(n_min: int, n_max: int, count: int) -> list[int]:

@@ -3,11 +3,13 @@
 One exponential-time but exhaustive kernel, ``exact_search``, serves every
 caller: a depth-first search over vertex orders with forest components
 forced contiguous.  It keeps an edge-to-color matching of the chosen edges
-as it goes, so it never extends an order whose edges cannot be rainbow, and
-it remembers the states that have no completion even in the union graph, so
-it never searches one twice.  The oracles below use it as ground truth
-against the constructive solver at desk scale, and the solver's
-spanning-path fallback calls it directly.
+as it goes, so it never extends an order whose edges cannot be rainbow.  It
+remembers the states that have no completion even in the union graph, and
+looks a move's state up before matching its edge, so it never searches one
+twice.  It also drops a state whose free vertices hold an independent set
+too large to thread (Chvátal's toughness count), without searching it.
+The oracles below use it as ground truth against the constructive solver
+at desk scale, and the solver's spanning-path fallback calls it directly.
 Budgets make exhaustion explicit: the kernel raises BudgetExceeded, which
 the oracles report as Unknown, never a silent wrong answer.
 """
@@ -26,6 +28,7 @@ from .model import (
     InputError,
     PathCertificate,
     _augment,
+    bits,
     canonical_edge,
     mask_of,
 )
@@ -95,7 +98,21 @@ def exact_search(
     failed with no matching failure or symmetry break inside it has no
     completion in the union graph at all, so it is remembered as dead and
     not searched again (the subset DP of Bellman and of Held and Karp,
-    1962, restricted to the states the search meets).
+    1962, restricted to the states the search meets).  A move's state is
+    looked up before its edge is matched, and a dead one is skipped
+    without counting as a matching failure.
+
+    A state is also dead when its free vertices hold an independent set I
+    of the union graph with 2|I| > k + 1, where k counts the free vertices
+    and the vertices of the unplaced segments (V. Chvátal, *Tough graphs
+    and Hamiltonian circuits*, 1973).  Those k vertices lie in a row
+    between the two ends of any completion.  Every new edge takes a color
+    outside ``reserved``, so it is a union edge, and segment edges never
+    touch a free vertex; so no two vertices of I are next to each other in
+    the row, and at most (k + 1) // 2 fit.  I is built greedily in
+    ascending union degree, stopping once it cannot grow past the bound.
+    Such a state is remembered as dead and counts no node.  It cuts only
+    subtrees with no completion, so the orders found are unchanged.
 
     Returns (order, edge -> color, nodes), with order None when no order
     exists; the coloring is the Kuhn matching of the order's new edges in
@@ -177,17 +194,40 @@ def exact_search(
             out.extend(p for p in pieces if left & p[1] and row >> p[0][0] & 1)
         return out
 
-    def dfs() -> dict[Edge, int] | None:
+    def blocked() -> bool:
+        """True when the free vertices hold too large an independent set.
+
+        Greedy over ``by_degree``; it stops once even taking every vertex
+        still available could not exceed the bound."""
+        avail = left & everyone
+        free = avail.bit_count()
+        bound = free + 1  # k + 1
+        if left >> n:
+            bound += sum(size for size, bit in sizes if left & bit)
+        if 2 * free <= bound:
+            return False
+        picked = 0
+        for bit, closed in by_degree:
+            if avail & bit:
+                picked += 1
+                if 2 * picked > bound:
+                    return True
+                avail &= ~closed
+                if 2 * (picked + avail.bit_count()) <= bound:
+                    return False
+        return False
+
+    def dfs(key: int) -> dict[Edge, int] | None:
         nonlocal nodes, left, taint
-        target = suffix[-1] if suffix else prefix[0] if cycle else 0
-        key = (left << width | prefix[-1]) << width | target
-        if key in dead:
+        if blocked():
+            dead.add(key)
             return None
         nodes += 1
         if nodes > budget.node_limit:
             raise BudgetExceeded(f"exact search exceeded {budget.node_limit} nodes", nodes)
         if nodes % 256 == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("exact search exceeded its time budget", nodes)
+        target = suffix[-1] if suffix else prefix[0] if cycle else 0
         if not left:
             if not suffix and (prefix[1] if cycle else prefix[0]) > prefix[-1]:
                 taint += 1
@@ -207,7 +247,16 @@ def exact_search(
             back = candidates(suffix[-1])
             if len(back) < len(moves):  # fail-first: the end with fewer moves
                 moves, end_list = back, suffix
+        # A child's key: the added piece's last vertex is the new prefix end
+        # or the new target, whichever end grows.
+        if end_list is prefix:
+            fixed, slot = target, width
+        else:
+            fixed, slot = prefix[-1] << width, 0
         for added, bit in moves:
+            child = (left ^ bit) << 2 * width | added[-1] << slot | fixed
+            if child in dead:
+                continue
             a, b = end_list[-1], added[0]
             edge = (a, b) if a < b else (b, a)
             undo = match(edge)
@@ -217,7 +266,7 @@ def exact_search(
             left ^= bit
             chosen.append(edge)
             end_list.extend(added)
-            result = dfs()
+            result = dfs(child)
             if result is not None:
                 return result
             del end_list[-len(added):]
@@ -228,13 +277,20 @@ def exact_search(
             dead.add(key)
         return None
 
-    spanned = (1 << n) - 1 if active is None else active
+    everyone = (1 << n) - 1
+    spanned = everyone if active is None else active
     spanned &= ~mask_of(x for seg in segments for x in seg)
+    # Vertex count and bit of each segment, for the bound's k.
+    sizes = [(len(seg), 1 << n + idx) for idx, seg in enumerate(segments)]
+    # Greedy independent-set order: ascending union degree, then vertex id.
+    by_degree = [(1 << x, union[x] | 1 << x)
+                 for x in sorted(bits(spanned), key=lambda x: union[x].bit_count())]
     for head in heads:
         prefix = list(head)
         left = spanned & ~mask_of(prefix + suffix) | ((1 << len(segments)) - 1) << n
         chosen: list[Edge] = []
-        assignment = dfs()
+        target = suffix[-1] if suffix else prefix[0] if cycle else 0
+        assignment = dfs(left << 2 * width | prefix[-1] << width | target)
         if assignment is not None:
             return prefix + suffix[::-1], assignment, nodes
     return None, None, nodes

@@ -224,7 +224,7 @@ def test_pinned_outcome_digest(trichotomy_suite, oracle_slice):
 
 #: sha256 of the search nodes of the same oracle runs.  A change to the search
 #: that keeps every answer but prunes differently moves this pin only.
-PINNED_ORACLE_NODES_DIGEST = "613deb4ef4d3ceb35e7f1e72b2b9c9c8825509518692243957fcd4a421062f2f"
+PINNED_ORACLE_NODES_DIGEST = "93df74566c440a9b4be6a925b38ce76092ff5afb30d1cffff4e7ad8f483683e9"
 
 
 def test_pinned_oracle_nodes_digest(oracle_slice):

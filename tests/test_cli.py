@@ -162,6 +162,12 @@ NON_INTEGERS = {
 CHILD_ADDRESS_SPACE = 1536 << 20
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     @pytest.mark.parametrize("defect", list(ROW_DEFECTS))
@@ -237,10 +243,8 @@ class TestInputBoundary:
         code = ("import resource, sys; "
                 f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
                 "from rainbowpath.cli import main; sys.exit(main(sys.argv[1:]))")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code, command, str(path)],
-                             capture_output=True, text=True, env=env, timeout=60)
+                             capture_output=True, text=True, env=_child_env(), timeout=60)
         assert out.returncode == EXIT_INPUT, out.stderr
         assert f"n={n} exceeds the limit" in out.stderr and "Traceback" not in out.stderr
 
@@ -577,10 +581,53 @@ def test_import_leaves_process_pool_unloaded():
         "import sys, rainbowpath.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env(), check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("gen_argv, mode, expected, read", [
+    # A dense n=30 corollary prints far more than a pipe buffer holds, so the
+    # child is still writing when the reader stops after 10 bytes.
+    (["--n", "30", "--p", "0.9", "--seed", "3"], ["--corollary"], EXIT_PATH, 10),
+    # The reader is gone before the child starts; the answer is extremal.
+    (["--n", "12", "--kind", "B3"], [], EXIT_EXTREMAL, 0),
+])
+def test_closed_stdout_keeps_exit_code_and_out_file(tmp_path, capsys, gen_argv, mode, expected, read):
+    instance = tmp_path / "inst.json"
+    assert main(["gen", *gen_argv, "--out", str(instance)]) == EXIT_PATH
+    capsys.readouterr()
+    out = tmp_path / "answer.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rainbowpath.cli", "solve", str(instance), *mode, "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert len(child.stdout.read(read)) == read
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == expected, err
+    assert "Traceback" not in err
+    data = json.loads(out.read_text())
+    if mode:
+        assert out.stat().st_size > 1 << 17
+        assert data["outcome"] == "connected" and len(data["pairs"]) == 30 * 29 // 2
+    else:
+        assert data["outcome"] == "extremal"
+
+
+@pytest.mark.parametrize("command", [["verify", "--count", "4"], ["sweep", "--samples", "4"]])
+def test_closed_stdout_keeps_report_exit_code(tmp_path, command):
+    # With no --out the report goes to stdout, here closed before the child starts.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rainbowpath.cli", *command, "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), cwd=tmp_path,
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_PATH, err
+    assert "Traceback" not in err
 
 
 class TestMinimization:

@@ -102,6 +102,27 @@ class TestHamPath:
             assert got.status in (FOUND, NOT_FOUND)
             assert (got.status == FOUND) == brute_ham_path_exists(coll, u, v, forest)
 
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_canonical_c3_blocked_without_search(self, n):
+        # Y is independent and too large to thread between u and v, so the
+        # independent-set bound settles the root (513 and 2,561 nodes before).
+        coll, meta = build_extremal("C3", n, 1)
+        u, v = meta["pair"]
+        result = exact_rainbow_ham_path(coll, u, v, meta["forest"])
+        assert (result.status, result.nodes) == (NOT_FOUND, 0)
+
+    def test_interior_segment_separates_independent_free_vertices(self):
+        # The only path is 0-1-3-4-2-5.  Free vertices 1 and 2 are independent
+        # and only the forest path 3-4 lies between them, so a bound that left
+        # segment vertices out of k would cut the root and answer NotFound.
+        lists = [[(3, 4)]] + [[(0, 1), (1, 3), (2, 4), (2, 5)]] * 4
+        coll = GraphCollection.from_edge_lists(6, lists)
+        forest = RainbowLinearForest.from_paths([(3, 4)], {(3, 4): 0})
+        result = exact_rainbow_ham_path(coll, 0, 5, forest)
+        assert result.status == FOUND
+        assert result.certificate.order == (0, 1, 3, 4, 2, 5)
+        assert validate_path_certificate(coll, result.certificate, forest)
+
 
 class TestHamCycle:
     def test_k23_no_cycle(self, k23):
@@ -212,3 +233,29 @@ def test_sparse_statuses_match_permutation_search():
             assert cycle.status == (FOUND if brute_ham_cycle_exists(coll) else NOT_FOUND)
             if cycle.found:
                 assert validate_cycle_certificate(coll, cycle.certificate)
+
+
+def test_sparse_two_path_forests_match_permutation_search():
+    """The independent-set bound counts every segment vertex between the ends.
+
+    Forests of up to two paths put interior components between free
+    vertices; a bound that misses them would cut states with completions.
+    """
+    rng = random.Random(4177)
+    for _ in range(1500):
+        n = rng.randint(5, 7)
+        m = n + rng.choice((-1, 0, 1))
+        p = rng.choice((0.2, 0.3, 0.4, 0.6))
+        lists = [[e for e in clique_edges(range(n)) if rng.random() < p] for _ in range(m)]
+        coll = GraphCollection.from_edge_lists(n, lists)
+        u, v = rng.sample(range(n), 2)
+        sizes = rng.choice(((), (2,), (3,), (2, 2), (2, 3)))
+        verts = rng.sample(range(n), sum(sizes))
+        paths = [verts[:sizes[0]], verts[sizes[0]:]] if len(sizes) == 2 else [verts] if sizes else []
+        edges = [(a, b) for path in paths for a, b in zip(path, path[1:])]
+        colors = rng.sample(range(m), len(edges))
+        forest = RainbowLinearForest.from_paths(paths, dict(zip(edges, colors)))
+        path = exact_rainbow_ham_path(coll, u, v, forest)
+        assert path.status == (FOUND if brute_ham_path_exists(coll, u, v, forest) else NOT_FOUND)
+        if path.found:
+            assert validate_path_certificate(coll, path.certificate, forest)
