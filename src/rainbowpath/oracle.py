@@ -6,8 +6,10 @@ forced contiguous.  It keeps an edge-to-color matching of the chosen edges
 as it goes, so it never extends an order whose edges cannot be rainbow.  It
 remembers the states that have no completion even in the union graph, and
 looks a move's state up before matching its edge, so it never searches one
-twice.  It also drops a state whose free vertices hold an independent set
-too large to thread (Chvátal's toughness count), without searching it.
+twice.  It also drops, without searching it, a state whose free vertices
+hold an independent set too large to thread (Chvátal's toughness count),
+or, once every forest segment is placed, are not connected in the union
+graph: in any completion they form one contiguous run of the order.
 The oracles below use it as ground truth against the constructive solver
 at desk scale, and the solver's spanning-path fallback calls it directly.
 Budgets make exhaustion explicit: the kernel raises BudgetExceeded, which
@@ -110,9 +112,26 @@ def exact_search(
     outside ``reserved``, so it is a union edge, and segment edges never
     touch a free vertex; so no two vertices of I are next to each other in
     the row, and at most (k + 1) // 2 fit.  I is built greedily in
-    ascending union degree, stopping once it cannot grow past the bound.
-    Such a state is remembered as dead and counts no node.  It cuts only
-    subtrees with no completion, so the orders found are unchanged.
+    ascending degree into the spanned vertices off the tail, stopping once
+    it cannot grow past the bound.
+
+    With every segment placed, a state is also dead when its free vertices
+    are not connected in the union graph (the connectivity cut of
+    backtracking Hamiltonian search; Vandegriend and Culberson, 1998).  In
+    any completion the free vertices form one contiguous run of the order:
+    between the two ends with a ``tail``, between the prefix end and the
+    prefix's first vertex with ``cycle``, after the prefix end otherwise.
+    Consecutive vertices of the run are joined by new edges, which are
+    union edges, so the run is a union path.  While a segment is unplaced
+    the cut is off: a segment may sit inside the run between two free
+    vertices with no union edge between them.
+
+    Both cuts read only the free vertices and the unplaced segments, so
+    their verdict is remembered per such set.  A move's child is checked
+    after the dead lookup and before its edge is matched, each head's root
+    once; a cut state counts no node and is not a matching failure.  The
+    cuts drop only subtrees with no completion, so the orders found are
+    unchanged.
 
     Returns (order, edge -> color, nodes), with order None when no order
     exists; the coloring is the Kuhn matching of the order's new edges in
@@ -147,6 +166,7 @@ def exact_search(
     admissible: list[int] = []
     used = 0  # mask of the colors in ``owner``
     dead: set[int] = set()
+    verdicts: dict[int, bool] = {}  # left -> cut(left); neither cut reads the ends
     taint = 0  # bumped at each matching failure and symmetry break
     width = n.bit_length()
 
@@ -194,16 +214,27 @@ def exact_search(
             out.extend(p for p in pieces if left & p[1] and row >> p[0][0] & 1)
         return out
 
-    def blocked() -> bool:
-        """True when the free vertices hold too large an independent set.
+    def cut(left: int) -> bool:
+        """True when no order can thread what ``left`` holds.
 
-        Greedy over ``by_degree``; it stops once even taking every vertex
-        still available could not exceed the bound."""
+        Its free vertices hold too large an independent set (greedy over
+        ``by_degree``, stopped once even taking every vertex still available
+        could not exceed the bound), or, with every segment placed, they are
+        not connected in the union graph (a bitmask breadth-first search)."""
         avail = left & everyone
         free = avail.bit_count()
         bound = free + 1  # k + 1
         if left >> n:
             bound += sum(size for size, bit in sizes if left & bit)
+        elif avail:
+            seen = frontier = avail & -avail
+            while frontier:
+                low = frontier & -frontier
+                grown = union[low.bit_length() - 1] & avail & ~seen
+                seen |= grown
+                frontier = (frontier ^ low) | grown
+            if seen != avail:
+                return True
         if 2 * free <= bound:
             return False
         picked = 0
@@ -219,9 +250,6 @@ def exact_search(
 
     def dfs(key: int) -> dict[Edge, int] | None:
         nonlocal nodes, left, taint
-        if blocked():
-            dead.add(key)
-            return None
         nodes += 1
         if nodes > budget.node_limit:
             raise BudgetExceeded(f"exact search exceeded {budget.node_limit} nodes", nodes)
@@ -254,8 +282,14 @@ def exact_search(
         else:
             fixed, slot = prefix[-1] << width, 0
         for added, bit in moves:
-            child = (left ^ bit) << 2 * width | added[-1] << slot | fixed
+            rest = left ^ bit
+            child = rest << 2 * width | added[-1] << slot | fixed
             if child in dead:
+                continue
+            verdict = verdicts.get(rest)
+            if verdict is None:
+                verdict = verdicts[rest] = cut(rest)
+            if verdict:
                 continue
             a, b = end_list[-1], added[0]
             edge = (a, b) if a < b else (b, a)
@@ -282,12 +316,17 @@ def exact_search(
     spanned &= ~mask_of(x for seg in segments for x in seg)
     # Vertex count and bit of each segment, for the bound's k.
     sizes = [(len(seg), 1 << n + idx) for idx, seg in enumerate(segments)]
-    # Greedy independent-set order: ascending union degree, then vertex id.
+    # Greedy independent-set order: ascending union degree into the spanned
+    # vertices off the tail, then vertex id.  The full union degree counts
+    # neighbours that are never free, and ties B3's two sides.
+    off_tail = spanned & ~mask_of(tail)
     by_degree = [(1 << x, union[x] | 1 << x)
-                 for x in sorted(bits(spanned), key=lambda x: union[x].bit_count())]
+                 for x in sorted(bits(spanned), key=lambda x: (union[x] & off_tail).bit_count())]
     for head in heads:
         prefix = list(head)
         left = spanned & ~mask_of(prefix + suffix) | ((1 << len(segments)) - 1) << n
+        if cut(left):
+            continue
         chosen: list[Edge] = []
         target = suffix[-1] if suffix else prefix[0] if cycle else 0
         assignment = dfs(left << 2 * width | prefix[-1] << width | target)

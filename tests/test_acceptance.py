@@ -224,7 +224,7 @@ def test_pinned_outcome_digest(trichotomy_suite, oracle_slice):
 
 #: sha256 of the search nodes of the same oracle runs.  A change to the search
 #: that keeps every answer but prunes differently moves this pin only.
-PINNED_ORACLE_NODES_DIGEST = "93df74566c440a9b4be6a925b38ce76092ff5afb30d1cffff4e7ad8f483683e9"
+PINNED_ORACLE_NODES_DIGEST = "494fa9896ac742a29094c1ea1be20715636df024c8a7b8b697b3187a1a18940c"
 
 
 def test_pinned_oracle_nodes_digest(oracle_slice):

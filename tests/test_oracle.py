@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowpath import (
     FOUND,
@@ -10,12 +12,15 @@ from rainbowpath import (
     InputError,
     OracleBudget,
     RainbowLinearForest,
+    canonical_edge,
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
     validate_cycle_certificate,
     validate_path_certificate,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
+from rainbowpath.model import bits, mask_of
+from rainbowpath.oracle import exact_search
 
 from .conftest import (
     brute_ham_cycle_exists,
@@ -111,6 +116,21 @@ class TestHamPath:
         result = exact_rainbow_ham_path(coll, u, v, meta["forest"])
         assert (result.status, result.nodes) == (NOT_FOUND, 0)
 
+    @pytest.mark.parametrize("kind, n, k", [
+        ("B2", 10, 0), ("B2", 12, 0), ("B2", 16, 0),
+        ("B3", 10, 0), ("B3", 12, 0), ("B3", 16, 0),
+        ("C2", 10, 2), ("C2", 12, 2),
+    ])
+    def test_canonical_blocked_pair_settled_without_search(self, kind, n, k):
+        # B2 and C2 join their two cliques only at the pair, so the free
+        # vertices are union-disconnected once the pair is placed; B3's
+        # independent side is too large to thread.  B3 n=16 took 23,801
+        # nodes before the greedy ordered by degree into the free set.
+        coll, meta = build_extremal(kind, n, k)
+        u, v = meta["pair"]
+        result = exact_rainbow_ham_path(coll, u, v, meta["forest"])
+        assert (result.status, result.nodes) == (NOT_FOUND, 0)
+
     def test_interior_segment_separates_independent_free_vertices(self):
         # The only path is 0-1-3-4-2-5.  Free vertices 1 and 2 are independent
         # and only the forest path 3-4 lies between them, so a bound that left
@@ -154,6 +174,23 @@ class TestHamCycle:
         result = exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=10_000))
         assert result.status == FOUND
         assert validate_cycle_certificate(coll, result.certificate)
+
+    def test_canonical_b2_within_one_node_per_vertex(self):
+        # Every move into the other clique leaves the rest union-disconnected
+        # (2,853 nodes before the connectivity cut).
+        coll = build_extremal("B2", 16)[0]
+        result = exact_rainbow_ham_cycle(coll)
+        assert result.status == FOUND and result.nodes <= 16
+        assert validate_cycle_certificate(coll, result.certificate)
+
+
+def test_open_search_on_disconnected_active_vertices_settles_every_root():
+    # Cliques {0, 1, 2, 6} and {3, 4, 5, 6} meet only at 6, which is left out.
+    edges = clique_edges((0, 1, 2, 6)) + clique_edges((3, 4, 5, 6))
+    coll = GraphCollection.from_edge_lists(7, [edges] * 7)
+    active = mask_of(range(6))
+    heads = [(start,) for start in bits(active)]
+    assert exact_search(coll, heads, OracleBudget(), active=active) == (None, None, 0)
 
 
 class TestEnumerate:
@@ -259,3 +296,35 @@ def test_sparse_two_path_forests_match_permutation_search():
         assert path.status == (FOUND if brute_ham_path_exists(coll, u, v, forest) else NOT_FOUND)
         if path.found:
             assert validate_path_certificate(coll, path.certificate, forest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 7), extra=st.integers(0, 1), p=st.floats(0.25, 0.7),
+       rng=st.randoms(use_true_random=True))
+def test_sparse_union_statuses_match_permutation_search(n, extra, p, rng):
+    """The connectivity cut agrees with the permutation searches.
+
+    The union graph keeps each pair with probability p, so at the low end it
+    is often disconnected, and each color keeps half of its edges.  Half the
+    cases add a one-path forest off u and v, its edges in their colors: a
+    segment that may join free vertices with no union edge between them, so
+    the cut must wait until it is placed.
+    """
+    m = n + extra
+    union = [e for e in clique_edges(range(n)) if rng.random() < p]
+    lists = [{e for e in union if rng.random() < 0.5} for _ in range(m)]
+    u, v = rng.sample(range(n), 2)
+    forest = RainbowLinearForest.empty()
+    if rng.random() < 0.5:
+        inner = [x for x in range(n) if x not in (u, v)]
+        verts = rng.sample(inner, min(len(inner), rng.choice((2, 3))))
+        fixed = {}
+        for a, b, c in zip(verts, verts[1:], rng.sample(range(m), len(verts) - 1)):
+            fixed[canonical_edge(a, b)] = c
+            lists[c].add(canonical_edge(a, b))
+        forest = RainbowLinearForest.from_paths([verts], fixed)
+    coll = GraphCollection.from_edge_lists(n, lists)
+    path = exact_rainbow_ham_path(coll, u, v, forest)
+    assert path.status == (FOUND if brute_ham_path_exists(coll, u, v, forest) else NOT_FOUND)
+    cycle = exact_rainbow_ham_cycle(coll)
+    assert cycle.status == (FOUND if brute_ham_cycle_exists(coll) else NOT_FOUND)
