@@ -139,31 +139,25 @@ def is_h_compatible(forest: RainbowLinearForest, u: int, v: int) -> bool:
 
 @dataclass(frozen=True)
 class ReductionPlan:
-    """Bookkeeping of the deletion set D and component endpoints.
+    """The normalized forest and the deletion set D read off it.
 
-    ``middle_components`` are the interior components, each oriented from its
-    kept endpoint v_i (which survives the deletion) toward the dropped
-    endpoint w_i.  ``h_u``/``h_v`` are oriented away from u/v; w_u/w_v are
-    their far endpoints (equal to u/v for singletons).  ``active`` is the
-    vertex mask of V minus D and ``retained_mask`` the color mask of
-    ``retained_colors``: together they are the reduced collection.
+    ``forest``, the forest every answer must contain, has the components
+    ``h_u``, ``h_v`` (oriented away from u/v, so they end at w_u/w_v) and
+    ``middle_components`` (each from its kept endpoint v_i, which survives
+    the deletion, to its dropped endpoint w_i).  ``active`` is the vertex
+    mask of V minus D and ``retained_mask`` the mask of the colors the
+    forest leaves unused: together they are the reduced collection.
     """
 
     u: int
     v: int
+    forest: RainbowLinearForest
     deleted: frozenset[int]
     middle_components: tuple[tuple[int, ...], ...]
-    kept_endpoints: tuple[int, ...]
-    dropped_endpoints: tuple[int, ...]
     h_u: tuple[int, ...]
     h_v: tuple[int, ...]
-    w_u: int
-    w_v: int
-    retained_colors: tuple[int, ...]
     retained_mask: int
     active: int
-    k: int
-    forest_edge_colors: dict[Edge, int]
 
     @property
     def q(self) -> int:
@@ -183,45 +177,27 @@ def select_deletion_set(
     u: int,
     v: int,
     n_vertices: int,
-    n_colors: int | None = None,
 ) -> ReductionPlan:
     """Pick D = V(H) minus one endpoint per interior component; |D| = k+2.
 
-    The forest is normalized first: the components of u and v exist (created
-    as singletons when absent), edgeless components elsewhere are dropped,
-    and the kept endpoint of each interior component is its smaller vertex
-    id, so plans are deterministic.
+    The forest is normalized once, into ``plan.forest``: the components of
+    u and v exist (singletons when absent), edgeless components elsewhere
+    impose no path constraint and are dropped, and the kept endpoint of each
+    interior component is its smaller vertex id, so plans are deterministic.
+    The hypothesis check has fixed the color count at n_vertices.
     """
     if not is_h_compatible(forest, u, v):
-        raise InputError(f"({u},{v}) is not a compatible pair for this forest")
-    comp_u = forest.component_of(u) or (u,)
-    comp_v = forest.component_of(v) or (v,)
-    h_u = _oriented_from(comp_u, u)
-    h_v = _oriented_from(comp_v, v)
-    # Edgeless components other than H_u/H_v impose no path constraint and
-    # would break the |D| = k+2 accounting; they are normalized away.
+        raise InputError(f"({u},{v}) is not a compatible pair for the forest")
+    h_u = _oriented_from(forest.component_of(u) or (u,), u)
+    h_v = _oriented_from(forest.component_of(v) or (v,), v)
     middles = sorted(
         (comp for comp in forest.components if u not in comp and v not in comp and len(comp) > 1),
         key=min,
     )
-    dropped_singletons = {
-        comp[0]
-        for comp in forest.components
-        if len(comp) == 1 and comp[0] not in (u, v)
-    }
-    oriented = []
-    kept = []
-    dropped = []
-    for comp in middles:
-        v_i = min(comp[0], comp[-1])
-        path = _oriented_from(comp, v_i)
-        oriented.append(path)
-        kept.append(v_i)
-        dropped.append(path[-1])
+    oriented = tuple(_oriented_from(comp, min(comp[0], comp[-1])) for comp in middles)
+    normalized = RainbowLinearForest((h_u, h_v, *oriented), dict(forest.fixed_colors))
     k = forest.edge_count
-    deleted = set(forest.vertices()) | {u, v}
-    deleted -= set(kept)
-    deleted -= dropped_singletons
+    deleted = normalized.vertices() - {comp[0] for comp in oriented}
     if len(deleted) != k + 2:
         raise InputError(
             f"deletion set has {len(deleted)} vertices, expected k+2={k + 2}; "
@@ -230,25 +206,17 @@ def select_deletion_set(
     for w in deleted:
         if not (0 <= w < n_vertices):
             raise InputError(f"forest vertex {w} out of range for n={n_vertices}")
-    dropped_colors = frozenset(forest.colors())
-    m = n_colors if n_colors is not None else n_vertices
-    retained = tuple(c for c in range(m) if c not in dropped_colors)
+    full = (1 << n_vertices) - 1  # n colors as well as n vertices
     return ReductionPlan(
         u=u,
         v=v,
+        forest=normalized,
         deleted=frozenset(deleted),
-        middle_components=tuple(oriented),
-        kept_endpoints=tuple(kept),
-        dropped_endpoints=tuple(dropped),
+        middle_components=oriented,
         h_u=h_u,
         h_v=h_v,
-        w_u=h_u[-1],
-        w_v=h_v[-1],
-        retained_colors=retained,
-        retained_mask=((1 << m) - 1) & ~mask_of(dropped_colors),
-        active=((1 << n_vertices) - 1) & ~mask_of(deleted),
-        k=k,
-        forest_edge_colors=dict(forest.fixed_colors),
+        retained_mask=full & ~mask_of(forest.colors()),
+        active=full & ~mask_of(deleted),
     )
 
 

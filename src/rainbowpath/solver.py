@@ -528,7 +528,7 @@ def _assert_adjacent(collection: GraphCollection, plan: ReductionPlan, role: str
     the constructions lean on them.
     """
     target_mask = mask_of(targets)
-    for color in plan.retained_colors:
+    for color in bits(plan.retained_mask):
         for s in sorted(sources):
             missing = target_mask & ~collection.neighbors_mask(color, s)
             if missing:
@@ -556,11 +556,10 @@ def case2_construct(
     clique, and caps both ends with the endpoint components.
     """
     trace = trace if trace is not None else []
-    forest = _plan_forest(plan)
     _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
         cert = _certified(collection, ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v)),
-                          forest, "derived C2")
+                          plan.forest, "derived C2")
         _record(trace, stage="case2", outcome="extremal")
         return cert
 
@@ -602,20 +601,9 @@ def case2_construct(
 
     if sorted(seq) != list(range(collection.n_vertices)):
         raise InternalError("case-2 walk is not a permutation of the vertex set")
-    cert = _finish_path(collection, seq, forest.fixed_colors, forest)
+    cert = _finish_path(collection, seq, plan.forest.fixed_colors, plan.forest)
     _record(trace, stage="case2", outcome="path")
     return cert
-
-
-def _plan_forest(plan: ReductionPlan) -> RainbowLinearForest:
-    """The normalized forest implied by a plan (singleton H_u/H_v materialized)."""
-    comps = [plan.h_u, plan.h_v, *plan.middle_components]
-    colors: dict[Edge, int] = {}
-    for comp in comps:
-        for i in range(len(comp) - 1):
-            edge = canonical_edge(comp[i], comp[i + 1])
-            colors[edge] = plan.forest_edge_colors[edge]
-    return RainbowLinearForest(tuple(comps), colors)
 
 
 def _certified(collection: GraphCollection, cert, forest: RainbowLinearForest | None,
@@ -703,7 +691,6 @@ def case3_extend_forest(
     collection: GraphCollection,
     plan: ReductionPlan,
     x_prime: set[int],
-    y_side: set[int],
 ) -> RainbowLinearForest:
     """Grow the forest inside X' until exactly q-1 of its edges touch X'.
 
@@ -727,9 +714,10 @@ def case3_extend_forest(
     """
     q = plan.q
     target = q - 1
-    grown = _GrowingForest(_plan_forest(plan))
+    grown = _GrowingForest(plan.forest)
     # Forest edges already incident to X': one per kept endpoint there.
-    count = sum(1 for v in plan.kept_endpoints if v in x_prime)
+    count = sum(1 for comp in plan.middle_components if comp[0] in x_prime)
+    retained = bits(plan.retained_mask)
 
     x_sorted = sorted(x_prime)
     for a, b in combinations(x_sorted, 2):
@@ -737,7 +725,7 @@ def case3_extend_forest(
             break
         if not grown.can_link(a, b):
             continue
-        color = next((c for c in plan.retained_colors
+        color = next((c for c in retained
                       if c not in grown.colors.values() and collection.has_edge(c, a, b)), None)
         if color is not None:
             grown.link(a, b, color)
@@ -745,12 +733,12 @@ def case3_extend_forest(
 
     if count < target:
         t = count
-        ends = mask_of(plan.dropped_endpoints) | 1 << plan.w_u | 1 << plan.w_v
+        ends = mask_of([plan.h_u[-1], plan.h_v[-1], *(comp[-1] for comp in plan.middle_components)])
         linked = 0  # ends already used by a top-up link
 
         def links(z: int):
             # (color, end) in scan order: fresh robust colors ascending, ends ascending.
-            for c in plan.retained_colors:
+            for c in retained:
                 row = collection.neighbors_mask(c, z)
                 if c in grown.colors.values() or (row & ends).bit_count() < q - t:
                     continue
@@ -806,8 +794,6 @@ def case3_contract_and_route(
     hprime: RainbowLinearForest,
     X: set[int],
     Y: set[int],
-    u: int,
-    v: int,
     plan: ReductionPlan,
 ) -> PathCertificate:
     """Route an alternating path through the pieces of the extended forest.
@@ -842,7 +828,7 @@ def case3_contract_and_route(
     covered = hprime.vertices()
     pieces = [*hprime.components, *((x,) for x in sorted(X - covered))]
     n = collection.n_vertices
-    expected = (n - plan.k) // 2 + 1
+    expected = (n - plan.forest.edge_count) // 2 + 1
     if len(pieces) != expected:
         raise InternalError(
             f"contraction yielded {len(pieces)} super-vertices, expected {expected}"
@@ -850,6 +836,7 @@ def case3_contract_and_route(
     if len(Y) != expected - 1:
         raise InternalError("side sizes violate the alternation identity")
 
+    u, v = plan.u, plan.v
     u_piece, v_piece = (next(p for p in pieces if end in p) for end in (u, v))
     if u_piece == v_piece:
         raise InternalError("endpoints were contracted together")
@@ -876,7 +863,7 @@ def case3_contract_and_route(
     order = route + list(tail)
     if sorted(order) != list(range(n)):
         raise InternalError("case-3 route is not a permutation of the vertex set")
-    return _finish_path(collection, order, hprime.fixed_colors, _plan_forest(plan))
+    return _finish_path(collection, order, hprime.fixed_colors, plan.forest)
 
 
 # ---------------------------------------------------------------------------
@@ -927,18 +914,16 @@ def solve(
         raise InputError(f"k={k} exceeds the bound (n-4)/3 for n={n}")
     if not check_hypothesis(collection, k):
         raise InputError(f"collection violates sigma2 >= n+k = {n + k}")
-    if not is_h_compatible(forest, u, v):
-        raise InputError(f"({u},{v}) is not a compatible pair for the forest")
 
     trace: list[dict] = []
-    plan = select_deletion_set(forest, u, v, n, collection.n_colors)
+    plan = select_deletion_set(forest, u, v, n)
     dispatch = li2_dispatch(collection, plan.active, plan.retained_mask)
     _record(trace, stage="dispatch", result=dispatch.kind, heuristic=dispatch.heuristic_used,
             reduced_n=plan.active.bit_count())
 
     if dispatch.kind == "A1":
         wp = WorkingPath(list(dispatch.order), list(dispatch.colors), collection.n_colors,
-                         dict(plan.forest_edge_colors))
+                         dict(plan.forest.fixed_colors))
         _assert_stage(wp, 3, n - k - 2, "reduced path")
         ore_bound = n + k
         wp = absorb_components(wp, plan.middle_components, collection, ore_bound, trace)
@@ -946,7 +931,7 @@ def solve(
         wp = attach_terminal_component(wp, plan.h_v, "v", collection, ore_bound, trace)
         cert = _certified(collection, PathCertificate(tuple(reversed(wp.order)),
                                                       tuple(reversed(wp.colors))),
-                          _plan_forest(plan), "case-1 path")
+                          plan.forest, "case-1 path")
         return SolverOutcome(path=cert, trace=tuple(trace))
 
     if dispatch.kind == "A2":
@@ -959,17 +944,16 @@ def solve(
     x_prime, y_side = set(dispatch.X), set(dispatch.Y)
     _assert_adjacent(collection, plan, "heavy-side", y_side, x_prime | set(plan.deleted))
     X = x_prime | set(plan.deleted)
-    forest_norm = _plan_forest(plan)
-    if not forest_norm.vertices() & y_side:
+    if not plan.forest.vertices() & y_side:
         cert = _certified(collection, ExtremalCertificate("C3", frozenset(X), frozenset(y_side),
-                                                          pair=(u, v)), forest_norm, "derived C3")
+                                                          pair=(u, v)), plan.forest, "derived C3")
         _record(trace, stage="case3", outcome="extremal")
         return SolverOutcome(extremal=cert, trace=tuple(trace))
-    hprime = case3_extend_forest(collection, plan, x_prime, y_side)
-    cert = case3_contract_and_route(collection, hprime, X, y_side, u, v, plan)
+    hprime = case3_extend_forest(collection, plan, x_prime)
+    cert = case3_contract_and_route(collection, hprime, X, y_side, plan)
     # New edges that touch D are the top-up links; X'-internal ones do not.
     top_up = sum(1 for edge in hprime.fixed_colors
-                 if edge not in plan.forest_edge_colors and not plan.deleted.isdisjoint(edge))
+                 if edge not in plan.forest.fixed_colors and not plan.deleted.isdisjoint(edge))
     _record(trace, stage="case3", outcome="path", top_up=top_up)
     return SolverOutcome(path=cert, trace=tuple(trace))
 

@@ -150,9 +150,11 @@ def certificate_violations(
     An extremal certificate is checked clause by clause.  The hub is empty
     at level A and the pair plus the forest's vertices at levels B and C;
     levels A and B check every color, level C the colors the forest leaves
-    unused.  A pair that is not two distinct vertices, or a named vertex
-    that is not an int in [0, n), is the only problem reported: no clause
-    can read it.
+    unused.  An edgeless forest component off the pair constrains no path,
+    so the hub and the component count leave it out, as the solver's plan
+    does.  A pair that is not two distinct vertices, or a named vertex that
+    is not an int in [0, n), is the only problem reported: no clause can
+    read it.
     """
     if isinstance(cert, PathCertificate):
         return path_certificate_violations(collection, cert, forest)
@@ -175,11 +177,14 @@ def certificate_violations(
         return [f"{kind} requires the forest context"]
     hub, colors = set(), range(collection.n_colors)
     if level != "A":
-        # A pair endpoint the forest lacks counts as a singleton component.
+        # Only components with an edge or a pair endpoint count; a pair
+        # endpoint the forest lacks counts as a singleton component.
         # The hub's insertion order fixes the order the clauses scan it in.
-        hub = forest.vertices()
-        components = len(forest.components) + sum(x not in hub for x in cert.pair or ())
-        hub.update(cert.pair or ())
+        pair = cert.pair or ()
+        comps = [c for c in forest.components if len(c) > 1 or any(x in pair for x in c)]
+        hub = {x for comp in comps for x in comp}
+        components = len(comps) + sum(x not in hub for x in pair)
+        hub.update(pair)
         used = forest.colors()
         colors = [c for c in colors if c not in used]
     problems: list[str] = []

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rainbowpath import GraphCollection, OracleBudget, RainbowLinearForest, check_hypothesis
+from rainbowpath import (
+    GraphCollection,
+    OracleBudget,
+    RainbowLinearForest,
+    check_hypothesis,
+    verify_certificate,
+)
 from rainbowpath.cli import (
     EXIT_EXTREMAL,
     EXIT_INPUT,
@@ -23,7 +29,13 @@ from rainbowpath.cli import (
     revalidate_report,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
-from rainbowpath.serialize import digest, dumps, instance_to_dict, load_instance
+from rainbowpath.serialize import (
+    certificate_from_dict,
+    digest,
+    dumps,
+    instance_to_dict,
+    load_instance,
+)
 
 from .conftest import complete_collection, edges_form
 
@@ -48,6 +60,21 @@ class TestSolveCommand:
         assert main(["solve", path]) == EXIT_EXTREMAL
         data = json.loads(capsys.readouterr().out)
         assert data["certificate"]["kind"] == "B3"
+
+    def test_edgeless_component_off_pair_round_trip(self, tmp_path, capsys):
+        # Canonical C2 with the singleton [9] appended to its forest: the
+        # certificate solve writes verifies against the file's own forest.
+        inst, out = tmp_path / "c2.json", tmp_path / "out.json"
+        assert main(["gen", "--n", "10", "--k", "2", "--kind", "C2", "--out", str(inst)]) == 0
+        data = json.loads(inst.read_text())
+        data["forest"]["components"].append([9])
+        inst.write_text(json.dumps(data))
+        assert main(["solve", str(inst), "--out", str(out)]) == EXIT_EXTREMAL
+        capsys.readouterr()
+        instance = load_instance(str(inst))
+        cert = certificate_from_dict(json.loads(out.read_text())["certificate"])
+        assert cert.kind == "C2"
+        assert verify_certificate(instance.collection, cert, instance.forest)
 
     def test_malformed_json_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,8 +3,8 @@
 ``reference_case3_extend_forest`` and ``reference_case3_contract_and_route``
 are the earlier versions of the two case-3 steps, which searched: a
 depth-first search over top-up links that snapshots the union-find at every
-node, and a backtracking search over piece orders.  They are kept verbatim
-as references; the one-pass versions in ``rainbowpath.solver`` must give
+node, and a backtracking search over piece orders.  Their logic is kept
+verbatim as references; the one-pass versions in ``rainbowpath.solver`` must give
 byte-identical certificates on every family instance.
 """
 
@@ -27,9 +27,9 @@ from rainbowpath import (
     validate_path_certificate,
 )
 from rainbowpath.forest import ReductionPlan
-from rainbowpath.model import Edge, GraphCollection, PathCertificate, canonical_edge
+from rainbowpath.model import Edge, GraphCollection, PathCertificate, bits, canonical_edge
 from rainbowpath.serialize import dumps, outcome_to_dict
-from rainbowpath.solver import _finish_path, _plan_forest
+from rainbowpath.solver import _finish_path
 
 from .conftest import case2_family, case3_family, case3_tight_family
 
@@ -83,7 +83,6 @@ def reference_case3_extend_forest(
     collection: GraphCollection,
     plan: ReductionPlan,
     x_prime: set[int],
-    y_side: set[int],
 ) -> RainbowLinearForest:
     """Grow the forest inside X' until exactly q-1 of its edges touch X'.
 
@@ -95,13 +94,13 @@ def reference_case3_extend_forest(
     components with degree at most one: the extended forest must still admit
     a Hamiltonian u,v-path around it.
     """
-    forest = _plan_forest(plan)
+    forest = plan.forest
     q = plan.q
     target = q - 1
     scratch = ReferenceForestScratch(forest)
     used_colors = set(forest.fixed_colors.values())
     new_edges: dict[Edge, int] = {}
-    anchors_in_x = sum(1 for v in plan.kept_endpoints if v in x_prime)
+    anchors_in_x = sum(1 for comp in plan.middle_components if comp[0] in x_prime)
     count = anchors_in_x  # forest edges already incident to X'
 
     x_sorted = sorted(x_prime)
@@ -116,7 +115,7 @@ def reference_case3_extend_forest(
             color = next(
                 (
                     c
-                    for c in plan.retained_colors
+                    for c in bits(plan.retained_mask)
                     if c not in used_colors and collection.has_edge(c, a, b)
                 ),
                 None,
@@ -130,13 +129,13 @@ def reference_case3_extend_forest(
 
     if count < target:
         t = count
-        w_set = list(plan.dropped_endpoints) + [plan.w_u, plan.w_v]
+        w_set = [comp[-1] for comp in plan.middle_components] + [plan.h_u[-1], plan.h_v[-1]]
         need = target - t
         usable = [x for x in x_sorted if scratch.degree.get(x, 0) <= 1]
 
         def robust_colors(z: int) -> list[int]:
             out = []
-            for c in plan.retained_colors:
+            for c in bits(plan.retained_mask):
                 if c in used_colors:
                     continue
                 row = collection.neighbors_mask(c, z)
@@ -236,8 +235,6 @@ def reference_case3_contract_and_route(
     hprime: RainbowLinearForest,
     X: set[int],
     Y: set[int],
-    u: int,
-    v: int,
     plan: ReductionPlan,
 ) -> PathCertificate:
     """Contract the extended forest inside X and route an alternating path.
@@ -248,6 +245,7 @@ def reference_case3_contract_and_route(
     force their anchor next to the matching super-vertex; everything else is
     free because the X-Y bipartite layer is complete in every retained color.
     """
+    u, v = plan.u, plan.v
     colors = hprime.fixed_colors
     # Split each component at its Y vertices (always component endpoints).
     comp_paths: list[tuple[int, ...]] = []
@@ -271,7 +269,7 @@ def reference_case3_contract_and_route(
             in_comp[x] = idx
 
     n = collection.n_vertices
-    k = plan.k
+    k = plan.forest.edge_count
     expected = (n - k) // 2 + 1
     if len(comp_paths) != expected:
         raise InternalError(
@@ -403,7 +401,7 @@ def reference_case3_contract_and_route(
     if order[0] != u or order[-1] != v:
         raise InternalError("case-3 route endpoints are wrong")
 
-    return _finish_path(collection, order, colors, _plan_forest(plan))
+    return _finish_path(collection, order, colors, plan.forest)
 
 
 def _family_runs():
@@ -477,9 +475,9 @@ def _route_case(seed: int):
             comps.append(tuple(front + core + back))
     u_core, v_core = rng.sample(cores, 2)
     u, v = rng.choice((u_core[0], u_core[-1])), rng.choice((v_core[0], v_core[-1]))
-    plan = SimpleNamespace(k=k, h_u=(u,), h_v=(v,), middle_components=(), forest_edge_colors={})
+    plan = SimpleNamespace(u=u, v=v, forest=SimpleNamespace(edge_count=k))
     hprime = RainbowLinearForest(tuple(comps), {})
-    return SimpleNamespace(n_vertices=n), hprime, set(xs), set(labels[x_count:]), u, v, plan
+    return SimpleNamespace(n_vertices=n), hprime, set(xs), set(labels[x_count:]), plan
 
 
 def _routed(route, case):
@@ -501,7 +499,8 @@ def test_arrangement_matches_backtracking(monkeypatch):
         case = _route_case(seed)
         got = _routed(rainbowpath.solver.case3_contract_and_route, case)
         assert got == _routed(reference_case3_contract_and_route, case), seed
-        _, hprime, X, Y, u, v, _ = case
+        _, hprime, X, Y, plan = case
+        u, v = plan.u, plan.v
         ends = Counter(len(set(c) & Y) for c in hprime.components if u not in c and v not in c)
         kinds["two_sided"] += ends[2] > 0 and got[0] != "error"
         kinds["endpoint_anchor"] += any(set(c) & Y for c in hprime.components

@@ -17,7 +17,7 @@ from rainbowpath import (
 )
 from rainbowpath.forest import ReductionBoundError
 from rainbowpath.gen import GenSpec, random_instance
-from rainbowpath.model import row_sigma2
+from rainbowpath.model import bits, row_sigma2
 
 from .conftest import case3_tight_family, complete_collection, small_vertex_probe_family
 
@@ -84,9 +84,8 @@ class TestDeletionSet:
         forest = RainbowLinearForest.from_paths([(5, 6)], {(5, 6): 6})
         plan = select_deletion_set(forest, 0, 1, 7)
         assert plan.deleted == frozenset({0, 1, 6})  # kept endpoint is min(5,6)
-        assert plan.kept_endpoints == (5,)
-        assert plan.dropped_endpoints == (6,)
-        assert plan.w_u == 0 and plan.w_v == 1
+        assert plan.middle_components == ((5, 6),)
+        assert plan.h_u[-1] == 0 and plan.h_v[-1] == 1
         assert len(plan.deleted) == forest.edge_count + 2
 
     def test_empty_forest(self):
@@ -102,20 +101,20 @@ class TestDeletionSet:
         plan = select_deletion_set(forest, 0, 1, 10)
         assert len(plan.deleted) == 5  # k+2 with k=3
         assert plan.q == 2
-        assert plan.kept_endpoints == (2, 5)
+        assert [comp[0] for comp in plan.middle_components] == [2, 5]
 
     def test_nontrivial_endpoint_components(self):
         forest = RainbowLinearForest.from_paths(
             [(0, 7), (1, 8)], {(0, 7): 0, (1, 8): 1}
         )
         plan = select_deletion_set(forest, 0, 1, 9)
-        assert plan.w_u == 7 and plan.w_v == 8
+        assert plan.h_u[-1] == 7 and plan.h_v[-1] == 8
         assert plan.q == 0
         assert plan.deleted == frozenset({0, 1, 7, 8})
 
     def test_incompatible_raises(self):
         forest = RainbowLinearForest.from_paths([(0, 2, 1)], {(0, 2): 0, (2, 1): 1})
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^\(0,1\) is not a compatible pair for the forest$"):
             select_deletion_set(forest, 0, 1, 5)
 
     def test_edgeless_components_normalized_away(self):
@@ -123,6 +122,7 @@ class TestDeletionSet:
         plan = select_deletion_set(forest, 0, 1, 7)
         assert plan.deleted == frozenset({0, 1, 6})
         assert plan.q == 1
+        assert plan.forest == RainbowLinearForest(((0,), (1,), (5, 6)), {(5, 6): 0})
 
     def test_determinism(self):
         forest = RainbowLinearForest.from_paths(
@@ -132,7 +132,7 @@ class TestDeletionSet:
         b = select_deletion_set(forest, 0, 1, 10)
         assert a == b
         # components sorted by min vertex; each kept endpoint is its smaller end
-        assert a.kept_endpoints == (3, 7)
+        assert [comp[0] for comp in a.middle_components] == [3, 7]
         assert a.middle_components[1] == (7, 4, 9)
 
 
@@ -145,7 +145,7 @@ def brute_relabel(coll, plan):
             sum(1 << j for j, other in enumerate(keep) if coll.has_edge(color, old, other))
             for old in keep
         )
-        for color in plan.retained_colors
+        for color in bits(plan.retained_mask)
     )
     return GraphCollection(len(keep), rows), keep
 
@@ -157,7 +157,6 @@ class TestReduceCollection:
         plan = select_deletion_set(forest, 0, 1, 7)
         assert plan.active == 0b0111100  # V minus D = {2, 3, 4, 5}
         assert plan.retained_mask == 0b0111111
-        assert len(plan.retained_colors) == 6
         assert row_sigma2(coll.adjacency[0], plan.active) == math.inf
 
     def test_inherited_bound_exact_values(self):
@@ -193,12 +192,11 @@ class TestReduceCollection:
                 select_deletion_set(RainbowLinearForest.empty(), 0, n - 1, n),
             ]
             for plan in plans:
-                ks.add(plan.k)
+                ks.add(plan.forest.edge_count)
                 ends_deleted += {0, n - 1} <= plan.deleted
                 reduced, keep = brute_relabel(coll, plan)
                 assert plan.active == sum(1 << x for x in keep)
-                assert plan.retained_mask == sum(1 << c for c in plan.retained_colors)
-                for new_c, color in enumerate(plan.retained_colors):
+                for new_c, color in enumerate(bits(plan.retained_mask)):
                     masked = row_sigma2(coll.adjacency[color], plan.active)
                     assert masked == sigma2(reduced, new_c), (seed, plan.deleted, color)
                     below_full += masked < sigma2(coll, color)
@@ -225,9 +223,9 @@ class TestReduceCollection:
         checked = below_at_zero = tight = 0
         ks = set()
         for coll, plan in plans():
-            ks.add(plan.k)
+            ks.add(plan.forest.edge_count)
             loss = 2 * len(plan.deleted)
-            for c in plan.retained_colors:
+            for c in bits(plan.retained_mask):
                 masked = row_sigma2(coll.adjacency[c], plan.active)
                 assert coll.sigma2s[c] - loss <= masked, (plan.deleted, c)
                 below_at_zero += coll.sigma2s[c] > masked
@@ -283,7 +281,7 @@ class TestReduceCollection:
             coll, forest, u, v = random_instance(GenSpec(n=n, k=1, p=0.7, seed=seed))
             plan = select_deletion_set(forest, u, v, n)
             assert plan.active.bit_count() == n - 1 - 2
-            for color in plan.retained_colors:
+            for color in bits(plan.retained_mask):
                 assert row_sigma2(coll.adjacency[color], plan.active) >= n - 1 - 2 - 2
 
     @pytest.mark.parametrize("fallback", [False, True])
@@ -314,7 +312,7 @@ class TestReduceCollection:
             assert got.kind == want.kind and got.heuristic_used == want.heuristic_used
             if want.kind == "A1":
                 assert got.order == tuple(keep[x] for x in want.order)
-                assert got.colors == tuple(plan.retained_colors[c] for c in want.colors)
+                assert got.colors == tuple(bits(plan.retained_mask)[c] for c in want.colors)
             else:
                 assert got.ell == want.ell
                 assert got.X == frozenset(keep[x] for x in want.X)

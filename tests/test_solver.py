@@ -29,12 +29,14 @@ from rainbowpath import (
     verify_certificate,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
+from rainbowpath.serialize import dumps, outcome_to_dict
 from rainbowpath.solver import (
     WorkingPath,
     _exhaustive_spanning_path,
     absorb_components,
     attach_terminal_component,
 )
+from rainbowpath.structures import certificate_violations
 
 from .conftest import clique_edges, complete_collection, cross_edges
 
@@ -270,6 +272,47 @@ class TestSolveEndToEnd:
         out = solve(coll, meta["forest"], 0, 1)
         assert out.extremal is not None and out.extremal.kind == "C2"
         assert verify_certificate(coll, out.extremal, meta["forest"])
+
+    @pytest.mark.parametrize("path", [(0, 2, 1), (2, 0, 3)])
+    def test_incompatible_pair_message(self, path):
+        forest = RainbowLinearForest.from_paths([path], {(path[0], path[1]): 0, (path[1], path[2]): 1})
+        with pytest.raises(InputError) as excinfo:
+            solve(complete_collection(10), forest, 0, 1)
+        assert str(excinfo.value) == "(0,1) is not a compatible pair for the forest"
+
+    @pytest.mark.parametrize("kind", ["C2", "C3"])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_edgeless_component_off_pair_passes_checker(self, kind, n):
+        # The singleton [n-1] (in Y for C3) puts no constraint on a path, so
+        # the certificate derived without it must verify against the
+        # caller's forest, which still holds it; the oracle confirms it blocks.
+        coll, meta = build_extremal(kind, n, 2)
+        forest = meta["forest"]
+        plus = RainbowLinearForest((*forest.components, (n - 1,)), forest.fixed_colors)
+        out = solve(coll, plus, 0, 1)
+        assert out.extremal is not None and out.extremal.kind == kind
+        assert certificate_violations(coll, out.extremal, plus) == []
+        assert exact_rainbow_ham_path(coll, 0, 1, plus).status == NOT_FOUND
+
+    def test_edgeless_component_off_pair_on_random_instances(self):
+        kinds = []
+        for seed in range(40):
+            kind = ("C2", "C3")[seed % 2]
+            k = 1 + seed // 2 % 2
+            n = 10 + seed // 4 % 4
+            if kind == "C3" and (n + k) % 2:
+                n += 1
+            coll, forest, u, v = random_instance(GenSpec(
+                n=n, k=k, seed=seed, model="perturbed_extremal", extremal_kind=kind,
+                flips=seed // 8 % 3,
+            ))
+            w = max(set(range(n)) - forest.vertices() - {u, v})
+            plus = RainbowLinearForest((*forest.components, (w,)), forest.fixed_colors)
+            out = solve(coll, plus, u, v)
+            assert dumps(outcome_to_dict(out)) == dumps(outcome_to_dict(solve(coll, forest, u, v)))
+            assert certificate_violations(coll, out.path or out.extremal, plus) == [], seed
+            kinds.append(out.kind)
+        assert kinds.count("extremal") >= 20 and kinds.count("path") >= 10, kinds
 
     def test_case2_with_interior_component(self):
         n, k = 10, 2
