@@ -53,20 +53,27 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(data: dict, out: str | None) -> None:
     """Write ``data`` to ``out`` (when given), then print it, so a closed
     stdout cannot cost the file."""
     text = json.dumps(data, sort_keys=True, indent=2)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        _write(out, text + "\n")
     _print(text)
 
 
 def _write_bundle(bundle: dict, prefix: str) -> str:
     path = f"{prefix}-{serialize.digest(bundle)}.json"
-    with open(path, "w") as handle:
-        json.dump(bundle, handle, sort_keys=True, indent=2)
+    _write(path, json.dumps(bundle, sort_keys=True, indent=2))
     return path
 
 
@@ -181,8 +188,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                    "p": spec.p, "instance_hash": serialize.digest(data)}
     _emit(data, args.out)
     if args.meta_out:
-        with open(args.meta_out, "w") as handle:
-            json.dump(sidecar, handle, sort_keys=True, indent=2)
+        _write(args.meta_out, json.dumps(sidecar, sort_keys=True, indent=2))
     return EXIT_PATH
 
 
@@ -262,8 +268,7 @@ def _write_report(records: list[dict], summary: dict, out: str | None) -> None:
     lines.append(json.dumps(summary, sort_keys=True))
     text = "\n".join(lines)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        _write(out, text + "\n")
     else:
         _print(text)
 
@@ -460,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rainbow Hamiltonian path solver and experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_workers = int(os.environ.get("RAINBOW_HAM_WORKERS", "1"))
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance")
@@ -503,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--oracle-max-n", type=int, default=8)
     p_verify.add_argument("--mode", choices=("solve", "corollary"), default="solve")
-    p_verify.add_argument("--workers", type=int, default=default_workers)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--out")
     p_verify.add_argument("--bundle-prefix", default="rainbow-ham-violation")
     _add_budget_flags(p_verify)
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", type=int, default=0)
     p_sweep.add_argument("--p", type=float, default=0.7)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--workers", type=int, default=default_workers)
+    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--bundle-prefix", default="rainbow-ham-candidate")
     _add_budget_flags(p_sweep)

@@ -1,12 +1,15 @@
-"""Rainbow linear forests, endpoint compatibility, and the deletion plan.
+"""Rainbow linear forests, the forest around a pair, and the deletion plan.
 
 A linear forest is a vertex-disjoint union of paths; here each edge also
-carries a fixed color, injectively.  Solving for a Hamiltonian u,v-path
-that contains such a forest starts by deleting a set D of k+2 forest
-vertices (everything except one endpoint per interior component) and
-dropping the k fixed colors, which lowers the Ore bound by exactly 2(k+2).
-The spanning-path trichotomy then runs on the original collection restricted
-to the plan's active-vertex and retained-color masks: no copy is built.
+carries a fixed color, injectively.  Which components a Hamiltonian u,v-path
+must respect, and how, is stated once, in ``pair_components`` and
+``pair_blocks``: the solver's plan, the path oracle and the checker read it.
+Solving for a Hamiltonian u,v-path that contains such a forest starts by
+deleting a set D of k+2 forest vertices (everything except one endpoint per
+interior component) and dropping the k fixed colors, which lowers the Ore
+bound by exactly 2(k+2).  The spanning-path trichotomy then runs on the
+original collection restricted to the plan's active-vertex and retained-color
+masks: no copy is built.
 """
 
 from __future__ import annotations
@@ -117,24 +120,43 @@ class RainbowLinearForest:
                 return 1 if vertex in (comp[0], comp[-1]) else 2
         return 0
 
-    def component_of(self, vertex: int) -> tuple[int, ...] | None:
-        for comp in self.components:
-            if vertex in comp:
-                return comp
-        return None
+
+Component = tuple[int, ...]
 
 
-def is_h_compatible(forest: RainbowLinearForest, u: int, v: int) -> bool:
-    """Both endpoints have forest degree <= 1 and sit in distinct components.
+def pair_components(forest: RainbowLinearForest, pair: tuple[int, ...]) -> list[Component]:
+    """The components a Hamiltonian path between the vertices of ``pair`` must respect.
 
-    A vertex absent from the forest counts as its own singleton component.
+    Those with an edge or a vertex of ``pair``, in forest order, then a
+    singleton for each vertex of ``pair`` the forest lacks.  An edgeless
+    component off the pair constrains no path, so it is left out.
+    """
+    comps = [comp for comp in forest.components if len(comp) > 1 or any(x in pair for x in comp)]
+    held = {x for comp in comps for x in comp}
+    return comps + [(x,) for x in pair if x not in held]
+
+
+def pair_blocks(forest: RainbowLinearForest, u: int, v: int
+                ) -> tuple[Component, Component, tuple[Component, ...]] | None:
+    """The forest around the pair: (h_u, h_v, interior components), or None.
+
+    ``h_u`` is u's component read from u and ``h_v`` v's read from v; the
+    interior components are the other ones with an edge, sorted by their
+    smallest vertex, in their stored orientation.  None when the pair is not
+    compatible: an endpoint inside a path, or both in one component.
     """
     if u == v:
         raise InputError("u and v must be distinct")
-    if forest.degree_of(u) > 1 or forest.degree_of(v) > 1:
-        return False
-    comp_u = forest.component_of(u)
-    return comp_u is None or v not in comp_u
+    comps = pair_components(forest, (u, v))
+    h_u, h_v = [c if c[0] == x else c[::-1] for x in (u, v) for c in comps if x in c]
+    if h_u[0] != u or h_v[0] != v or v in h_u:
+        return None
+    return h_u, h_v, tuple(sorted([c for c in comps if u not in c and v not in c], key=min))
+
+
+def is_h_compatible(forest: RainbowLinearForest, u: int, v: int) -> bool:
+    """Both endpoints have forest degree <= 1 and sit in distinct components."""
+    return pair_blocks(forest, u, v) is not None
 
 
 @dataclass(frozen=True)
@@ -164,14 +186,6 @@ class ReductionPlan:
         return len(self.middle_components)
 
 
-def _oriented_from(comp: tuple[int, ...], endpoint: int) -> tuple[int, ...]:
-    if comp[0] == endpoint:
-        return comp
-    if comp[-1] == endpoint:
-        return tuple(reversed(comp))
-    raise InputError(f"vertex {endpoint} is not an endpoint of component {comp}")
-
-
 def select_deletion_set(
     forest: RainbowLinearForest,
     u: int,
@@ -180,21 +194,16 @@ def select_deletion_set(
 ) -> ReductionPlan:
     """Pick D = V(H) minus one endpoint per interior component; |D| = k+2.
 
-    The forest is normalized once, into ``plan.forest``: the components of
-    u and v exist (singletons when absent), edgeless components elsewhere
-    impose no path constraint and are dropped, and the kept endpoint of each
-    interior component is its smaller vertex id, so plans are deterministic.
-    The hypothesis check has fixed the color count at n_vertices.
+    The forest is normalized once, into ``plan.forest``: the blocks of
+    ``pair_blocks``, with the kept endpoint of each interior component its
+    smaller end, so plans are deterministic.  The hypothesis check has fixed
+    the color count at n_vertices.
     """
-    if not is_h_compatible(forest, u, v):
+    blocks = pair_blocks(forest, u, v)
+    if blocks is None:
         raise InputError(f"({u},{v}) is not a compatible pair for the forest")
-    h_u = _oriented_from(forest.component_of(u) or (u,), u)
-    h_v = _oriented_from(forest.component_of(v) or (v,), v)
-    middles = sorted(
-        (comp for comp in forest.components if u not in comp and v not in comp and len(comp) > 1),
-        key=min,
-    )
-    oriented = tuple(_oriented_from(comp, min(comp[0], comp[-1])) for comp in middles)
+    h_u, h_v, middles = blocks
+    oriented = tuple(comp if comp[0] < comp[-1] else comp[::-1] for comp in middles)
     normalized = RainbowLinearForest((h_u, h_v, *oriented), dict(forest.fixed_colors))
     k = forest.edge_count
     deleted = normalized.vertices() - {comp[0] for comp in oriented}

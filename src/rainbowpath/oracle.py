@@ -12,6 +12,8 @@ or, once every forest segment is placed, are not connected in the union
 graph: in any completion they form one contiguous run of the order.
 The oracles below use it as ground truth against the constructive solver
 at desk scale, and the solver's spanning-path fallback calls it directly.
+The path oracle takes the forest's blocks around the pair from
+``forest.pair_blocks``, the rule the solver's plan and the checker read.
 Budgets make exhaustion explicit: the kernel raises BudgetExceeded, which
 the oracles report as Unknown, never a silent wrong answer.
 """
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .forest import RainbowLinearForest, is_h_compatible
+from .forest import RainbowLinearForest, pair_blocks
 from .model import (
     CycleCertificate,
     Edge,
@@ -335,27 +337,6 @@ def exact_search(
     return None, None, nodes
 
 
-def _forest_blocks(collection: GraphCollection, forest: RainbowLinearForest,
-                   u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]] | None:
-    """Forced prefix (from u), forced suffix (into v), and middle components.
-
-    None when no Hamiltonian u,v-path can contain the forest at all: an
-    incompatible pair or a fixed color missing its edge.
-    """
-    if not is_h_compatible(forest, u, v):
-        return None
-    for edge, color in forest.fixed_colors.items():
-        if not collection.has_edge(color, *edge):
-            return None
-    comp_u = forest.component_of(u) or (u,)
-    comp_v = forest.component_of(v) or (v,)
-    prefix = comp_u if comp_u[0] == u else tuple(reversed(comp_u))
-    suffix = comp_v if comp_v[-1] == v else tuple(reversed(comp_v))
-    middles = [c for c in forest.components
-               if len(c) > 1 and u not in c and v not in c]
-    return prefix, suffix, sorted(middles, key=min)
-
-
 def exact_rainbow_ham_path(
     collection: GraphCollection,
     u: int,
@@ -365,30 +346,33 @@ def exact_rainbow_ham_path(
 ) -> OracleResult:
     """Decide existence of a rainbow Hamiltonian u,v-path containing ``forest``.
 
-    Forest edges keep their fixed colors and are forced contiguous; all other
-    edges are matched to the remaining colors exactly.  Forest vertices and
-    colors outside the collection are input errors; an in-range fixed color
-    that lacks its edge is NotFound.  Deterministic: the same input and
-    budget always yield the same outcome and certificate.
+    Forest edges keep their fixed colors and are forced contiguous, in the
+    blocks ``forest.pair_blocks`` reads around the pair; all other edges are
+    matched to the remaining colors exactly.  Forest vertices and colors
+    outside the collection are input errors; an incompatible pair, or an
+    in-range fixed color that lacks its edge, is NotFound.  Deterministic:
+    the same input and budget always yield the same outcome and certificate.
     """
     collection.check_vertex(u)
     collection.check_vertex(v)
     if u == v:
         raise InputError("u and v must be distinct")
     forest = forest or RainbowLinearForest.empty()
-    problems = forest.range_violations(collection)
-    if problems:
+    # Range problems are input errors (``validate_against`` then returns
+    # only those); a fixed color that lacks its edge is NotFound.
+    problems = forest.validate_against(collection)
+    if problems and forest.range_violations(collection):
         raise InputError("; ".join(problems))
     n = collection.n_vertices
     if n - 1 > collection.n_colors:
         return OracleResult(NOT_FOUND)
-    blocks = _forest_blocks(collection, forest, u, v)
-    if blocks is None:
+    blocks = pair_blocks(forest, u, v)
+    if blocks is None or problems:
         return OracleResult(NOT_FOUND)
-    prefix, suffix, middles = blocks
+    h_u, h_v, middles = blocks
     try:
         order, assignment, nodes = exact_search(
-            collection, [prefix], budget, tail=suffix, segments=tuple(middles),
+            collection, [h_u], budget, tail=h_v[::-1], segments=middles,
             reserved=frozenset(forest.colors()),
         )
     except BudgetExceeded as exc:

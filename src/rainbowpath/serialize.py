@@ -220,7 +220,10 @@ def _ints(data: dict, key: str) -> tuple[int, ...]:
 
 def certificate_from_dict(data: dict):
     """Decode a certificate; a missing field or a non-integer vertex or color
-    raises InputError.  Ranges are the verifiers' business."""
+    raises InputError, as does data that is not an object.  Ranges are the
+    verifiers' business."""
+    if not isinstance(data, dict):
+        raise InputError(f"a certificate must be a JSON object, got {data!r}")
     kind = data.get("type")
     if kind == "path":
         return PathCertificate(_ints(data, "order"), _ints(data, "colors"))

@@ -7,9 +7,10 @@ complete to X at levels B and C).  Each shape appears at one of three
 levels: the reduced spanning path (A), a bare vertex pair (B) and a pair
 around an embedded forest (C); level B is level C with the empty forest.
 The verifier checks one clause set per shape, and the level supplies only
-the hub, the colors checked and the size gap.  Every clause is checked
-literally against the collection, so a verified certificate is a
-machine-checkable witness.  The same checker takes path and cycle
+the hub, the colors checked and the size gap; the hub is the pair plus the
+forest components ``forest.pair_components`` says a path must respect.
+Every clause is checked literally against the collection, so a verified
+certificate is a machine-checkable witness.  The same checker takes path and cycle
 certificates, so one function checks every answer.  The two reduced-level
 detectors read their structure off one vertex's neighbourhood, with no search.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .forest import RainbowLinearForest
+from .forest import RainbowLinearForest, pair_components
 from .model import (
     CycleCertificate,
     GraphCollection,
@@ -150,11 +151,11 @@ def certificate_violations(
     An extremal certificate is checked clause by clause.  The hub is empty
     at level A and the pair plus the forest's vertices at levels B and C;
     levels A and B check every color, level C the colors the forest leaves
-    unused.  An edgeless forest component off the pair constrains no path,
-    so the hub and the component count leave it out, as the solver's plan
-    does.  A pair that is not two distinct vertices, or a named vertex that
-    is not an int in [0, n), is the only problem reported: no clause can
-    read it.
+    unused.  The hub and the component count read the components that
+    ``forest.pair_components`` says a path between the pair must respect,
+    the rule the solver's plan and the path oracle read too.  A pair that is
+    not two distinct vertices, or a named vertex that is not an int in
+    [0, n), is the only problem reported: no clause can read it.
     """
     if isinstance(cert, PathCertificate):
         return path_certificate_violations(collection, cert, forest)
@@ -177,14 +178,9 @@ def certificate_violations(
         return [f"{kind} requires the forest context"]
     hub, colors = set(), range(collection.n_colors)
     if level != "A":
-        # Only components with an edge or a pair endpoint count; a pair
-        # endpoint the forest lacks counts as a singleton component.
         # The hub's insertion order fixes the order the clauses scan it in.
-        pair = cert.pair or ()
-        comps = [c for c in forest.components if len(c) > 1 or any(x in pair for x in c)]
+        comps = pair_components(forest, cert.pair or ())
         hub = {x for comp in comps for x in comp}
-        components = len(comps) + sum(x not in hub for x in pair)
-        hub.update(pair)
         used = forest.colors()
         colors = [c for c in colors if c not in used]
     problems: list[str] = []
@@ -229,8 +225,8 @@ def certificate_violations(
 
     if kind[1] == "2":
         # Two cliques with no edges between them, both seen by the whole hub.
-        if level != "A" and components != 2:
-            problems.append(f"{kind} requires exactly two forest components, got {components}")
+        if level != "A" and len(comps) != 2:
+            problems.append(f"{kind} requires exactly two forest components, got {len(comps)}")
         check_partition_of(set(range(n)) - hub)
         if not X or not Y:
             problems.append(f"{kind} requires both {'cliques' if level == 'A' else 'sides'} nonempty")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rainbowpath import (
     GraphCollection,
+    InputError,
     OracleBudget,
     RainbowLinearForest,
     check_hypothesis,
@@ -81,9 +82,11 @@ class TestSolveCommand:
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == EXIT_INPUT
 
-    def test_missing_pair_exit_two(self, tmp_path):
+    def test_missing_pair_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, complete_collection(5))
         assert main(["solve", path]) == EXIT_INPUT
+        assert main(["oracle", path]) == EXIT_INPUT
+        assert "pass --cycle for cycles" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("forest", {"components": [[3, 4]], "colors": [[3, 4]]}),
@@ -519,6 +522,17 @@ class TestSweepCommand:
         report.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         assert revalidate_report(str(report)) is False
 
+    def test_malformed_certificate_line_is_an_input_error(self, tmp_path, capsys):
+        report = tmp_path / "sweep.jsonl"
+        main(["sweep", "--samples", "2", "--out", str(report)])
+        capsys.readouterr()
+        lines = report.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["certificate"] = [1]
+        report.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="a certificate must be a JSON object"):
+            revalidate_report(str(report))
+
     def test_below_three_vertices_exit_two(self, tmp_path, capsys, monkeypatch):
         # Two vertices have no Hamiltonian cycle: every sample would be a candidate.
         monkeypatch.chdir(tmp_path)
@@ -600,6 +614,50 @@ class TestSuiteArguments:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--out", "{dir}"],
+    ["oracle", "{inst}", "--out", "{dir}"],
+    ["gen", "--n", "6", "--out", "{dir}"],
+    ["gen", "--n", "6", "--meta-out", "{dir}"],
+    ["gen", "--n", "6", "--out", "{dir}/missing/g.json"],
+    ["verify", "--count", "2", "--out", "{dir}"],
+    ["sweep", "--samples", "2", "--out", "{dir}"],
+    # Every record fails (see below), so verify writes a repro bundle.
+    ["verify", "--count", "2", "--out", "{dir}/r.jsonl", "--bundle-prefix", "{dir}/missing/v"],
+])
+def test_unwritable_output_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # A path that names a directory, or sits in a missing folder, is an input
+    # error; exit 1 is kept for suite violations.
+    from rainbowpath import cli as climod
+
+    monkeypatch.setattr(climod, "verify_certificate", lambda *args: False)
+    inst = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+    argv = [arg.format(inst=inst, dir=tmp_path) for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: cannot write" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "12", "--n-min", "5", "--n-max", "8", "--seed", "3"],
+    ["sweep", "--samples", "12", "--n-min", "5", "--n-max", "7", "--seed", "3"],
+])
+def test_two_workers_write_the_serial_report(tmp_path, capsys, argv):
+    # The process pool folds records back in instance order.
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"report-{workers}.jsonl"
+        assert main([*argv, "--workers", workers, "--out", str(out)]) == EXIT_PATH
+        records, summary = load_report(str(out))
+        for rec in records:
+            rec.pop("wall_time")
+        reports.append((records, summary))
+    capsys.readouterr()
+    assert len(reports[0][0]) == 12
+    assert reports[0] == reports[1]
 
 
 def test_import_leaves_process_pool_unloaded():

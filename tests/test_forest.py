@@ -2,6 +2,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import rainbowpath.solver
 
@@ -10,12 +12,13 @@ from rainbowpath import (
     InputError,
     InternalError,
     RainbowLinearForest,
+    canonical_edge,
     is_h_compatible,
     li2_dispatch,
     select_deletion_set,
     sigma2,
 )
-from rainbowpath.forest import ReductionBoundError
+from rainbowpath.forest import ReductionBoundError, pair_blocks, pair_components
 from rainbowpath.gen import GenSpec, random_instance
 from rainbowpath.model import bits, row_sigma2
 
@@ -77,6 +80,65 @@ class TestCompatibility:
         forest = RainbowLinearForest.empty()
         with pytest.raises(InputError):
             is_h_compatible(forest, 1, 1)
+
+
+@st.composite
+def forests_and_pairs(draw):
+    """A linear forest of paths of 1-4 vertices on a shuffled part of
+    range(n), and a pair of distinct vertices, half the time the first one
+    a forest vertex."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    paths, used = [], 0
+    for size in draw(st.lists(st.integers(1, 4), max_size=n)):
+        if used + size > n:
+            break
+        paths.append(tuple(order[used:used + size]))
+        used += size
+    edges = [(p[i], p[i + 1]) for p in paths for i in range(len(p) - 1)]
+    forest = RainbowLinearForest.from_paths(paths, [(a, b, c) for c, (a, b) in enumerate(edges)])
+    u = draw(st.sampled_from(order[:used] if used and draw(st.booleans()) else order))
+    v = draw(st.sampled_from([x for x in range(n) if x != u]))
+    return forest, u, v
+
+
+@given(forests_and_pairs())
+# Two interior components whose smallest and largest vertices sort apart,
+# stored from their larger end.
+@example((RainbowLinearForest.from_paths([(6, 0), (2, 1)], [(0, 6, 0), (1, 2, 1)]), 3, 4))
+def test_pair_rule_matches_brute_force(case):
+    # Compatibility read from edge degrees and from what forest edges connect.
+    forest, u, v = case
+    edges = forest.edges()
+
+    def component(x):
+        reach = {x}
+        for _ in edges:
+            reach |= {y for edge in edges if reach & set(edge) for y in edge}
+        return reach
+
+    degree = {x: sum(x in edge for edge in edges) for x in (u, v)}
+    compatible = degree[u] <= 1 and degree[v] <= 1 and v not in component(u)
+    blocks = pair_blocks(forest, u, v)
+    assert (blocks is not None) == compatible == is_h_compatible(forest, u, v)
+    comps = pair_components(forest, (u, v))
+    # Forest order, then a singleton per missing pair vertex in pair order.
+    assert comps == [c for c in forest.components if len(c) > 1 or {u, v} & set(c)] + [
+        (x,) for x in (u, v) if x not in forest.vertices()]
+    assert all(set(comp) == component(comp[0]) for comp in comps)
+    assert sorted(x for comp in comps for x in comp) == sorted(
+        {x for edge in edges for x in edge} | component(u) | component(v))
+    if blocks is None:
+        with pytest.raises(InputError, match="not a compatible pair"):
+            select_deletion_set(forest, u, v, 10)
+        return
+    h_u, h_v, middles = blocks
+    assert (h_u[0], set(h_u), h_v[0], set(h_v)) == (u, component(u), v, component(v))
+    for path in (h_u, h_v, *middles):
+        assert all(canonical_edge(a, b) in forest.fixed_colors for a, b in zip(path, path[1:]))
+    assert all(comp in forest.components and len(comp) > 1 for comp in middles)
+    assert list(middles) == sorted(middles, key=min)
+    assert sorted(map(sorted, (h_u, h_v, *middles))) == sorted(map(sorted, comps))
 
 
 class TestDeletionSet:

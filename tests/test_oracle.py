@@ -167,6 +167,12 @@ class TestHamCycle:
         coll = complete_collection(9)
         assert exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=2)).status == UNKNOWN
 
+    def test_time_budget_unknown(self):
+        # The clock is read every 256 nodes; this search needs about 300,000.
+        coll = build_extremal("C3", 13, 1)[0]
+        result = exact_rainbow_ham_cycle(coll, OracleBudget(time_limit=1e-6))
+        assert (result.status, result.nodes) == (UNKNOWN, 256)
+
     def test_canonical_c3_within_node_budget(self):
         # Remembering dead states settles this in 6,961 nodes; the search
         # without them needed 21,427 and ran out of this budget.

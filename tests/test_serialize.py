@@ -63,6 +63,8 @@ def test_certificate_round_trip():
     {"type": "extremal", "kind": "B2", "X": [2, 3], "Y": [4, 5], "pair": [0, "1"]},
     {"type": "extremal", "kind": "B2", "X": [2, 3], "Y": [4, 5], "pair": 1},
     {"type": "extremal", "kind": "A2p", "X": [2, 3], "Y": [4, 5], "l": 2.0},
+    # Not an object at all.
+    [1], "path", 3, None,
 ])
 def test_certificate_fields_must_be_integers(data):
     with pytest.raises(InputError):
