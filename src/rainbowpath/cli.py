@@ -62,6 +62,21 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise the input error ``_write`` would, before any work is done, for
+    the first of ``paths`` that cannot be written.  An existing file keeps
+    its contents, and a file the check creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        if not existed:
+            os.remove(path)
+
+
 def _emit(data: dict, out: str | None) -> None:
     """Write ``data`` to ``out`` (when given), then print it, so a closed
     stdout cannot cost the file."""
@@ -157,6 +172,7 @@ def _flags(names) -> str:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     serialize.check_vertex_count(args.n)  # solve and oracle must read the file back
+    _check_writable(args.out, args.meta_out)
     given = {name: getattr(args, name) for name in RANDOM_MODEL_OPTIONS
              if getattr(args, name) is not None}
     if args.kind:
@@ -186,9 +202,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         data = serialize.instance_to_dict(collection, forest, u, v, args.k)
         sidecar = {"model": spec.model, "n": args.n, "k": args.k, "seed": spec.seed,
                    "p": spec.p, "instance_hash": serialize.digest(data)}
-    _emit(data, args.out)
+    # The sidecar goes first: a command that exits 2 prints nothing.
     if args.meta_out:
         _write(args.meta_out, json.dumps(sidecar, sort_keys=True, indent=2))
+    _emit(data, args.out)
     return EXIT_PATH
 
 
@@ -294,6 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             (i, n, k, args.seed + i, args.p, args.oracle_max_n, args.mode,
              args.budget_nodes, args.budget_seconds)
         )
+    _check_writable(args.out)
     records = _run_pool(tasks, _verify_task, args.workers)
     failures = [rec for rec in records if not rec.get("ok")]
     counts: dict[str, int] = {}
@@ -388,6 +406,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, n in enumerate(_cycled_sizes(args.n_min, args.n_max, args.samples)):
         tasks.append((i, n, args.k, args.seed + i, args.p,
                       args.budget_nodes, args.budget_seconds))
+    _check_writable(args.out)
     records = _run_pool(tasks, _sweep_task, args.workers)
     candidates = [rec for rec in records if rec.get("candidate")]
     unknowns = [rec for rec in records if rec.get("outcome") == UNKNOWN]

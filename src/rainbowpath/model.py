@@ -153,20 +153,51 @@ class GraphCollection:
         ]
 
     @cached_property
-    def _color_masks(self) -> dict[Edge, int]:
+    def _memo(self) -> dict:
+        """What ``color_mask`` and ``allowed_matrices`` remember: an edge maps
+        to its color mask, a reserved-color mask (an int) to its two graphs.
+        One dict keeps the per-collection cost to one attribute."""
         return {}
 
     def color_mask(self, u: int, v: int) -> int:
         """Bitmask of the colors whose graph has edge uv, memoised per pair on
         first use like ``sigma2s``: every solve on the collection shares it."""
         key = (u, v) if u < v else (v, u)
-        if key not in self._color_masks:
-            self._color_masks[key] = self._scan_color_mask(*key)
-        return self._color_masks[key]
+        if key not in self._memo:
+            self._memo[key] = self._scan_color_mask(*key)
+        return self._memo[key]
 
     def _scan_color_mask(self, u: int, v: int) -> int:
         bit = 1 << v
         return sum(1 << c for c, row in enumerate(self.adjacency) if row[u] & bit)
+
+    def allowed_matrices(self, reserved: int) -> tuple[int, int]:
+        """The union and the shared graph of the colors outside the
+        ``reserved`` color mask, memoised per mask like ``color_mask``.
+
+        Edge xy is in the union graph when some such color has it, and in the
+        shared graph when two or more do.  Each graph is one n x n bit
+        matrix, row x at bit x * n (``matrix_rows`` reads the rows back), so
+        the memo holds two ints per mask."""
+        matrices = self._memo.get(reserved)
+        if matrices is None:
+            n = self.n_vertices
+            union = shared = [0] * n
+            for color, row in enumerate(self.adjacency):
+                if not reserved >> color & 1:
+                    shared = [s | u & r for s, u, r in zip(shared, union, row)]
+                    union = [u | r for u, r in zip(union, row)]
+            matrices = self._memo[reserved] = (
+                sum(mask << x * n for x, mask in enumerate(union)),
+                sum(mask << x * n for x, mask in enumerate(shared)),
+            )
+        return matrices
+
+
+def matrix_rows(matrix: int, n: int) -> list[int]:
+    """The n neighbour masks of an n x n bit matrix, row x at bit x * n."""
+    full = (1 << n) - 1
+    return [matrix >> shift & full for shift in range(0, n * n, n)]
 
 
 @cache

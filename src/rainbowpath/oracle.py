@@ -8,8 +8,10 @@ remembers the states that have no completion even in the union graph, and
 looks a move's state up before matching its edge, so it never searches one
 twice.  It also drops, without searching it, a state whose free vertices
 hold an independent set too large to thread (Chvátal's toughness count),
-or, once every forest segment is placed, are not connected in the union
-graph: in any completion they form one contiguous run of the order.
+in the union graph or, in a rainbow form, in the graph of the edges two or
+more colors share, or, once every forest segment is placed, are not
+connected in the union graph: in any completion they form one contiguous
+run of the order.
 The oracles below use it as ground truth against the constructive solver
 at desk scale, and the solver's spanning-path fallback calls it directly.
 The path oracle takes the forest's blocks around the pair from
@@ -35,6 +37,7 @@ from .model import (
     bits,
     canonical_edge,
     mask_of,
+    matrix_rows,
 )
 
 FOUND = "found"
@@ -117,6 +120,20 @@ def exact_search(
     ascending degree into the spanned vertices off the tail, stopping once
     it cannot grow past the bound.
 
+    The same count holds in a rainbow form.  An edge is private when
+    exactly one color outside ``reserved`` holds it; the shared graph is
+    the union graph without its private edges.  Let I be independent in the
+    shared graph and a the number of colors that own a private edge inside
+    I.  Two vertices of I next to each other in the row are joined by a new
+    edge inside I, which is private, and the new edges take distinct
+    colors; so at most a such pairs occur, and s vertices of I in a row of
+    k with at most a adjacent pairs need 2s - 1 - a <= k.  A state is dead
+    when 2|I| > k + 1 + a; with a = 0 this is the bound above.  This pass
+    runs when the union greedy does not cut, on vertices in ascending shared
+    degree into the spanned vertices off the tail, and takes a vertex only
+    if its private edges into I add at most one owner color to a.  It is
+    what settles C3, whose forest colors make the union graph complete.
+
     With every segment placed, a state is also dead when its free vertices
     are not connected in the union graph (the connectivity cut of
     backtracking Hamiltonian search; Vandegriend and Culberson, 1998).  In
@@ -128,12 +145,14 @@ def exact_search(
     the cut is off: a segment may sit inside the run between two free
     vertices with no union edge between them.
 
-    Both cuts read only the free vertices and the unplaced segments, so
+    The cuts read only the free vertices and the unplaced segments, so
     their verdict is remembered per such set.  A move's child is checked
     after the dead lookup and before its edge is matched, each head's root
     once; a cut state counts no node and is not a matching failure.  The
     cuts drop only subtrees with no completion, so the orders found are
-    unchanged.
+    unchanged.  The union and shared graphs come from
+    ``GraphCollection.allowed_matrices``, built once per collection and
+    ``reserved`` set.
 
     Returns (order, edge -> color, nodes), with order None when no order
     exists; the coloring is the Kuhn matching of the order's new edges in
@@ -141,12 +160,10 @@ def exact_search(
     time budget runs out.
     """
     n = collection.n_vertices
-    union = [0] * n
-    for color, row in enumerate(collection.adjacency):
-        if color not in reserved:
-            for x in range(n):
-                union[x] |= row[x]
-    allowed = ~mask_of(reserved)
+    reserved_mask = mask_of(reserved)
+    union_matrix, shared_matrix = collection.allowed_matrices(reserved_mask)
+    union = matrix_rows(union_matrix, n)
+    allowed = ~reserved_mask
     color_mask = collection.color_mask
 
     def matching(edges: list[Edge]) -> dict[Edge, int] | None:
@@ -219,10 +236,13 @@ def exact_search(
     def cut(left: int) -> bool:
         """True when no order can thread what ``left`` holds.
 
-        Its free vertices hold too large an independent set (greedy over
-        ``by_degree``, stopped once even taking every vertex still available
-        could not exceed the bound), or, with every segment placed, they are
-        not connected in the union graph (a bitmask breadth-first search)."""
+        With every segment placed, its free vertices are not connected in the
+        union graph (a bitmask breadth-first search), or they hold too large
+        an independent set: of the union graph (greedy over ``by_degree``),
+        or of the shared graph, 2|I| > k + 1 + a (greedy over ``by_shared``;
+        a vertex joins I only if its private edges into I add at most one
+        owner color to a).  Each greedy stops once even taking every vertex
+        still available could not exceed its bound."""
         avail = left & everyone
         free = avail.bit_count()
         bound = free + 1  # k + 1
@@ -240,14 +260,45 @@ def exact_search(
         if 2 * free <= bound:
             return False
         picked = 0
+        rest = avail
         for bit, closed in by_degree:
-            if avail & bit:
+            if rest & bit:
                 picked += 1
                 if 2 * picked > bound:
                     return True
-                avail &= ~closed
-                if 2 * (picked + avail.bit_count()) <= bound:
-                    return False
+                rest &= ~closed
+                if 2 * (picked + rest.bit_count()) <= bound:
+                    break
+        if not private:
+            return False
+        if not by_shared:
+            shared = matrix_rows(shared_matrix, n)
+            by_shared.extend((1 << x, shared[x] | 1 << x, union[x], x) for x in sorted(
+                bits(spanned), key=lambda x: (shared[x] & off_tail).bit_count()))
+        members = size = owned = 0  # I as a mask, |I|, the owner colors a counts
+        for bit, closed, row, x in by_shared:
+            if not avail & bit:
+                continue
+            avail ^= bit
+            inside = row & members  # private edges, one allowed color each
+            if inside:
+                new = 0
+                while inside:
+                    low = inside & -inside
+                    new |= color_mask(x, low.bit_length() - 1)
+                    inside ^= low
+                new &= allowed & ~owned
+                if new & (new - 1):
+                    continue
+                owned |= new
+            size += 1
+            members |= bit
+            avail &= ~closed
+            slack = bound + owned.bit_count()
+            if 2 * size > slack:
+                return True
+            if 2 * (size + avail.bit_count()) <= slack:
+                return False
         return False
 
     def dfs(key: int) -> dict[Edge, int] | None:
@@ -324,6 +375,11 @@ def exact_search(
     off_tail = spanned & ~mask_of(tail)
     by_degree = [(1 << x, union[x] | 1 << x)
                  for x in sorted(bits(spanned), key=lambda x: (union[x] & off_tail).bit_count())]
+    # With no private edge the shared graph is the union graph, and the
+    # shared greedy would take the union greedy's set with a = 0, so it is
+    # skipped.  Its order, ascending shared degree, is built at first use.
+    private = union_matrix != shared_matrix
+    by_shared: list[tuple[int, int, int, int]] = []
     for head in heads:
         prefix = list(head)
         left = spanned & ~mask_of(prefix + suffix) | ((1 << len(segments)) - 1) << n

@@ -397,7 +397,7 @@ class TestGenCommand:
         meta = tmp_path / "b3.meta.json"
         main(["gen", "--n", "6", "--kind", "B3", "--out", str(out),
               "--meta-out", str(meta)])
-        capsys.readouterr()
+        assert capsys.readouterr().out == out.read_text()
         sidecar = json.loads(meta.read_text())
         assert sidecar["certificate"]["kind"] == "B3"
         instance = load_instance(str(out))
@@ -639,6 +639,51 @@ def test_unwritable_output_exit_two(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert "input error: cannot write" in err and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "100", "--out", "{dir}"],
+    ["sweep", "--samples", "100", "--out", "{dir}/missing/s.jsonl"],
+])
+def test_unwritable_report_fails_before_the_suite_runs(tmp_path, capsys, monkeypatch, argv):
+    from rainbowpath import cli as climod
+
+    def no_suite(*args):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(climod, "_run_pool", no_suite)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "input error: cannot write" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_failed_run_keeps_the_existing_report(tmp_path, capsys, monkeypatch, command):
+    # The early check opens --out without truncating it, and a new path it
+    # creates is removed again.
+    from rainbowpath import cli as climod
+
+    def failing(task):
+        raise InputError("instance failed")
+
+    monkeypatch.setattr(climod, f"_{command}_task", failing)
+    count = "--count" if command == "verify" else "--samples"
+    old = tmp_path / "old.jsonl"
+    old.write_text("previous report\n")
+    new = tmp_path / "new.jsonl"
+    for report in (old, new):
+        assert main([command, count, "2", "--out", str(report)]) == EXIT_INPUT
+    assert "instance failed" in capsys.readouterr().err
+    assert old.read_text() == "previous report\n"
+    assert not new.exists()
+
+
+def test_gen_with_unwritable_sidecar_prints_nothing(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--n", "6", "--out", str(out), "--meta-out", str(tmp_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error: cannot write" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

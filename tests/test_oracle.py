@@ -168,18 +168,24 @@ class TestHamCycle:
         assert exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=2)).status == UNKNOWN
 
     def test_time_budget_unknown(self):
-        # The clock is read every 256 nodes; this search needs about 300,000.
-        coll = build_extremal("C3", 13, 1)[0]
+        # The clock is read every 256 nodes; this search is still undecided
+        # after 20,000.
+        spec = GenSpec(n=17, k=1, model="perturbed_extremal", extremal_kind="C3", flips=1, seed=0)
+        coll = random_instance(spec)[0]
+        assert exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=20_000)).status == UNKNOWN
         result = exact_rainbow_ham_cycle(coll, OracleBudget(time_limit=1e-6))
         assert (result.status, result.nodes) == (UNKNOWN, 256)
 
     def test_canonical_c3_within_node_budget(self):
-        # Remembering dead states settles this in 6,961 nodes; the search
-        # without them needed 21,427 and ran out of this budget.
-        coll = build_extremal("C3", 11, 1)[0]
-        result = exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=10_000))
-        assert result.status == FOUND
-        assert validate_cycle_certificate(coll, result.certificate)
+        # The forest color is complete, so the union graph is complete and
+        # only the rainbow bound sees that the Y-Y edges share one color: one
+        # node per vertex.  Without it these took 6,961 nodes, 297,403, and
+        # more than 3,000,000.
+        for n in (11, 13, 15):
+            coll = build_extremal("C3", n, 1)[0]
+            result = exact_rainbow_ham_cycle(coll, OracleBudget(node_limit=n))
+            assert result.status == FOUND
+            assert validate_cycle_certificate(coll, result.certificate)
 
     def test_canonical_b2_within_one_node_per_vertex(self):
         # Every move into the other clique leaves the rest union-disconnected
@@ -319,6 +325,38 @@ def test_sparse_union_statuses_match_permutation_search(n, extra, p, rng):
     m = n + extra
     union = [e for e in clique_edges(range(n)) if rng.random() < p]
     lists = [{e for e in union if rng.random() < 0.5} for _ in range(m)]
+    u, v = rng.sample(range(n), 2)
+    forest = RainbowLinearForest.empty()
+    if rng.random() < 0.5:
+        inner = [x for x in range(n) if x not in (u, v)]
+        verts = rng.sample(inner, min(len(inner), rng.choice((2, 3))))
+        fixed = {}
+        for a, b, c in zip(verts, verts[1:], rng.sample(range(m), len(verts) - 1)):
+            fixed[canonical_edge(a, b)] = c
+            lists[c].add(canonical_edge(a, b))
+        forest = RainbowLinearForest.from_paths([verts], fixed)
+    coll = GraphCollection.from_edge_lists(n, lists)
+    path = exact_rainbow_ham_path(coll, u, v, forest)
+    assert path.status == (FOUND if brute_ham_path_exists(coll, u, v, forest) else NOT_FOUND)
+    cycle = exact_rainbow_ham_cycle(coll)
+    assert cycle.status == (FOUND if brute_ham_cycle_exists(coll) else NOT_FOUND)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 8), extra=st.integers(0, 1), p=st.floats(0.04, 0.6),
+       rng=st.randoms(use_true_random=True))
+def test_private_edge_statuses_match_permutation_search(n, extra, p, rng):
+    """The rainbow bound agrees with the permutation searches.
+
+    Each color keeps each pair with probability p on its own, so many edges
+    are private: held by one color only.  Two vertices of I joined by a
+    private edge may sit next to each other in an order, once per owner
+    color; a bound that forgets those owners cuts states with completions.
+    Half the cases add a one-path forest off u and v, whose colors are
+    reserved and so own no private edge.
+    """
+    m = n + extra
+    lists = [{e for e in clique_edges(range(n)) if rng.random() < p} for _ in range(m)]
     u, v = rng.sample(range(n), 2)
     forest = RainbowLinearForest.empty()
     if rng.random() < 0.5:

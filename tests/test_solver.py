@@ -314,6 +314,20 @@ class TestSolveEndToEnd:
             kinds.append(out.kind)
         assert kinds.count("extremal") >= 20 and kinds.count("path") >= 10, kinds
 
+    @pytest.mark.parametrize("kind,n,k", [("C3", 17, 1), ("C3", 21, 1), ("C3", 41, 1),
+                                          ("B3", 16, 0), ("B3", 24, 0), ("B3", 40, 0)])
+    def test_perturbed_extremal_answered_without_budget_exhaustion(self, kind, n, k):
+        # The spanning-path fallback used to run for seconds on many of these,
+        # before the exact search's bound counted private edges.
+        for flips in (1, 2, 3):
+            for seed in range(8):
+                coll, forest, u, v = random_instance(GenSpec(
+                    n=n, k=k, seed=seed, model="perturbed_extremal", extremal_kind=kind,
+                    flips=flips,
+                ))
+                out = solve(coll, forest, u, v)
+                assert verify_certificate(coll, out.path or out.extremal, forest), (flips, seed)
+
     def test_case2_with_interior_component(self):
         n, k = 10, 2
         X, Y, D = {2, 3, 4}, {5, 6, 7}, {0, 1, 8, 9}
