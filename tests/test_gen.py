@@ -1,12 +1,16 @@
+import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from rainbowpath import (
     GenSpec,
+    GraphCollection,
     GenerationError,
     InputError,
+    canonical_edge,
     check_hypothesis,
     is_h_compatible,
     random_instance,
@@ -190,3 +194,135 @@ class TestProbeFamily:
     def test_too_small_rejected(self):
         with pytest.raises(GenerationError):
             small_vertex_probe_family(4)
+
+
+# ---------------------------------------------------------------------------
+# The generator's bytes, pinned.  The digest below was computed from the
+# edge-list builders kept here as a reference; any change to what the
+# generator emits for these inputs changes it.
+# ---------------------------------------------------------------------------
+
+def _ref_clique_edges(vertices):
+    return [canonical_edge(a, b) for a, b in combinations(sorted(vertices), 2)]
+
+
+def _ref_cross_edges(side_a, side_b):
+    return [canonical_edge(a, b) for a in sorted(side_a) for b in sorted(side_b)]
+
+
+def _ref_identical(n, edges, m=None):
+    m = n if m is None else m
+    return GraphCollection.from_edge_lists(n, [list(edges)] * m)
+
+
+def _ref_extremal(kind, n, k=0, params=None):
+    """The edge-list construction of every family, one edge at a time."""
+    params = params or {}
+    if kind == "A2":
+        ell = params.get("ell", n // 2)
+        X, Y = range(ell), range(ell, n)
+        return _ref_identical(n, _ref_clique_edges(X) + _ref_clique_edges(Y))
+    if kind == "A3":
+        X, Y = range(n // 2 - 1), range(n // 2 - 1, n)
+        return _ref_identical(n, _ref_clique_edges(X) + _ref_cross_edges(X, Y))
+    if kind == "B2":
+        ell = params.get("ell", (n - 1) // 2)
+        X, Y = set(range(2, 2 + ell)), set(range(2 + ell, n))
+        edges = _ref_clique_edges(X) + _ref_clique_edges(Y)
+        edges += _ref_cross_edges({0}, X | Y) + _ref_cross_edges({1}, X | Y)
+        return _ref_identical(n, edges)
+    if kind == "B3":
+        return _ref_identical(n, _ref_cross_edges(range(n // 2), range(n // 2, n)))
+    if kind == "C2":
+        d_set = list(range(k + 2))
+        rest = list(range(k + 2, n))
+        ell = params.get("ell", (len(rest) + 1) // 2)
+        X, Y = set(rest[:ell]), set(rest[ell:])
+        structured = (
+            _ref_clique_edges(X) + _ref_clique_edges(Y) + _ref_clique_edges(d_set)
+            + _ref_cross_edges(d_set, X | Y)
+        )
+        complete = _ref_clique_edges(range(n))
+        return GraphCollection.from_edge_lists(n, [complete if c < k else structured for c in range(n)])
+    if kind == "C3":
+        X, Y = range((n + k) // 2), range((n + k) // 2, n)
+        structured = _ref_clique_edges(X) + _ref_cross_edges(X, Y)
+        complete = _ref_clique_edges(range(n))
+        return GraphCollection.from_edge_lists(n, [complete if c < k else structured for c in range(n)])
+    small = (n - 1) // 2
+    return _ref_identical(n, _ref_cross_edges(range(small), range(small, n)))
+
+
+def _valid_extremal_inputs(n):
+    """Every (kind, k, params) that ``build_extremal`` accepts at n, k <= 2."""
+    out = []
+    if n >= 2:
+        out += [("A2", 0, None), ("A2", 0, {"ell": 1})]
+    if n >= 4 and n % 2 == 0:
+        out += [("A3", 0, None), ("B3", 0, None)]
+    if n >= 4:
+        out.append(("B2", 0, None))
+    if n >= 5:
+        out.append(("B2", 0, {"ell": 1}))
+    if n >= 3:
+        out.append(("dirac_control", 0, None))
+    for k in (0, 1, 2):
+        if n >= k + 4:
+            out.append(("C2", k, None))
+        if n >= k + 5:
+            out.append(("C2", k, {"ell": 1}))
+        if (n + k) % 2 == 0 and n >= 3 * k + 4:
+            out.append(("C3", k, None))
+    return out
+
+
+EXTREMAL_GRID = [
+    ("A2", 6, 0, None), ("A2", 9, 0, {"ell": 2}), ("A2", 31, 0, None),
+    ("A3", 6, 0, None), ("A3", 12, 0, None), ("A3", 32, 0, None),
+    ("B2", 5, 0, None), ("B2", 11, 0, {"ell": 3}), ("B2", 30, 0, None),
+    ("B3", 4, 0, None), ("B3", 12, 0, None), ("B3", 40, 0, None),
+    ("C2", 8, 1, None), ("C2", 10, 2, {"ell": 2}), ("C2", 25, 2, None), ("C2", 12, 0, None),
+    ("C3", 9, 1, None), ("C3", 12, 2, None), ("C3", 33, 1, None), ("C3", 30, 2, None),
+    ("C3", 14, 0, None),
+    ("dirac_control", 5, 0, None), ("dirac_control", 12, 0, None), ("dirac_control", 27, 0, None),
+]
+
+RANDOM_GRID = (
+    [GenSpec(n=n, k=(n - 4) // 3 if n % 2 else 0, p=(0.55, 0.75, 0.95)[n % 3], seed=n)
+     for n in range(5, 25)]
+    + [GenSpec(n=64, k=3, p=0.9, seed=1)]
+    + [GenSpec(n=n, k=k, model="identical", seed=n + k) for n, k in ((5, 0), (8, 1), (13, 3))]
+    + [GenSpec(n=n, k=k, model="perturbed_extremal", extremal_kind=kind, flips=flips, seed=seed)
+       for kind, n, k in (("B2", 10, 0), ("B3", 10, 0), ("C2", 10, 2), ("C3", 11, 1))
+       for flips in range(4) for seed in range(3)]
+)
+
+GENERATOR_DIGEST = "7f75573fa9c7a4b6eafe6b06d9ec149dc52bd7f89e091c9febc4b8f0537b0d9f"
+
+
+def _generator_bytes():
+    for kind, n, k, params in EXTREMAL_GRID:
+        coll, meta = build_extremal(kind, n, k, params)
+        u, v = meta["pair"] or (None, None)
+        yield dumps(instance_to_dict(coll, meta["forest"], u, v, k))
+    for spec in RANDOM_GRID:
+        coll, forest, u, v = random_instance(spec)
+        yield dumps(instance_to_dict(coll, forest, u, v, spec.k))
+
+
+class TestPinnedBytes:
+    def test_generator_digest(self):
+        text = "\n".join(_generator_bytes())
+        assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST
+
+    def test_extremal_rows_match_edge_list_reference(self):
+        checked = 0
+        for n in [*range(2, 21), 23, 26, 29, 32, 35, 38, 39, 40]:
+            for kind, k, params in _valid_extremal_inputs(n):
+                coll, _meta = build_extremal(kind, n, k, params)
+                ref = _ref_extremal(kind, n, k, params)
+                assert coll.n_colors == ref.n_colors == n, (kind, n, k, params)
+                for color, (row, ref_row) in enumerate(zip(coll.adjacency, ref.adjacency)):
+                    assert row == ref_row, (kind, n, k, params, color)
+                checked += 1
+        assert checked > 300
