@@ -20,7 +20,7 @@ from functools import partial
 
 from . import gen as genmod
 from . import serialize
-from .model import GraphCollection, InputError, InternalError, check_hypothesis
+from .model import GraphCollection, InputError, InternalError, check_hypothesis, row_sigma2
 from .oracle import (
     FOUND,
     NOT_FOUND,
@@ -351,17 +351,21 @@ def minimize_counterexample(
     """Greedily delete edges while the hypothesis holds and the cycle stays absent.
 
     Every removal step re-checks the degree-sum hypothesis first, so the
-    minimized instance never leaves the hypothesis region.
+    minimized instance never leaves the hypothesis region.  A removal clears
+    the edge's two bits in one row; the other colors keep their sigma2.
     """
     current = collection
     changed = True
     while changed:
         changed = False
         for color in range(current.n_colors):
-            for edge in current.edges(color):
-                lists = [current.edges(c) for c in range(current.n_colors)]
-                lists[color] = [e for e in lists[color] if e != edge]
-                candidate = GraphCollection.from_edge_lists(current.n_vertices, lists)
+            for u, v in current.edges(color):
+                row = list(current.adjacency[color])
+                row[u] ^= 1 << v
+                row[v] ^= 1 << u
+                rows, values = list(current.adjacency), list(current.sigma2s)
+                rows[color], values[color] = tuple(row), row_sigma2(row)
+                candidate = GraphCollection(current.n_vertices, tuple(rows)).seed_sigma2s(values)
                 if not check_hypothesis(candidate, k):
                     continue
                 if exact_rainbow_ham_cycle(candidate, budget).status != NOT_FOUND:

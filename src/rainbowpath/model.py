@@ -124,8 +124,19 @@ class GraphCollection:
 
     @cached_property
     def sigma2s(self) -> tuple[float, ...]:
-        """``sigma2`` of every color, computed once: the collection is immutable."""
-        return tuple(sigma2(self, c) for c in range(self.n_colors))
+        """``sigma2`` of every color, computed once: the collection is
+        immutable.  Colors that share one row tuple share one computation;
+        ``seed_sigma2s`` can supply the values instead."""
+        values: dict[int, float] = {}
+        for color, row in enumerate(self.adjacency):
+            if id(row) not in values:
+                values[id(row)] = sigma2(self, color)
+        return tuple(values[id(row)] for row in self.adjacency)
+
+    def seed_sigma2s(self, values: Iterable[float]) -> "GraphCollection":
+        """Set ``sigma2s`` to ``values``, computed by the caller from these rows."""
+        self.__dict__["sigma2s"] = tuple(values)
+        return self
 
     def check_color(self, color: int) -> None:
         if not (0 <= color < self.n_colors):

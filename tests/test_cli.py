@@ -16,6 +16,7 @@ from rainbowpath import (
     OracleBudget,
     RainbowLinearForest,
     check_hypothesis,
+    sigma2,
     verify_certificate,
 )
 from rainbowpath.cli import (
@@ -30,6 +31,7 @@ from rainbowpath.cli import (
     revalidate_report,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
+from rainbowpath.oracle import NOT_FOUND
 from rainbowpath.serialize import (
     certificate_from_dict,
     digest,
@@ -790,3 +792,49 @@ class TestMinimization:
                 lists[color] = [e for e in lists[color] if e != edge]
                 candidate = GraphCollection.from_edge_lists(out.n_vertices, lists)
                 assert not check_hypothesis(candidate, 0)
+
+
+def _reference_minimize(collection, k, budget, search):
+    """The edge-list minimization loop: every step re-lists and re-validates
+    every color and recomputes every sigma2."""
+    current = collection
+    changed = True
+    while changed:
+        changed = False
+        for color in range(current.n_colors):
+            for edge in current.edges(color):
+                lists = [current.edges(c) for c in range(current.n_colors)]
+                lists[color] = [e for e in lists[color] if e != edge]
+                candidate = GraphCollection.from_edge_lists(current.n_vertices, lists)
+                if not check_hypothesis(candidate, k):
+                    continue
+                if search(candidate, budget).status != NOT_FOUND:
+                    continue
+                current = candidate
+                changed = True
+    return current
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_minimization_matches_edge_list_reference(monkeypatch, n):
+    # Fault-injected NotFound: every candidate that keeps the hypothesis is
+    # accepted, so the deletion order decides the result.
+    from rainbowpath import cli as climod
+    from rainbowpath.oracle import OracleResult
+
+    def recording(log):
+        def search(collection, budget=None):
+            log.append(collection.adjacency)
+            return OracleResult(NOT_FOUND)
+        return search
+
+    budget = OracleBudget(1000, 5)
+    inputs = [complete_collection(n), random_instance(GenSpec(n=n, p=0.8, seed=n))[0]]
+    for collection in inputs:
+        expected_log, log = [], []
+        expected = _reference_minimize(collection, 0, budget, recording(expected_log))
+        monkeypatch.setattr(climod, "exact_rainbow_ham_cycle", recording(log))
+        out = minimize_counterexample(collection, 0, budget)
+        assert out.adjacency == expected.adjacency
+        assert log == expected_log and len(log) > 1
+        assert out.sigma2s == tuple(sigma2(out, c) for c in range(n))

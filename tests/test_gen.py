@@ -17,7 +17,9 @@ from rainbowpath import (
     sigma2,
     verify_certificate,
 )
+from rainbowpath import gen
 from rainbowpath.gen import _repair_sigma2, build_extremal
+from rainbowpath.model import row_sigma2
 from rainbowpath.serialize import dumps, instance_to_dict
 
 from .conftest import audit_small_vertices, small_vertex_probe_family
@@ -326,3 +328,61 @@ class TestPinnedBytes:
                     assert row == ref_row, (kind, n, k, params, color)
                 checked += 1
         assert checked > 300
+
+
+SEEDED_SPECS = [
+    GenSpec(n=9, k=1, p=0.6, seed=4),
+    GenSpec(n=20, k=2, p=0.8, seed=11),
+    GenSpec(n=8, k=1, model="identical", seed=2),
+    *(GenSpec(n=n, k=k, model="perturbed_extremal", extremal_kind=kind, flips=3, seed=seed)
+      for kind, n, k in (("A2", 9, 0), ("B2", 10, 0), ("B3", 10, 0), ("C2", 10, 2), ("C3", 11, 1))
+      for seed in range(2)),
+]
+
+
+class TestSeededSigma2:
+    @pytest.mark.parametrize("spec", SEEDED_SPECS, ids=lambda spec: f"{spec.model}-{spec.extremal_kind}-{spec.seed}")
+    def test_seeded_values_are_exact(self, spec):
+        coll, _forest, _u, _v = random_instance(spec)
+        assert coll.sigma2s == tuple(row_sigma2(row) for row in coll.adjacency)
+
+    def test_extremal_values_are_exact(self):
+        for kind, n, k, params in EXTREMAL_GRID:
+            coll, _meta = build_extremal(kind, n, k, params)
+            assert coll.sigma2s == tuple(row_sigma2(row) for row in coll.adjacency), (kind, n, k)
+
+    def test_shared_rows_computed_once(self, monkeypatch):
+        import rainbowpath.model as model
+
+        calls = []
+        real = model.sigma2
+        monkeypatch.setattr(model, "sigma2", lambda coll, color: calls.append(color) or real(coll, color))
+        for kind, n, k, distinct in (("B3", 12, 0, [0]), ("C3", 12, 2, [0, 2]), ("C2", 10, 1, [0, 1])):
+            calls.clear()
+            coll, _meta = build_extremal(kind, n, k)
+            assert check_hypothesis(coll, k)
+            assert calls == distinct, kind
+            assert len(coll.sigma2s) == n
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(n=7, k=1, p=0.2, seed=3),
+        GenSpec(n=9, model="perturbed_extremal", extremal_kind="A2", seed=1),
+    ], ids=["uniform", "perturbed"])
+    def test_hypothesis_check_still_decides(self, monkeypatch, spec):
+        assert random_instance(spec)
+        real_repair, real_check = gen._repair_sigma2, gen.check_hypothesis
+        verdicts = []
+
+        def repair_all_but_last(masks, n, bound, known=None):
+            # The last color is left as drawn, below n + k, and reported so.
+            return real_repair(masks[:-1], n, bound, known and known[:-1]) + [row_sigma2(masks[-1])]
+
+        def spy(collection, k):
+            verdicts.append(real_check(collection, k))
+            return verdicts[-1]
+
+        monkeypatch.setattr(gen, "_repair_sigma2", repair_all_but_last)
+        monkeypatch.setattr(gen, "check_hypothesis", spy)
+        with pytest.raises(GenerationError):
+            random_instance(spec)
+        assert verdicts and not any(verdicts)
