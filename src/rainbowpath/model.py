@@ -86,7 +86,7 @@ class GraphCollection:
         if n_vertices < 1:
             raise InputError(f"need at least one vertex, got {n_vertices}")
         n = n_vertices
-        stride, rounds, diagonal = _bit_matrix_plan(n)
+        size = bit_matrix_plan(n)[0] // 8
         checked: list[tuple[int, ...]] = []
         for color, masks in enumerate(rows):
             masks = tuple(masks)
@@ -97,24 +97,8 @@ class GraphCollection:
                 raise InputError(
                     f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})"
                 )
-            # Bit vertex * stride + other is bit ``other`` of ``vertex``'s mask.
-            matrix = int.from_bytes(
-                b"".join(map(int.to_bytes, masks, repeat(stride // 8), repeat("little"))), "little"
-            )
-            loops = matrix & diagonal
-            if loops:
-                vertex = ((loops & -loops).bit_length() - 1) // stride
-                raise InputError(f"loop at vertex {vertex} in color {color}")
-            transpose = matrix
-            for shift, block in rounds:
-                flip = (transpose ^ transpose >> shift) & block
-                transpose ^= flip | flip << shift
-            # Row ``vertex`` of the difference is nonzero iff ``vertex``'s mask
-            # differs from its column, so the lowest set bit names the first one.
-            asymmetric = transpose ^ matrix
-            if asymmetric:
-                vertex = ((asymmetric & -asymmetric).bit_length() - 1) // stride
-                raise InputError(f"mask of vertex {vertex} in color {color} is not symmetric")
+            packed = b"".join(map(int.to_bytes, masks, repeat(size), repeat("little")))
+            check_bit_matrix(int.from_bytes(packed, "little"), n, color)
             checked.append(masks)
         return cls(n, tuple(checked))
 
@@ -212,11 +196,12 @@ def matrix_rows(matrix: int, n: int) -> list[int]:
 
 
 @cache
-def _bit_matrix_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """How ``from_rows`` lays out and transposes the masks of n vertices.
+def bit_matrix_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """How the masks of n vertices are laid out as one bit matrix and transposed.
 
     Returns ``stride``, the row length in bits (a power of two, at least 8
-    so that a row is whole bytes); the (shift, block) rounds that transpose a
+    so that a row is whole bytes; bit ``vertex * stride + other`` is bit
+    ``other`` of ``vertex``'s mask); the (shift, block) rounds that transpose a
     ``stride`` x ``stride`` bit matrix by masked delta swaps (Warren,
     *Hacker's Delight*, 2nd ed., section 7-3); and the diagonal of the first n
     rows.  The round for half-width h swaps entry (r, c) with (r + h, c - h)
@@ -232,6 +217,31 @@ def _bit_matrix_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
         half //= 2
     diagonal = sum(1 << v * (stride + 1) for v in range(n))
     return stride, tuple(rounds), diagonal
+
+
+def check_bit_matrix(matrix: int, n: int, color: int) -> None:
+    """Raise InputError unless ``matrix``, the n neighbour masks of ``color``
+    laid out as ``bit_matrix_plan`` says, is a simple graph: no bit at or
+    beyond n, no loop, and symmetric.  The first failing vertex is named."""
+    stride, rounds, diagonal = bit_matrix_plan(n)
+    transpose = matrix
+    for shift, block in rounds:
+        flip = (transpose ^ transpose >> shift) & block
+        transpose ^= flip | flip << shift
+    # A set column >= n is a set row >= n of the transpose.
+    if transpose >> n * stride:
+        vertex = next(v for v in range(n) if matrix >> v * stride + n & (1 << stride - n) - 1)
+        raise InputError(f"mask of vertex {vertex} in color {color} is outside [0, 2^{n})")
+    loops = matrix & diagonal
+    if loops:
+        vertex = ((loops & -loops).bit_length() - 1) // stride
+        raise InputError(f"loop at vertex {vertex} in color {color}")
+    # Row ``vertex`` of the difference is nonzero iff ``vertex``'s mask
+    # differs from its column, so the lowest set bit names the first one.
+    asymmetric = transpose ^ matrix
+    if asymmetric:
+        vertex = ((asymmetric & -asymmetric).bit_length() - 1) // stride
+        raise InputError(f"mask of vertex {vertex} in color {color} is not symmetric")
 
 
 def bits(mask: int) -> list[int]:

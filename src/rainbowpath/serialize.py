@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
+from binascii import unhexlify
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
+from struct import iter_unpack
 
 from .forest import RainbowLinearForest
 from .model import (
@@ -31,7 +33,9 @@ from .model import (
     GraphCollection,
     InputError,
     PathCertificate,
+    bit_matrix_plan,
     canonical_edge,
+    check_bit_matrix,
 )
 from .structures import ExtremalCertificate
 
@@ -96,8 +100,6 @@ def instance_to_dict(
     return data
 
 
-_HEX_ROW = re.compile("[0-9a-f]*")
-
 #: The most vertices an instance may declare: an edge list, or rows with no
 #: colors, can declare any n in a few bytes.
 MAX_VERTICES = 1024
@@ -117,6 +119,22 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _packed_rows(texts: list[str], n: int, width: int, size: int) -> bytes:
+    """The rows ``texts``, n vertex fields of ``width`` hex digits each, as
+    ``size``-byte big-endian masks: color by color, each color's vertices
+    last to first.  So a color's ``n * size`` bytes, read big-endian, are its
+    bit matrix in the layout of ``bit_matrix_plan``.  One strided copy per
+    digit place pads every field at once."""
+    count = n * len(texts)
+    digits = 2 * size
+    # The copy reverses the order of all fields, and so restores the colors'.
+    raw = "".join(reversed(texts)).encode()
+    field = bytearray(b"0" * (count * digits))
+    for j in range(width):
+        field[digits - width + j :: digits] = raw[(count - 1) * width + j :: -width]
+    return unhexlify(field)
+
+
 def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
     if ("rows" in data) == ("graphs" in data):
         raise InputError('instance needs exactly one of "rows" and "graphs"')
@@ -127,16 +145,27 @@ def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
         if n < 1:
             raise InputError(f"need at least one vertex, got {n}")
         width = _row_width(n)
-        chunks = [slice(i, i + width) for i in range(0, n * width, width)]
-        masks = []
         for color, text in enumerate(texts):
-            # int(., 16) alone would also take "0x", "_", whitespace and uppercase.
-            if not (isinstance(text, str) and len(text) == n * width and _HEX_ROW.fullmatch(text)):
+            # Lowercase hex only (unhexlify also takes uppercase); isascii
+            # first, as a lone surrogate cannot be encoded.
+            if not (isinstance(text, str) and len(text) == n * width and text.isascii()
+                    and not text.encode().translate(None, b"0123456789abcdef")):
                 raise InputError(
                     f"rows[{color}] must be {n * width} lowercase hex digits ({width} per vertex)"
                 )
-            masks.append(list(map(int, map(text.__getitem__, chunks), repeat(16))))
-        return GraphCollection.from_rows(n, masks)
+        size = bit_matrix_plan(n)[0] // 8
+        span = n * size
+        # Blocks of about 128 KB of colors keep the strided copies in cache.
+        step = max(1, (1 << 17) // span)
+        adjacency = []
+        for first in range(0, m, step):
+            packed = _packed_rows(texts[first : first + step], n, width, size)
+            fields = map(itemgetter(0), iter_unpack(f"{size}s", packed))
+            masks = list(map(int.from_bytes, fields, repeat("big")))
+            for i in range(len(packed) // span):
+                check_bit_matrix(int.from_bytes(packed[i * span : (i + 1) * span], "big"), n, first + i)
+                adjacency.append(tuple(reversed(masks[i * n : (i + 1) * n])))
+        return GraphCollection(n, tuple(adjacency))
     graphs = data["graphs"]
     if not isinstance(graphs, list) or len(graphs) != m:
         raise InputError(f"instance declares m={m} but graphs is not a list of {m} edge lists")
@@ -183,10 +212,12 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def load_instance(path: str) -> Instance:
+    # Bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError like
+    # JSONDecodeError; nesting too deep for the JSON scanner, RecursionError.
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read instance {path}: {exc}") from exc
     return instance_from_dict(data)
 

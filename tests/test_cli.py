@@ -25,6 +25,7 @@ from rainbowpath.cli import (
     EXIT_PATH,
     EXIT_UNKNOWN,
     EXIT_VIOLATION,
+    build_parser,
     load_report,
     main,
     minimize_counterexample,
@@ -83,6 +84,17 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"n": 2}', b"[" * 100_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_unreadable_instance_exit_two(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([command, str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read instance {bad}: ")
+        assert "Traceback" not in err
 
     def test_missing_pair_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, complete_collection(5))
@@ -343,6 +355,49 @@ def test_mutated_instance_gets_a_documented_exit_code(tmp_path, data, command):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main([*command, str(path)])
     assert code in (EXIT_PATH, EXIT_INPUT, EXIT_EXTREMAL, EXIT_UNKNOWN)
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no call leaks into the next."""
+
+    def test_trace_does_not_carry_over(self, tmp_path, capsys):
+        path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+        assert main(["solve", path, "--trace"]) == EXIT_PATH
+        assert "trace" in json.loads(capsys.readouterr().out)
+        assert main(["solve", path]) == EXIT_PATH
+        assert "trace" not in json.loads(capsys.readouterr().out)
+        assert build_parser() is build_parser()
+
+    def test_gen_options_do_not_carry_over(self, capsys):
+        assert main(["gen", "--n", "8", "--seed", "5", "--p", "0.9"]) == EXIT_PATH
+        seeded = capsys.readouterr().out
+        assert main(["gen", "--n", "8"]) == EXIT_PATH
+        reused = capsys.readouterr().out
+        build_parser.cache_clear()
+        assert main(["gen", "--n", "8"]) == EXIT_PATH
+        assert capsys.readouterr().out == reused != seeded
+
+    @pytest.mark.parametrize("bad_argv", [["solve"], ["gen", "--n", "x"], ["solve", "--no-such-flag", "f"]])
+    def test_usage_error_leaves_next_call_alone(self, tmp_path, capsys, bad_argv):
+        path = write_instance(tmp_path, complete_collection(6), u=0, v=5)
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        assert main(["solve", path, "--trace", "--out", str(outs[0])]) == EXIT_PATH
+        with pytest.raises(SystemExit) as exc:
+            main(bad_argv)
+        assert exc.value.code == 2
+        assert main(["solve", path, "--trace", "--out", str(outs[1])]) == EXIT_PATH
+        capsys.readouterr()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_rebound_command_is_the_one_that_runs(self, tmp_path, capsys, monkeypatch):
+        from rainbowpath import cli as climod
+
+        path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+        assert main(["solve", path]) == EXIT_PATH  # the parser exists before the rebinding
+        calls = []
+        monkeypatch.setattr(climod, "cmd_solve", lambda args: calls.append(args.instance) or 7)
+        assert main(["solve", path]) == 7
+        assert calls == [path]
 
 
 class TestOracleCommand:

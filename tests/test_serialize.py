@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +47,132 @@ def test_rows_round_trip(coll):
     assert [len(text) for text in data["rows"]] == [coll.n_vertices * width] * coll.n_colors
     assert instance_from_dict(data).collection == coll
     assert instance_from_dict(edges_form(data)).collection == coll
+
+
+_HEX_ROW = re.compile("[0-9a-f]*")
+
+
+def reference_rows_decoder(data: dict, n: int, m: int) -> GraphCollection:
+    """The rows decoder that the bit-matrix one replaced, kept verbatim: a
+    regex row check, one slice and one int(., 16) per vertex, then
+    ``GraphCollection.from_rows``."""
+    texts = data["rows"]
+    if not isinstance(texts, list) or len(texts) != m:
+        raise InputError(f"instance declares m={m} but rows is not a list of {m} strings")
+    if n < 1:
+        raise InputError(f"need at least one vertex, got {n}")
+    width = (n + 3) // 4
+    chunks = [slice(i, i + width) for i in range(0, n * width, width)]
+    masks = []
+    for color, text in enumerate(texts):
+        # int(., 16) alone would also take "0x", "_", whitespace and uppercase.
+        if not (isinstance(text, str) and len(text) == n * width and _HEX_ROW.fullmatch(text)):
+            raise InputError(
+                f"rows[{color}] must be {n * width} lowercase hex digits ({width} per vertex)"
+            )
+        masks.append(list(map(int, map(text.__getitem__, chunks), repeat(16))))
+    return GraphCollection.from_rows(n, masks)
+
+
+def _decoded(data: dict, reference: bool):
+    """The collection the decoder builds from ``data``, or its InputError text."""
+    try:
+        if reference:
+            return reference_rows_decoder(data, data["n"], data["m"])
+        return instance_from_dict(data).collection
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def random_symmetric_masks(n: int, rng: random.Random, sparse: bool = False) -> tuple[int, ...]:
+    """The neighbour masks of a random simple graph on n vertices, each pair
+    an edge with probability 1/2 (1/4 if ``sparse``)."""
+    # upper[u] is vertex u's mask written from bit n-1 down to bit 0, with
+    # only the bits v > u kept; its columns give the bits v < u.
+    upper = []
+    for u in range(n):
+        bits = rng.getrandbits(n)
+        if sparse:
+            bits &= rng.getrandbits(n)
+        upper.append(format(bits, f"0{n}b")[: n - 1 - u] + "0" * (u + 1))
+    columns = ["".join(column) for column in zip(*upper)]
+    return tuple(int(upper[u], 2) | int(columns[n - 1 - u][::-1], 2) for u in range(n))
+
+
+STRIDE_SIZES = [*range(1, 71), *range(127, 131), *range(255, 259), *range(511, 514), 1024]
+
+
+@pytest.mark.parametrize("n", STRIDE_SIZES)
+def test_rows_decoder_matches_reference(n):
+    # Every stride from 8 to 1,024, odd and even widths, and fields that need
+    # no padding (n = 8, 64, 1,024).
+    rng = random.Random(n)
+    rows = (random_symmetric_masks(n, rng), random_symmetric_masks(n, rng, sparse=True))
+    data = collection_to_dict(GraphCollection(n, rows))
+    decoded = _decoded(data, reference=False)
+    assert decoded == _decoded(data, reference=True)
+    assert decoded.adjacency == rows
+
+
+def _with_char(text: str, i: int, char: str) -> str:
+    return text[:i] + char + text[i + 1:]
+
+
+def _with_mask(n: int, text: str, vertex: int, flip: int) -> str:
+    width = (n + 3) // 4
+    field = format(int(text[vertex * width:(vertex + 1) * width], 16) ^ flip, f"0{width}x")
+    return text[:vertex * width] + field + text[(vertex + 1) * width:]
+
+
+# Each defect rewrites the rows of an instance with n vertices and three colors.
+ROW_DEFECTS = {
+    "uppercase": lambda n, rows: [rows[0], _with_char(rows[1], 0, "A"), rows[2]],
+    "0x": lambda n, rows: [rows[0], "0x" + rows[1][2:], rows[2]],
+    "underscore": lambda n, rows: [rows[0], _with_char(rows[1], 1, "_"), rows[2]],
+    "whitespace": lambda n, rows: [rows[0], _with_char(rows[1], len(rows[1]) - 1, " "), rows[2]],
+    "arabic-indic-digit": lambda n, rows: [rows[0], _with_char(rows[1], 0, "\u0663"), rows[2]],
+    "fullwidth-letter": lambda n, rows: [rows[0], _with_char(rows[1], 0, "\uff41"), rows[2]],
+    "lone-surrogate": lambda n, rows: [rows[0], _with_char(rows[1], 0, "\ud800"), rows[2]],
+    "short": lambda n, rows: [rows[0], rows[1][:-1], rows[2]],
+    "long": lambda n, rows: [rows[0], rows[1] + "0", rows[2]],
+    "not-a-string": lambda n, rows: [rows[0], int(rows[1][:8], 16), rows[2]],
+    "loop": lambda n, rows: [rows[0], _with_mask(n, rows[1], n // 2, 1 << n // 2), rows[2]],
+    "loop-last-color": lambda n, rows: [rows[0], rows[1], _with_mask(n, rows[2], 0, 1)],
+    # Vertex (n-1)/2 alone gains or loses its edge to n-1, so it is the first
+    # asymmetric vertex.
+    "asymmetric-middle": lambda n, rows: [
+        rows[0], _with_mask(n, rows[1], (n - 1) // 2, 1 << n - 1), rows[2]],
+    "bad-hex-after-asymmetric": lambda n, rows: [
+        _with_mask(n, rows[0], (n - 1) // 2, 1 << n - 1), rows[1], _with_char(rows[2], 0, "F")],
+}
+
+
+def _field_top_bit(n: int) -> int:
+    """The highest bit a vertex field holds; it is beyond n unless 4 divides n."""
+    return 1 << 4 * ((n + 3) // 4) - 1
+
+
+BEYOND_N = {
+    "beyond-n-first-vertex": lambda n, rows: [
+        rows[0], _with_mask(n, rows[1], 0, _field_top_bit(n)), rows[2]],
+    "beyond-n-last-vertex": lambda n, rows: [
+        rows[0], _with_mask(n, rows[1], n - 1, _field_top_bit(n)), rows[2]],
+}
+
+
+@pytest.mark.parametrize("n, defect", [
+    # At n = 1,024 each color is decoded as a block of its own.
+    *((n, defect) for n in (2, 5, 8, 9, 64, 130, 1024) for defect in ROW_DEFECTS),
+    *((n, defect) for n in (2, 5, 9, 130) for defect in BEYOND_N),
+])
+def test_rows_decoder_errors_match_reference(n, defect):
+    rng = random.Random(n)
+    data = collection_to_dict(GraphCollection(n, tuple(random_symmetric_masks(n, rng) for _ in range(3))))
+    data["rows"] = {**ROW_DEFECTS, **BEYOND_N}[defect](n, data["rows"])
+    data = json.loads(dumps(data))
+    message = _decoded(data, reference=True)
+    assert isinstance(message, str)
+    assert _decoded(data, reference=False) == message
 
 
 def test_certificate_round_trip():
