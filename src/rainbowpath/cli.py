@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from functools import cache, partial
+from functools import partial
 
 from . import gen as genmod
 from . import serialize
@@ -482,10 +482,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget-seconds", type=float, default=60.0)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``rainbow-ham`` parser, built once per process: ``main`` runs
-    ``cmd_<command>`` for the subcommand it parses."""
     parser = argparse.ArgumentParser(
         prog="rainbow-ham",
         description="Rainbow Hamiltonian path solver and experiment harness",
@@ -498,12 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--corollary", action="store_true",
                          help="run the all-pairs cycle-or-connected decision")
     p_solve.add_argument("--out")
+    p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="exact decision on one instance file")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--cycle", action="store_true")
     p_oracle.add_argument("--out")
     _add_budget_flags(p_oracle)
+    p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="emit an instance JSON")
     p_gen.add_argument("--n", type=int, required=True)
@@ -520,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out")
     p_gen.add_argument("--meta-out")
+    p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser("verify", help="generated suite through the solver")
     p_verify.add_argument("--count", type=int, default=100)
@@ -534,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out")
     p_verify.add_argument("--bundle-prefix", default="rainbow-ham-violation")
     _add_budget_flags(p_verify)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="rainbow Hamiltonian cycle evidence sweep")
     p_sweep.add_argument("--samples", type=int, default=200)
@@ -546,15 +547,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--bundle-prefix", default="rainbow-ham-candidate")
     _add_budget_flags(p_sweep)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        # Looked up per call, so a rebound ``cmd_solve`` is the one that runs.
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

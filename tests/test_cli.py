@@ -25,7 +25,6 @@ from rainbowpath.cli import (
     EXIT_PATH,
     EXIT_UNKNOWN,
     EXIT_VIOLATION,
-    build_parser,
     load_report,
     main,
     minimize_counterexample,
@@ -357,8 +356,8 @@ def test_mutated_instance_gets_a_documented_exit_code(tmp_path, data, command):
     assert code in (EXIT_PATH, EXIT_INPUT, EXIT_EXTREMAL, EXIT_UNKNOWN)
 
 
-class TestParserReuse:
-    """``main`` parses with one parser per process; no call leaks into the next."""
+class TestRepeatedMain:
+    """Several ``main`` calls in one process: no call leaks into the next."""
 
     def test_trace_does_not_carry_over(self, tmp_path, capsys):
         path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
@@ -366,16 +365,14 @@ class TestParserReuse:
         assert "trace" in json.loads(capsys.readouterr().out)
         assert main(["solve", path]) == EXIT_PATH
         assert "trace" not in json.loads(capsys.readouterr().out)
-        assert build_parser() is build_parser()
 
     def test_gen_options_do_not_carry_over(self, capsys):
+        assert main(["gen", "--n", "8"]) == EXIT_PATH
+        bare = capsys.readouterr().out
         assert main(["gen", "--n", "8", "--seed", "5", "--p", "0.9"]) == EXIT_PATH
         seeded = capsys.readouterr().out
         assert main(["gen", "--n", "8"]) == EXIT_PATH
-        reused = capsys.readouterr().out
-        build_parser.cache_clear()
-        assert main(["gen", "--n", "8"]) == EXIT_PATH
-        assert capsys.readouterr().out == reused != seeded
+        assert capsys.readouterr().out == bare != seeded
 
     @pytest.mark.parametrize("bad_argv", [["solve"], ["gen", "--n", "x"], ["solve", "--no-such-flag", "f"]])
     def test_usage_error_leaves_next_call_alone(self, tmp_path, capsys, bad_argv):
@@ -393,7 +390,7 @@ class TestParserReuse:
         from rainbowpath import cli as climod
 
         path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
-        assert main(["solve", path]) == EXIT_PATH  # the parser exists before the rebinding
+        assert main(["solve", path]) == EXIT_PATH
         calls = []
         monkeypatch.setattr(climod, "cmd_solve", lambda args: calls.append(args.instance) or 7)
         assert main(["solve", path]) == 7

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from itertools import repeat
 
 import pytest
@@ -112,6 +113,25 @@ def test_rows_decoder_matches_reference(n):
     decoded = _decoded(data, reference=False)
     assert decoded == _decoded(data, reference=True)
     assert decoded.adjacency == rows
+
+
+def test_rows_decoder_memory_does_not_grow_with_colors():
+    # Rows are decoded a block of colors at a time (one color per block at
+    # n = 1,024), so the decoder's transient memory stays near one color's
+    # text however many colors the file holds; decoding all 16 at once would
+    # take about 9 MB here.
+    n, m = 1024, 16
+    rows = random_symmetric_masks(n, random.Random(0), sparse=True)
+    data = collection_to_dict(GraphCollection(n, (rows,) * m))
+    instance_from_dict(data)  # fills the bit-matrix plan's cache first
+    tracemalloc.start()
+    try:
+        decoded = instance_from_dict(data).collection
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded.adjacency == (rows,) * m
+    assert peak - current < 6 * len(data["rows"][0])
 
 
 def _with_char(text: str, i: int, char: str) -> str:
