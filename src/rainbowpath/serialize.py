@@ -155,10 +155,11 @@ def _collection_from_dict(data: dict, n: int, m: int) -> GraphCollection:
                 )
         size = bit_matrix_plan(n)[0] // 8
         span = n * size
-        # Blocks of about 128 KB of matrix bytes keep the strided copies in
-        # cache and the buffers one block long: in process, one block per
-        # file is ~1.7x slower at n=400, one color per block ~1.3x at n=100.
-        step = max(1, (1 << 17) // span)
+        # Blocks of about 64 KB of matrix bytes keep the strided copies in
+        # cache and the buffers small: in process, one block per file is
+        # ~1.7x slower at n=400, one color per block ~1.3x at n=100, and
+        # 128 KB blocks are no faster but raise peak memory at n=100.
+        step = max(1, (1 << 16) // span)
         adjacency = []
         for first in range(0, m, step):
             packed = _packed_rows(texts[first : first + step], n, width, size)
