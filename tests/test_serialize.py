@@ -119,7 +119,7 @@ def test_rows_decoder_memory_does_not_grow_with_colors():
     # Rows are decoded a block of colors at a time (one color per block at
     # n = 1,024), so the decoder's transient memory stays near one color's
     # text however many colors the file holds; decoding all 16 at once would
-    # take about 9 MB here.
+    # take about 10 MB here.
     n, m = 1024, 16
     rows = random_symmetric_masks(n, random.Random(0), sparse=True)
     data = collection_to_dict(GraphCollection(n, (rows,) * m))
