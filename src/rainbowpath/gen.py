@@ -274,7 +274,7 @@ def random_instance(spec: GenSpec) -> tuple[GraphCollection, RainbowLinearForest
     if spec.flips < 0:
         raise InputError(f"flips={spec.flips} must be >= 0")
     if not spec.oracle_only and 3 * k > n - 4:
-        raise InputError(f"k={k} exceeds (n-4)/3 for n={n}; set oracle_only to override")
+        raise InputError(f"k={k} exceeds (n-4)/3 for n={n}: the solver needs n >= 3k+4")
     rng = random.Random(spec.seed)
     rand, p = rng.random, spec.p
     bound = n + k

@@ -3,7 +3,8 @@
 One exponential-time but exhaustive kernel, ``exact_search``, serves every
 caller: a depth-first search over vertex orders with forest components
 forced contiguous.  It keeps an edge-to-color matching of the chosen edges
-as it goes, so it never extends an order whose edges cannot be rainbow.  It
+as it goes, so it never extends an order whose edges cannot be rainbow, and
+that matching is the coloring it returns with the order it finds.  It
 remembers the states that have no completion even in the union graph, and
 looks a move's state up before matching its edge, so it never searches one
 twice.  It also drops, without searching it, a state whose free vertices
@@ -83,7 +84,7 @@ def exact_search(
     budget: OracleBudget,
     tail: tuple[int, ...] = (),
     segments: tuple[tuple[int, ...], ...] = (),
-    reserved: frozenset[int] = frozenset(),
+    reserved: int = 0,
     cycle: bool = False,
     active: int | None = None,
 ) -> tuple[list[int] | None, dict[Edge, int] | None, int]:
@@ -98,10 +99,10 @@ def exact_search(
     orders and cycles in one direction only.  With ``active`` (a vertex
     mask) the order spans only those vertices.
 
-    Chosen edges are matched to colors outside ``reserved`` incrementally:
-    each new edge takes its lowest free admissible color, else one
-    augmenting path, and an edge that cannot be matched is never descended
-    into.  A state (free vertices, segments left, both ends) whose subtree
+    Chosen edges are matched to colors outside ``reserved`` (a color mask)
+    incrementally: each new edge takes its lowest free admissible color,
+    else one augmenting path, and an edge that cannot be matched is never
+    descended into.  A state (free vertices, segments left, both ends) whose subtree
     failed with no matching failure or symmetry break inside it has no
     completion in the union graph at all, so it is remembered as dead and
     not searched again (the subset DP of Bellman and of Held and Karp,
@@ -152,27 +153,19 @@ def exact_search(
     cuts drop only subtrees with no completion, so the orders found are
     unchanged.  The union and shared graphs come from
     ``GraphCollection.allowed_matrices``, built once per collection and
-    ``reserved`` set.
+    ``reserved`` mask.
 
     Returns (order, edge -> color, nodes), with order None when no order
-    exists; the coloring is the Kuhn matching of the order's new edges in
-    the order they were chosen.  Raises BudgetExceeded once the node or
-    time budget runs out.
+    exists; the coloring is the live matching itself, with a closing edge
+    (onto the tail, or back to the start of a cycle) matched on top of it,
+    so no found order is coloured again.  Raises BudgetExceeded once the
+    node or time budget runs out.
     """
     n = collection.n_vertices
-    reserved_mask = mask_of(reserved)
-    union_matrix, shared_matrix = collection.allowed_matrices(reserved_mask)
+    union_matrix, shared_matrix = collection.allowed_matrices(reserved)
     union = matrix_rows(union_matrix, n)
-    allowed = ~reserved_mask
+    allowed = ~reserved
     color_mask = collection.color_mask
-
-    def matching(edges: list[Edge]) -> dict[Edge, int] | None:
-        admissible = [color_mask(*edge) & allowed for edge in edges]
-        owner: dict[int, int] = {}
-        for idx in range(len(edges)):
-            if not _augment(idx, admissible, owner, [0]):
-                return None
-        return {edges[idx]: color for color, idx in owner.items()}
 
     # Bit x of ``left`` is free vertex x; bit n + i is segments[i], still unplaced.
     steps = [((x,), 1 << x) for x in range(n)]
@@ -313,15 +306,15 @@ def exact_search(
             if not suffix and (prefix[1] if cycle else prefix[0]) > prefix[-1]:
                 taint += 1
                 return None
-            if not suffix and not cycle:
-                return matching(chosen)
-            if not union[prefix[-1]] >> target & 1:
-                return None
-            closing = canonical_edge(prefix[-1], target)
-            if match(closing) is None:
-                taint += 1
-                return None
-            return matching(chosen + [closing])
+            if suffix or cycle:
+                if not union[prefix[-1]] >> target & 1:
+                    return None
+                chosen.append(canonical_edge(prefix[-1], target))
+                if match(chosen[-1]) is None:
+                    chosen.pop()
+                    taint += 1
+                    return None
+            return {chosen[idx]: color for color, idx in owner.items()}
         start = taint
         moves, end_list = candidates(prefix[-1]), prefix
         if suffix:
@@ -429,7 +422,7 @@ def exact_rainbow_ham_path(
     try:
         order, assignment, nodes = exact_search(
             collection, [h_u], budget, tail=h_v[::-1], segments=middles,
-            reserved=frozenset(forest.colors()),
+            reserved=mask_of(forest.colors()),
         )
     except BudgetExceeded as exc:
         return OracleResult(UNKNOWN, nodes=exc.nodes)

@@ -429,18 +429,16 @@ def _exhaustive_spanning_path(
     """Exact spanning rainbow path search over all vertex orders, budget-capped.
 
     Runs the oracle's search kernel from every start vertex of ``active`` in
-    turn, colors outside ``palette`` reserved, and colors the first order
-    found with ``rainbow_assignment``; raises BudgetExceeded when the budget
-    runs out.
+    turn, colors outside ``palette`` reserved, and returns the first order
+    found with the search's own coloring, the live matching of its edges;
+    raises BudgetExceeded when the budget runs out.
     """
-    dropped = [c for c in range(collection.n_colors) if not palette >> c & 1]
-    order, _, _ = exact_search(collection, [(start,) for start in bits(active)], budget,
-                               reserved=frozenset(dropped), active=active)
+    reserved = ((1 << collection.n_colors) - 1) & ~palette
+    order, assignment, _ = exact_search(collection, [(start,) for start in bits(active)], budget,
+                                        reserved=reserved, active=active)
     if order is None:
         return None
-    edges = [canonical_edge(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    assignment = rainbow_assignment(collection, edges, forbidden_colors=dropped)
-    return order, [assignment[edge] for edge in edges]
+    return order, [assignment[canonical_edge(a, b)] for a, b in zip(order, order[1:])]
 
 
 def li2_dispatch(

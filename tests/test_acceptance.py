@@ -205,7 +205,7 @@ def oracle_slice(trichotomy_suite):
 
 #: sha256 of every corpus outcome plus both oracles' statuses and certificates
 #: on the perturbed-extremal slice; a refactor that changes any of them fails.
-PINNED_DIGEST = "d8ebb20940f8bdfda15b93f381c30183ec33afb93a585f20553a6fa78b42f3bb"
+PINNED_DIGEST = "df185d3d02969743bc86ee31b38a5d003faf3614f7895bf18f50bed08fcc8ce4"
 
 
 def test_pinned_outcome_digest(trichotomy_suite, oracle_slice):
@@ -237,7 +237,7 @@ def test_pinned_oracle_nodes_digest(oracle_slice):
 #: sha256 of the path oracle on every corpus record at n <= 8 whose forest has
 #: an interior component (one holding neither u nor v).  The slice pinned above
 #: has endpoint components only, so this pins how the oracle threads the rest.
-PINNED_ORACLE_FOREST_DIGEST = "c22bf27bb491ff1898e894122fedd3dea915319dda31b7434991f10ba6612a42"
+PINNED_ORACLE_FOREST_DIGEST = "01b935246363bfa045593f9de47ff9a35b2f6b671d502b552150b54593382d28"
 
 
 def test_pinned_oracle_forest_digest(trichotomy_suite):

@@ -429,6 +429,15 @@ class TestOracleCommand:
 
 
 class TestGenCommand:
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_size_bound_names_no_override(self, capsys, n):
+        # No command-line option lifts the bound, so the message names none.
+        assert main(["gen", "--n", n]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 3k+4" in captured.err
+        assert "oracle_only" not in captured.err
+
     def test_random_round_trip(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         assert main(["gen", "--n", "8", "--k", "1", "--seed", "3", "--out", str(out)]) == 0

@@ -177,6 +177,8 @@ BEYOND_N = {
         rows[0], _with_mask(n, rows[1], 0, _field_top_bit(n)), rows[2]],
     "beyond-n-last-vertex": lambda n, rows: [
         rows[0], _with_mask(n, rows[1], n - 1, _field_top_bit(n)), rows[2]],
+    # Bit n itself, the first column past the last vertex.
+    "at-n": lambda n, rows: [rows[0], _with_mask(n, rows[1], n // 2, 1 << n), rows[2]],
 }
 
 

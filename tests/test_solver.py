@@ -110,6 +110,20 @@ class TestLi2Dispatch:
         with pytest.raises(BudgetExceeded):
             _exhaustive_spanning_path(coll, (1 << 9) - 1, (1 << 11) - 1, OracleBudget(node_limit=1))
 
+    def test_fallback_returns_the_search_coloring(self, monkeypatch):
+        # The exact search's live matching colors the order it finds.
+        def recolour(*args, **kwargs):
+            raise AssertionError("the fallback recoloured its order")
+
+        monkeypatch.setattr(rainbowpath.solver, "rainbow_assignment", recolour)
+        coll = random_instance(GenSpec(n=9, k=0, p=0.8, seed=4))[0]
+        active = ((1 << 9) - 1) & ~(1 << 4)
+        palette = ((1 << 9) - 1) & ~0b101
+        order, colors = _exhaustive_spanning_path(coll, active, palette)
+        path = PathCertificate(tuple(order), tuple(colors))
+        assert rainbowpath.model.path_certificate_violations(coll, path, active=active) == []
+        assert all(palette >> c & 1 for c in colors)
+
 
 class TestAbsorption:
     def test_nothing_to_absorb(self):

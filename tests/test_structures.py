@@ -435,15 +435,33 @@ def _shape_partitions(kind, n, hub, k):
             yield X, frozenset(range(n)) - X
 
 
+def _relabelled(coll, forest, pair, perm):
+    """The instance with every vertex x renamed perm[x]."""
+    n = coll.n_vertices
+    rows = []
+    for row in coll.adjacency:
+        renamed = [0] * n
+        for x, mask in enumerate(row):
+            renamed[perm[x]] = sum(1 << perm[y] for y in range(n) if mask >> y & 1)
+        rows.append(tuple(renamed))
+    if forest is not None:
+        forest = RainbowLinearForest.from_paths(
+            [[perm[x] for x in comp] for comp in forest.components],
+            {(perm[a], perm[b]): c for (a, b), c in forest.fixed_colors.items()},
+        )
+    return GraphCollection(n, tuple(rows)), forest, (perm[pair[0]], perm[pair[1]])
+
+
 def _soundness_inputs(kind, n):
-    """Canonical family with 0-2 seeded flips, then the complete collection."""
+    """Canonical family with 0-2 seeded flips, then the complete collection,
+    each under a seeded vertex permutation, so that any vertex takes any role."""
     k = {"B2": 0, "B3": 0, "C2": 1, "C3": n % 2}[kind]
     coll, meta = build_extremal(kind, n, k)
-    for seed in range(9):
+    for seed in range(10):
         rng = random.Random(seed)
         flips = [(rng.randrange(n), *rng.sample(range(n), 2)) for _ in range(seed % 3)]
-        yield _flipped(coll, flips), meta["forest"], meta["pair"], k
-    yield complete_collection(n), meta["forest"], meta["pair"], k
+        base = _flipped(coll, flips) if seed < 9 else complete_collection(n)
+        yield (*_relabelled(base, meta["forest"], meta["pair"], rng.sample(range(n), n)), k)
 
 
 @pytest.mark.parametrize("kind", ["B2", "B3", "C2", "C3"])
@@ -469,6 +487,42 @@ def test_verifier_is_sound_against_oracle(kind):
                     unsound.append((n, sorted(X), sorted(Y), status))
     assert not unsound
     assert accepted > 0
+
+
+@pytest.mark.parametrize("kind, n, k, clause", [
+    ("B3", 8, 0, "bipartite completeness"),
+    ("C3", 9, 1, "bipartite completeness"),
+    ("B2", 8, 0, "forest adjacency"),
+    ("C2", 9, 1, "forest adjacency"),
+    ("B2", 8, 0, "clique edge"),
+    ("C2", 9, 1, "clique edge"),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_presence_clause_names_each_missing_edge(kind, n, k, clause, seed):
+    # Deleting an edge creates no path, so no comparison with the oracle can
+    # pin a presence clause: each required edge, removed alone, must be named.
+    coll, meta = build_extremal(kind, n, k)
+    perm = random.Random(seed).sample(range(n), n)
+    coll, forest, pair = _relabelled(coll, meta["forest"], meta["pair"], perm)
+    X = frozenset(perm[x] for x in meta["certificate"].X)
+    Y = frozenset(perm[y] for y in meta["certificate"].Y)
+    cert = ExtremalCertificate(kind, X, Y, pair=pair)
+    assert certificate_violations(coll, cert, forest) == []
+    color = coll.n_colors - 1  # a color no forest edge uses
+    # (a, b, the message's words before the pair)
+    if clause == "bipartite completeness":
+        required = [(x, y, f"{clause}: edge") for x in X for y in Y]
+    elif clause == "forest adjacency":
+        hub = set(pair) | set(forest.vertices() if forest else ())
+        required = [(h, x, f"{clause}: edge") for h in hub for x in X | Y]
+    else:
+        required = [(a, b, f"{side}: {clause}") for side, members in (("X", X), ("Y", Y))
+                    for a, b in combinations(sorted(members), 2)]
+    for a, b, words in required:
+        broken = _flipped(coll, [(color, a, b)])
+        assert certificate_violations(broken, cert, forest) == [
+            f"{kind} {words} ({min(a, b)},{max(a, b)}) missing in color {color}"
+        ]
 
 
 class TestCycleFromExtremal:
