@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from functools import partial
+from itertools import combinations
 
 from . import gen as genmod
 from . import serialize
@@ -30,7 +31,7 @@ from .oracle import (
     exact_rainbow_ham_cycle,
     exact_rainbow_ham_path,
 )
-from .solver import hamiltonian_or_connected, solve, solve_pair
+from .solver import hamiltonian_or_connected, solve
 from .structures import verify_certificate
 
 EXIT_PATH = 0
@@ -123,10 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_PATH
     if instance.u is None or instance.v is None:
         raise InputError("instance carries no (u, v) pair; pass --corollary for all pairs")
-    if instance.forest.edge_count == 0:
-        outcome = solve_pair(instance.collection, instance.u, instance.v)
-    else:
-        outcome = solve(instance.collection, instance.forest, instance.u, instance.v, instance.k)
+    outcome = solve(instance.collection, instance.forest, instance.u, instance.v, instance.k)
     data = serialize.outcome_to_dict(outcome)
     if not args.trace:
         data.pop("trace", None)
@@ -244,9 +242,13 @@ def _verify_task(task: tuple) -> dict:
             kind, cert = result.kind, result.cycle
             search = partial(exact_rainbow_ham_cycle, collection)
             if cert is None:
-                paths = result.paths.values()
-                record.update(pair_count=len(paths), ok=len(paths) == n * (n - 1) // 2
-                              and all(verify_certificate(collection, path) for path in paths))
+                # One valid path for each pair, running between that pair.
+                paths = result.paths
+                pairs = list(combinations(range(n), 2))
+                record.update(pair_count=len(paths), ok=sorted(paths) == pairs
+                              and all((path.order[0], path.order[-1]) == pair
+                                      and verify_certificate(collection, path)
+                                      for pair, path in paths.items()))
         else:
             outcome = solve(collection, forest, u, v, k)
             kind, cert = outcome.kind, outcome.path or outcome.extremal

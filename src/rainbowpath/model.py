@@ -369,14 +369,6 @@ class PathCertificate:
         if len(self.coloring) != max(len(self.order) - 1, 0):
             raise InputError("coloring length must be len(order)-1")
 
-    @property
-    def u(self) -> int:
-        return self.order[0]
-
-    @property
-    def v(self) -> int:
-        return self.order[-1]
-
     def edge_coloring(self) -> dict[Edge, int]:
         return {
             canonical_edge(self.order[i], self.order[i + 1]): self.coloring[i]
@@ -394,13 +386,6 @@ class CycleCertificate:
     def __post_init__(self) -> None:
         if len(self.coloring) != len(self.order):
             raise InputError("cycle coloring length must equal len(order)")
-
-    def edge_coloring(self) -> dict[Edge, int]:
-        n = len(self.order)
-        return {
-            canonical_edge(self.order[i], self.order[(i + 1) % n]): self.coloring[i]
-            for i in range(n)
-        }
 
 
 def _walk_accepted(collection: GraphCollection, starts: Iterable[int], ends: Iterable[int],

@@ -548,16 +548,16 @@ def case2_construct(
     """Resolve the identical-split case: a blocked-pair certificate or a path.
 
     With no interior components the split lifts to the two-clique blocking
-    certificate.  Otherwise the path walks one clique, detours through each
-    interior component at its kept endpoint, crosses between the cliques
-    through the deleted layer (adjacent to everything), walks the other
-    clique, and caps both ends with the endpoint components.
+    certificate (B2 around a bare pair, C2 around a forest).  Otherwise the
+    path walks one clique, detours through each interior component at its
+    kept endpoint, crosses between the cliques through the deleted layer
+    (adjacent to everything), walks the other clique, and caps both ends
+    with the endpoint components.
     """
     trace = trace if trace is not None else []
     _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
-        cert = _certified(collection, ExtremalCertificate("C2", X, Y, pair=(plan.u, plan.v)),
-                          plan.forest, "derived C2")
+        cert = _blocked(collection, plan, "2", X, Y)
         _record(trace, stage="case2", outcome="extremal")
         return cert
 
@@ -611,6 +611,15 @@ def _certified(collection: GraphCollection, cert, forest: RainbowLinearForest | 
     if problems:
         raise InternalError(f"{role} certificate fails verification: " + "; ".join(problems))
     return cert
+
+
+def _blocked(collection: GraphCollection, plan: ReductionPlan, shape: str,
+             X: frozenset[int], Y: frozenset[int]) -> ExtremalCertificate:
+    """The verified certificate that blocks the plan's pair: level B around a
+    bare pair (a forest with no edge), level C around a forest."""
+    kind = ("C" if plan.forest.edge_count else "B") + shape
+    cert = ExtremalCertificate(kind, X, Y, pair=(plan.u, plan.v))
+    return _certified(collection, cert, plan.forest, f"derived {kind}")
 
 
 def _finish_path(
@@ -892,8 +901,9 @@ def solve(
 
     Preconditions (input errors when violated): n colors with sigma2 >= n+k,
     a rainbow forest with k <= (n-4)/3 edges valid in its fixed colors, and a
-    compatible endpoint pair.  The result always passes ``verify_certificate``
-    before it is returned.
+    compatible endpoint pair.  A blocked pair gets a level-B certificate
+    (B2/B3) when the forest has no edge and a level-C one (C2/C3) otherwise.
+    The result passes ``certificate_violations`` once, before it is returned.
     """
     forest = forest or RainbowLinearForest.empty()
     problems = forest.validate_against(collection)
@@ -943,8 +953,7 @@ def solve(
     _assert_adjacent(collection, plan, "heavy-side", y_side, x_prime | set(plan.deleted))
     X = x_prime | set(plan.deleted)
     if not plan.forest.vertices() & y_side:
-        cert = _certified(collection, ExtremalCertificate("C3", frozenset(X), frozenset(y_side),
-                                                          pair=(u, v)), plan.forest, "derived C3")
+        cert = _blocked(collection, plan, "3", frozenset(X), frozenset(y_side))
         _record(trace, stage="case3", outcome="extremal")
         return SolverOutcome(extremal=cert, trace=tuple(trace))
     hprime = case3_extend_forest(collection, plan, x_prime)
@@ -961,20 +970,8 @@ def solve_pair(
     u: int,
     v: int,
 ) -> SolverOutcome:
-    """Forest-free specialization; extremal outcomes retag as B2/B3.
-
-    A two-clique blocking certificate around the bare pair is exactly B2; a
-    heavy-side certificate with the pair inside the big side is a (stronger
-    form of a) B3 certificate.
-    """
-    outcome = solve(collection, RainbowLinearForest.empty(), u, v, 0)
-    if outcome.extremal is None:
-        return outcome
-    old = outcome.extremal
-    kind = "B2" if old.kind == "C2" else "B3"
-    cert = _certified(collection, ExtremalCertificate(kind, old.X, old.Y, pair=(u, v)), None,
-                      f"retagged {kind}")
-    return SolverOutcome(extremal=cert, trace=outcome.trace)
+    """``solve`` around the bare pair: its extremal outcomes are B2/B3."""
+    return solve(collection, RainbowLinearForest.empty(), u, v, 0)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rainbowpath import (
+    BudgetExceeded,
     GraphCollection,
     InputError,
+    InternalError,
     OracleBudget,
     RainbowLinearForest,
     check_hypothesis,
@@ -25,13 +28,14 @@ from rainbowpath.cli import (
     EXIT_PATH,
     EXIT_UNKNOWN,
     EXIT_VIOLATION,
+    _suite_instance,
     load_report,
     main,
     minimize_counterexample,
     revalidate_report,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
-from rainbowpath.oracle import NOT_FOUND
+from rainbowpath.oracle import NOT_FOUND, UNKNOWN
 from rainbowpath.serialize import (
     certificate_from_dict,
     digest,
@@ -127,6 +131,18 @@ class TestSolveCommand:
         assert main(["solve", path, "--corollary"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "needs n >= 4, got n=1" in err and "Traceback" not in err
+
+    def test_budget_exceeded_exit_twenty(self, tmp_path, capsys, monkeypatch):
+        from rainbowpath import cli as climod
+
+        def exhausted(collection, forest, u, v, k=None):
+            raise BudgetExceeded("node budget 7 exhausted", 7)
+
+        monkeypatch.setattr(climod, "solve", exhausted)
+        path = write_instance(tmp_path, complete_collection(5), u=0, v=4)
+        assert main(["solve", path]) == EXIT_UNKNOWN
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "unknown (budget): node budget 7 exhausted\n")
 
     def test_reduction_bound_error_writes_bundle(self, tmp_path, capsys, monkeypatch):
         import rainbowpath.solver
@@ -506,7 +522,7 @@ class TestVerifyCommand:
         assert rc == EXIT_PATH
 
     @pytest.mark.parametrize("argv, counts, flipped", [
-        # Record 16 is a C2 certificate: the extremal branch.
+        # Record 16 is a B2 certificate: the extremal branch.
         (["--p", "0", "--n-min", "5", "--n-max", "8", "--count", "17"],
          {"path": 16, "extremal": 1}, 16),
         # A blocked pair at n = 5: the corollary's cycle branch.
@@ -527,6 +543,70 @@ class TestVerifyCommand:
         lines[flipped] = json.dumps(rec)
         report.write_text("\n".join(lines) + "\n")
         assert revalidate_report(str(report)) is False
+
+    def test_extremal_record_matches_solve_command(self, tmp_path, capsys):
+        # Record 16 blocks a bare pair (k = 0): the certificate verify records
+        # is the one `solve` prints for the rebuilt instance file.
+        report = tmp_path / "report.jsonl"
+        assert main(["verify", "--p", "0", "--n-min", "5", "--n-max", "8", "--count", "17",
+                     "--out", str(report)]) == EXIT_PATH
+        rec = load_report(str(report))[0][16]
+        assert rec["k"] == 0 and rec["outcome"] == "extremal"
+        collection, forest, u, v = _suite_instance(rec["n"], rec["k"], rec["seed"], rec["p"])
+        path = write_instance(tmp_path, collection, forest, u, v, rec["k"])
+        capsys.readouterr()
+        assert main(["solve", path]) == EXIT_EXTREMAL
+        printed = json.loads(capsys.readouterr().out)["certificate"]
+        assert printed["kind"] == "B2" and rec["certificate"] == printed
+
+    def test_corollary_paths_must_join_their_own_pairs(self, tmp_path, capsys, monkeypatch):
+        # Every path is valid, but each is filed under the next pair's key.
+        from rainbowpath import cli as climod
+        real = climod.hamiltonian_or_connected
+
+        def misfiled(collection):
+            result = real(collection)
+            pairs = list(result.paths)
+            return replace(result, paths={pairs[i - 1]: result.paths[pair]
+                                          for i, pair in enumerate(pairs)})
+
+        monkeypatch.setattr(climod, "hamiltonian_or_connected", misfiled)
+        report = tmp_path / "report.jsonl"
+        rc = main(["verify", "--mode", "corollary", "--count", "4", "--n-min", "6",
+                   "--n-max", "7", "--k-list", "0", "--out", str(report),
+                   "--bundle-prefix", str(tmp_path / "violation")])
+        capsys.readouterr()
+        assert rc == EXIT_VIOLATION
+        records, summary = load_report(str(report))
+        assert summary["counts"] == {"connected": 4} and summary["failures"] == 4
+        assert all(rec["pair_count"] == rec["n"] * (rec["n"] - 1) // 2 for rec in records)
+
+    def test_solver_error_becomes_a_failing_record(self, tmp_path, capsys, monkeypatch):
+        from rainbowpath import cli as climod
+
+        def broken_solve(collection, forest, u, v, k=None):
+            raise InternalError("injected solver fault")
+
+        monkeypatch.setattr(climod, "solve", broken_solve)
+        report = tmp_path / "r.jsonl"
+        rc = main(["verify", "--count", "2", "--seed", "1", "--out", str(report),
+                   "--bundle-prefix", str(tmp_path / "violation")])
+        assert rc == EXIT_VIOLATION
+        assert "VIOLATION: 2 failing records" in capsys.readouterr().err
+        records, summary = load_report(str(report))
+        assert summary["counts"] == {"error": 2}
+        for rec in records:
+            assert (rec["outcome"], rec["ok"], rec["error"]) == ("error", False, "injected solver fault")
+            assert digest(rec["instance"]) == rec["instance_hash"]
+        assert len(list(tmp_path.glob("violation-*.json"))) == 1
+
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--count", "3", "--seed", "5"]) == EXIT_PATH
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["type"] for row in rows] == ["record"] * 3 + ["summary"]
+        assert rows[-1]["total"] == 3 and rows[-1]["failures"] == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_fault_injection_caught(self, tmp_path, capsys, monkeypatch):
         # A solver that lies must be flagged and exit nonzero.
@@ -630,6 +710,17 @@ class TestSweepCommand:
         records, summary = load_report(str(report))
         assert summary["candidates"] == 1
         assert records[0]["candidate"] and "refuted_on_recheck" not in records[0]
+
+    def test_exhausted_budget_exit_twenty(self, tmp_path, capsys):
+        # One node cannot close a cycle: every row is Unknown, and Unknown
+        # rows are failures of the run, not candidates.
+        report = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "--samples", "2", "--budget-nodes", "1", "--out", str(report)])
+        assert rc == EXIT_UNKNOWN
+        assert capsys.readouterr().err == "2 unknown rows, 2 failures\n"
+        records, summary = load_report(str(report))
+        assert (summary["unknown"], summary["found"], summary["candidates"]) == (2, 0, 0)
+        assert [(rec["outcome"], rec["ok"]) for rec in records] == [(UNKNOWN, False)] * 2
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

@@ -46,6 +46,15 @@ class TestHamPath:
         coll, _ = build_extremal("B2", 5)
         assert exact_rainbow_ham_path(coll, 0, 1).status == NOT_FOUND
 
+    @pytest.mark.parametrize("m, status", [(3, NOT_FOUND), (4, FOUND)])
+    def test_fewer_colors_than_path_edges_is_not_found(self, m, status):
+        # A Hamiltonian path on five vertices has four edges: three colors
+        # cannot color it, so that answer comes before any search node.
+        result = exact_rainbow_ham_path(complete_collection(5, m=m), 0, 1)
+        assert result.status == status
+        if status == NOT_FOUND:
+            assert (result.certificate, result.nodes) == (None, 0)
+
     def test_forest_forced_contiguous(self):
         coll = complete_collection(7)
         forest = RainbowLinearForest.from_paths([(3, 4, 5)], {(3, 4): 0, (4, 5): 1})
@@ -162,6 +171,12 @@ class TestHamCycle:
         coll = complete_collection(4, m=3)
         with pytest.raises(InputError):
             exact_rainbow_ham_cycle(coll)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 3)])
+    def test_below_three_vertices_is_not_found(self, n, m):
+        # One or two vertices close no cycle: NotFound before any search node.
+        result = exact_rainbow_ham_cycle(complete_collection(n, m=m))
+        assert (result.status, result.certificate, result.nodes) == (NOT_FOUND, None, 0)
 
     def test_budget_unknown(self):
         coll = complete_collection(9)

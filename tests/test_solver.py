@@ -514,6 +514,34 @@ class TestSolvePair:
         out = solve_pair(coll, 0, 2)
         assert out.path is not None
 
+    @pytest.mark.parametrize("kind, n", [("B2", 5), ("B2", 8), ("B3", 6), ("B3", 10)])
+    def test_blocked_pair_is_checked_once(self, kind, n, monkeypatch):
+        # solve names the bare pair's certificate B2/B3 itself, so the one
+        # certificate it returns is the one certificate it checked.
+        checked = []
+        real = rainbowpath.solver.certificate_violations
+
+        def counting(collection, cert, forest=None):
+            checked.append(cert)
+            return real(collection, cert, forest)
+
+        monkeypatch.setattr(rainbowpath.solver, "certificate_violations", counting)
+        coll, meta = build_extremal(kind, n)
+        out = solve_pair(coll, *meta["pair"])
+        assert out.extremal is not None and out.extremal.kind == kind
+        assert checked == [out.extremal]
+
+    @pytest.mark.parametrize("kind, n", [("B2", 8), ("B3", 10)])
+    def test_edgeless_forest_gives_the_bare_pair_outcome(self, kind, n):
+        # A forest of singletons has no edge: solve answers at level B, with
+        # the bytes solve_pair gives.
+        coll, meta = build_extremal(kind, n)
+        u, v = meta["pair"]
+        singletons = RainbowLinearForest(((u,), (n - 1,)), {})
+        out = solve(coll, singletons, u, v)
+        assert out.extremal is not None and out.extremal.kind == kind
+        assert dumps(outcome_to_dict(out)) == dumps(outcome_to_dict(solve_pair(coll, u, v)))
+
 
 class TestHamiltonianOrConnected:
     def test_complete_all_pairs(self):

@@ -418,21 +418,21 @@ class TestVerifyCertificate:
                 cycle_from_extremal(coll, cert)
 
 
-def _shape_partitions(kind, n, hub, k):
+def _shape_partitions(kind, n, hub):
     """Every (X, Y) a certificate of ``kind`` could claim around ``hub``.
 
-    Two-clique kinds split V minus the hub into two nonempty sides; heavy-side
-    kinds split V with the hub inside X and |X| - |Y| = k.
+    Two-clique kinds split V minus the hub into two sides, an empty side
+    included; heavy-side kinds split V with the hub inside X, at every size.
+    The checker's nonempty and size clauses must reject the extra ones.
     """
     rest = sorted(set(range(n)) - hub)
-    if kind.endswith("2"):
-        for size in range(1, len(rest)):
-            for X in combinations(rest, size):
-                yield frozenset(X), frozenset(rest) - frozenset(X)
-    elif (n + k) % 2 == 0:
-        for extra in combinations(rest, (n + k) // 2 - len(hub)):
-            X = hub | frozenset(extra)
-            yield X, frozenset(range(n)) - X
+    for size in range(len(rest) + 1):
+        for extra in combinations(rest, size):
+            if kind.endswith("2"):
+                yield frozenset(extra), frozenset(rest) - frozenset(extra)
+            else:
+                X = hub | frozenset(extra)
+                yield X, frozenset(range(n)) - X
 
 
 def _relabelled(coll, forest, pair, perm):
@@ -461,22 +461,23 @@ def _soundness_inputs(kind, n):
         rng = random.Random(seed)
         flips = [(rng.randrange(n), *rng.sample(range(n), 2)) for _ in range(seed % 3)]
         base = _flipped(coll, flips) if seed < 9 else complete_collection(n)
-        yield (*_relabelled(base, meta["forest"], meta["pair"], rng.sample(range(n), n)), k)
+        yield _relabelled(base, meta["forest"], meta["pair"], rng.sample(range(n), n))
 
 
 @pytest.mark.parametrize("kind", ["B2", "B3", "C2", "C3"])
 def test_verifier_is_sound_against_oracle(kind):
     # An accepted certificate claims the pair is blocked; the exact oracle
     # must agree.  The complete collection blocks nothing, so a verifier
-    # that drops the cross-edge or the Y-independence clause fails here.
+    # that drops the cross-edge, the Y-independence, the nonempty or the
+    # size clause fails here.
     accepted, unsound = 0, []
     for n in (6, 7, 8):
         if kind == "B3" and n % 2:
             continue
-        for coll, forest, pair, k in _soundness_inputs(kind, n):
+        for coll, forest, pair in _soundness_inputs(kind, n):
             hub = frozenset(pair) | (forest.vertices() if forest else frozenset())
             status = None
-            for X, Y in _shape_partitions(kind, n, hub, k):
+            for X, Y in _shape_partitions(kind, n, hub):
                 cert = ExtremalCertificate(kind, X, Y, pair=pair)
                 if not verify_certificate(coll, cert, forest):
                     continue
@@ -487,6 +488,19 @@ def test_verifier_is_sound_against_oracle(kind):
                     unsound.append((n, sorted(X), sorted(Y), status))
     assert not unsound
     assert accepted > 0
+
+
+def _relabelled_family(kind, n, k, seed):
+    """Canonical ``kind`` under a seeded vertex permutation: the collection,
+    its forest, and its certificate with the sides and the pair renamed."""
+    coll, meta = build_extremal(kind, n, k)
+    perm = random.Random(seed).sample(range(n), n)
+    coll, forest, pair = _relabelled(coll, meta["forest"], meta["pair"] or (0, 1), perm)
+    cert = meta["certificate"]
+    cert = replace(cert, X=frozenset(perm[x] for x in cert.X), Y=frozenset(perm[y] for y in cert.Y),
+                   pair=cert.pair and pair)
+    assert certificate_violations(coll, cert, forest) == []
+    return coll, forest, cert
 
 
 @pytest.mark.parametrize("kind, n, k, clause", [
@@ -501,13 +515,8 @@ def test_verifier_is_sound_against_oracle(kind):
 def test_presence_clause_names_each_missing_edge(kind, n, k, clause, seed):
     # Deleting an edge creates no path, so no comparison with the oracle can
     # pin a presence clause: each required edge, removed alone, must be named.
-    coll, meta = build_extremal(kind, n, k)
-    perm = random.Random(seed).sample(range(n), n)
-    coll, forest, pair = _relabelled(coll, meta["forest"], meta["pair"], perm)
-    X = frozenset(perm[x] for x in meta["certificate"].X)
-    Y = frozenset(perm[y] for y in meta["certificate"].Y)
-    cert = ExtremalCertificate(kind, X, Y, pair=pair)
-    assert certificate_violations(coll, cert, forest) == []
+    coll, forest, cert = _relabelled_family(kind, n, k, seed)
+    X, Y, pair = cert.X, cert.Y, cert.pair
     color = coll.n_colors - 1  # a color no forest edge uses
     # (a, b, the message's words before the pair)
     if clause == "bipartite completeness":
@@ -523,6 +532,75 @@ def test_presence_clause_names_each_missing_edge(kind, n, k, clause, seed):
         assert certificate_violations(broken, cert, forest) == [
             f"{kind} {words} ({min(a, b)},{max(a, b)}) missing in color {color}"
         ]
+
+
+@pytest.mark.parametrize("n, x_size, message", [
+    (10, 6, "B3 sides must be ((n+k)/2,(n-k)/2), got (6,4)"),
+    (9, 5, "B3 requires n+k even"),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_size_clause_rejects_an_unbalanced_heavy_side(n, x_size, message, seed):
+    # X is a clique, complete to the independent Y in every color, and holds
+    # the pair; with |X| = |Y| + 2 or + 1 a path alternates through Y, so the
+    # size clause alone stands between this certificate and a false claim.
+    edges = [(a, b) for a, b in combinations(range(n), 2) if a < x_size]
+    perm = random.Random(seed).sample(range(n), n)
+    coll, _, pair = _relabelled(GraphCollection.from_edge_lists(n, [edges] * n), None, (0, 1), perm)
+    X = frozenset(perm[x] for x in range(x_size))
+    cert = ExtremalCertificate("B3", X, frozenset(range(n)) - X, pair=pair)
+    assert certificate_violations(coll, cert) == [message]
+    assert exact_rainbow_ham_path(coll, *pair).status == FOUND
+
+
+@pytest.mark.parametrize("empty", ["X", "Y"])
+@pytest.mark.parametrize("seed", range(3))
+def test_nonempty_clause_rejects_an_empty_side(empty, seed):
+    # K10 minus the pair's edge in every color: the other eight vertices form
+    # one clique that the whole hub sees, and a 0-1 path runs through it.
+    n = 10
+    edges = [edge for edge in clique_edges(range(n)) if edge != (0, 1)]
+    perm = random.Random(seed).sample(range(n), n)
+    coll, _, pair = _relabelled(GraphCollection.from_edge_lists(n, [edges] * n), None, (0, 1), perm)
+    sides = {"X": frozenset(), "Y": frozenset()}
+    sides["Y" if empty == "X" else "X"] = frozenset(range(n)) - set(pair)
+    cert = ExtremalCertificate("B2", pair=pair, **sides)
+    assert certificate_violations(coll, cert) == ["B2 requires both sides nonempty"]
+    assert exact_rainbow_ham_path(coll, *pair).status == FOUND
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_ell_clause_names_the_split_size(seed, delta):
+    coll, _, cert = _relabelled_family("A2", 7, 0, seed)
+    bad = replace(cert, ell=cert.ell + delta)
+    assert certificate_violations(coll, bad) == [f"ell={cert.ell + delta} does not match |X|=3"]
+
+
+@pytest.mark.parametrize("kind, n, k", [("C2", 9, 1), ("C3", 9, 1), ("C2", 10, 2), ("C3", 10, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_level_c_needs_the_forest(kind, n, k, seed):
+    coll, _, cert = _relabelled_family(kind, n, k, seed)
+    assert certificate_violations(coll, cert) == [f"{kind} requires the forest context"]
+
+
+@pytest.mark.parametrize("kind, n, k", [("B2", 8, 0), ("C2", 9, 1), ("C2", 10, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_overlap_clause_names_a_shared_vertex(kind, n, k, seed):
+    # A Y vertex y added to X: the sides overlap, y misses the rest of the X
+    # clique, and y's Y neighbours cross.  Each clause names its first pair
+    # in the first color the forest leaves unused.
+    coll, forest, cert = _relabelled_family(kind, n, k, seed)
+    y = min(cert.Y)
+    X = cert.X | {y}
+    a = min(X)
+    b = min(cert.X) if a == y else y
+    c = min(set(range(n)) - set(forest.colors() if forest else ()))
+    cross = min(cert.Y - {y})
+    assert certificate_violations(coll, replace(cert, X=X), forest) == [
+        "X and Y overlap",
+        f"{kind} X: clique edge ({a},{b}) missing in color {c}",
+        f"{kind}: cross edge ({min(y, cross)},{max(y, cross)}) present in color {c}",
+    ]
 
 
 class TestCycleFromExtremal:
