@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -108,13 +108,43 @@ class GraphCollection:
 
     @cached_property
     def sigma2s(self) -> tuple[float, ...]:
-        """``sigma2`` of every color, computed once: the collection is
-        immutable.  Colors that share one row tuple share one computation;
-        ``seed_sigma2s`` can supply the values instead."""
+        """The exact ``sigma2`` of every color, computed once: the collection
+        is immutable.  Colors that share one row tuple share one computation;
+        ``seed_sigma2s`` can supply the values instead.  The hypothesis
+        checks read ``sigma2_bounds``, which scans fewer colors."""
+        return self._per_row(lambda color, row: sigma2(self, color))
+
+    @cached_property
+    def sigma2_bounds(self) -> tuple[float, ...]:
+        """A lower bound on every color's ``sigma2``, exact below the
+        cut-off n + floor((n-4)/3), the largest n+k that ``solve`` accepts.
+
+        ``sigma2s`` when that is already known.  Otherwise, once per shared
+        row tuple, twice the minimum degree when that reaches the cut-off
+        (Dirac's condition implies Ore's: a non-adjacent pair's degree sum
+        is at least 2·δ), else the exact ``sigma2``.  So a bound n+k up to
+        the cut-off passes or fails on these values exactly as on
+        ``sigma2s``; ``check_hypothesis`` falls back to ``sigma2s`` beyond.
+        """
+        known = self.__dict__.get("sigma2s")
+        if known is not None:
+            return known
+        n = self.n_vertices
+        cutoff = n + (n - 4) // 3
+
+        def bound(color: int, row: tuple[int, ...]) -> float:
+            floor = 2 * min(map(int.bit_count, row))
+            return floor if floor >= cutoff else sigma2(self, color)
+
+        return self._per_row(bound)
+
+    def _per_row(self, value: Callable[[int, tuple[int, ...]], float]) -> tuple[float, ...]:
+        """``value(color, row)`` for every color, called once per row tuple:
+        a color that shares an earlier color's tuple takes its value."""
         values: dict[int, float] = {}
         for color, row in enumerate(self.adjacency):
             if id(row) not in values:
-                values[id(row)] = sigma2(self, color)
+                values[id(row)] = value(color, row)
         return tuple(values[id(row)] for row in self.adjacency)
 
     def seed_sigma2s(self, values: Iterable[float]) -> "GraphCollection":
@@ -297,14 +327,21 @@ def row_sigma2(row: Sequence[int], active: int | None = None) -> float:
 
 
 def check_hypothesis(collection: GraphCollection, k: int) -> bool:
-    """True iff the collection has n colors and sigma2 >= n+k in each of them."""
+    """True iff the collection has n colors and sigma2 >= n+k in each of them.
+
+    Decided on ``sigma2_bounds``, where twice a color's minimum degree
+    stands in for its sigma2 when that reaches the cut-off, so a dense
+    color is not scanned.  Only when some bound misses n+k does the exact
+    ``sigma2s`` decide, so the verdict is exact for every k.
+    """
     if collection.n_colors != collection.n_vertices:
         raise InputError(
             f"hypothesis needs exactly n={collection.n_vertices} colors, "
             f"got {collection.n_colors}"
         )
     bound = collection.n_vertices + k
-    return all(value >= bound for value in collection.sigma2s)
+    return (all(value >= bound for value in collection.sigma2_bounds)
+            or all(value >= bound for value in collection.sigma2s))
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,25 @@ class Li2Result:
 
 def _try_extend(collection: GraphCollection, end: int, used: int, free: int) -> tuple[int, int] | None:
     """The first vertex of ``free`` that sees ``end`` in a color outside
-    ``used``, with the lowest such color; None when there is none."""
+    ``used``, with the lowest such color; None when there is none.
+
+    ``used`` must hold every color of index n_colors or more (the heuristic
+    passes ``used`` ⊇ ~palette).  Then ``first``, the lowest unused color,
+    is the lowest color of any edge it holds: when its row at ``end`` holds
+    the first vertex of ``free``, that is the answer, and the edge's
+    ``color_mask`` is not read.  On a dense collection the memo then stays
+    mostly unfilled; otherwise the memoised loop runs as before.
+    """
+    unused = ~used
+    if not unused:
+        return None
+    first = (unused & -unused).bit_length() - 1
+    low = free & -free
+    if collection.adjacency[first][end] & low:
+        return low.bit_length() - 1, first
     while free:
         x = (free & -free).bit_length() - 1
-        available = collection.color_mask(end, x) & ~used
+        available = collection.color_mask(end, x) & unused
         if available:
             return x, (available & -available).bit_length() - 1
         free &= free - 1
@@ -461,9 +476,14 @@ def li2_dispatch(
     InputError; on a restriction, which the n+k hypothesis guarantees in
     ``solve``, it raises ReductionBoundError with its repro bundle.  Deleting
     d = |V| - n vertices lowers a non-adjacent pair's degree sum by at most
-    2d, so a color passes at once when its cached sigma2 minus 2d reaches
-    n-2; only a color that falls short gets the exact masked scan, which
-    then decides and supplies the error's value.
+    2d, so a color passes at once when its cached ``sigma2_bounds`` value
+    minus 2d reaches n-2; only a color that falls short gets the exact
+    masked scan, which then decides and supplies the error's value.  With
+    d = k+2 that test reads "bound >= n+k", and the bound is the exact
+    sigma2 wherever it misses an n+k that ``solve`` accepts, so there the
+    scans are those the exact sigma2 would run.  Beyond that range a color
+    the exact sigma2 would pass at once may be scanned, and passes: its
+    masked sigma2 is at least sigma2 - 2d.
     """
     restricted = active is not None
     active = (1 << collection.n_vertices) - 1 if active is None else active
@@ -473,7 +493,7 @@ def li2_dispatch(
         raise InputError(f"dispatch needs at least n={n} colors, got {palette.bit_count()}")
     loss = 2 * (collection.n_vertices - n)
     for c in bits(palette):
-        value = collection.sigma2s[c]
+        value = collection.sigma2_bounds[c]
         if value - loss < n - 2:
             value = row_sigma2(collection.adjacency[c], active)
         if value >= n - 2:

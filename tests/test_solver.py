@@ -1,3 +1,6 @@
+import contextlib
+import io
+import random
 import sys
 from itertools import combinations
 
@@ -29,10 +32,13 @@ from rainbowpath import (
     verify_certificate,
 )
 from rainbowpath.gen import GenSpec, build_extremal, random_instance
-from rainbowpath.serialize import dumps, outcome_to_dict
+from rainbowpath import cli
+from rainbowpath.serialize import dumps, load_instance, outcome_to_dict
 from rainbowpath.solver import (
     WorkingPath,
     _exhaustive_spanning_path,
+    _heuristic_spanning_path,
+    _try_extend,
     absorb_components,
     attach_terminal_component,
 )
@@ -123,6 +129,80 @@ class TestLi2Dispatch:
         path = PathCertificate(tuple(order), tuple(colors))
         assert rainbowpath.model.path_certificate_violations(coll, path, active=active) == []
         assert all(palette >> c & 1 for c in colors)
+
+
+def _reference_try_extend(collection, end, used, free):
+    """The reference for ``_try_extend``: every candidate reads its edge's
+    memoised color mask, with no lowest-unused-color test."""
+    while free:
+        x = (free & -free).bit_length() - 1
+        available = collection.color_mask(end, x) & ~used
+        if available:
+            return x, (available & -available).bit_length() - 1
+        free &= free - 1
+    return None
+
+
+class TestTryExtend:
+    def test_matches_reference_with_cold_and_warm_memos(self):
+        rng = random.Random(7)
+        differ = 0
+        for trial in range(400):
+            n, m = rng.randint(2, 12), rng.randint(1, 14)
+            density = rng.choice((0.1, 0.4, 0.8, 1.0))
+            lists = [[e for e in clique_edges(range(n)) if rng.random() < density] for _ in range(m)]
+            rows = GraphCollection.from_edge_lists(n, lists).adjacency
+            cold, reference = GraphCollection(n, rows), GraphCollection(n, rows)
+            palette = rng.getrandbits(m)
+            for _ in range(6):
+                end = rng.randrange(n)
+                used = ~palette | (rng.getrandbits(m) & rng.getrandbits(m))
+                free = rng.getrandbits(n) & ~(1 << end)
+                want = _reference_try_extend(reference, end, used, free)
+                assert _try_extend(cold, end, used, free) == want, trial
+                # Warm: every pair's color mask is memoised now.
+                for a, b in combinations(range(n), 2):
+                    cold.color_mask(a, b)
+                assert _try_extend(cold, end, used, free) == want, trial
+                # The lowest unused color often misses the first candidate.
+                lowest = ~used & -~used
+                differ += bool(want and free and lowest and want[1] != lowest.bit_length() - 1)
+        assert differ >= 100
+
+    def _count_scans(self, monkeypatch):
+        scans = []
+        original = GraphCollection._scan_color_mask
+        monkeypatch.setattr(GraphCollection, "_scan_color_mask",
+                            lambda coll, u, v: scans.append((u, v)) or original(coll, u, v))
+        return scans
+
+    @pytest.mark.parametrize("n", [4, 9, 30])
+    def test_complete_collection_scans_no_color_mask(self, n, monkeypatch):
+        scans = self._count_scans(monkeypatch)
+        full = (1 << n) - 1
+        assert _heuristic_spanning_path(complete_collection(n), full, full) is not None
+        assert scans == []
+
+    def test_dense_file_scans_only_where_the_lowest_color_misses(self, tmp_path, monkeypatch):
+        # gen --p 0.95 at n=100: the lowest unused color holds the candidate
+        # edge about 95% of the time, so a handful of the 97 steps read a
+        # color mask.  The reference scans every pair it tries, one or more
+        # per step, and both grow the same path.
+        path = str(tmp_path / "dense.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen", "--n", "100", "--p", "0.95", "--seed", "1", "--out", path]) == 0
+        inst = load_instance(path)
+        plan = select_deletion_set(inst.forest, inst.u, inst.v, 100)
+        coll = inst.collection
+        scans = self._count_scans(monkeypatch)
+        found = _heuristic_spanning_path(coll, plan.active, plan.retained_mask)
+        assert found is not None and len(scans) <= 10
+        fresh = GraphCollection(100, coll.adjacency)
+        scans.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rainbowpath.solver, "_try_extend", _reference_try_extend)
+            assert _heuristic_spanning_path(fresh, plan.active, plan.retained_mask) == found
+        assert len(scans) >= plan.active.bit_count() - 1
 
 
 class TestAbsorption:
@@ -593,15 +673,19 @@ class TestHamiltonianOrConnected:
                         monkeypatch.setattr(module, attr, counting)
                     elif value is original_row:
                         monkeypatch.setattr(module, attr, counting_row)
-        for coll, any_below in ((complete_collection(8), False), (random16, True)):
+        # K8 passes on its minimum degree (2·7 >= 8 + 1, the cut-off n +
+        # (n-4)//3) and is never scanned; every color of random16 has
+        # 2·δ <= 18 < 20 and is scanned once.
+        for coll, any_below, scanned in ((complete_collection(8), False, []),
+                                         (random16, True, list(range(16)))):
             n = coll.n_vertices
             calls.clear()
             res = hamiltonian_or_connected(coll)
             assert res.kind == "connected"
-            # The full collection once.  Each pair's restriction to V minus D
-            # passes on the cached sigma2 minus 2|D|, so no masked scan runs,
-            # even where the masked sigma2 is below the full one.
-            assert len(calls) == n
+            # The full collection at most once.  Each pair's restriction to
+            # V minus D passes on the cached bound minus 2|D|, so no masked
+            # scan runs, even where the masked sigma2 is below the full one.
+            assert calls == scanned
             assert masked == []
             actives = [select_deletion_set(RainbowLinearForest.empty(), u, v, n).active
                        for u, v in combinations(range(n), 2)]
