@@ -43,18 +43,26 @@ class Mutant:
 
 
 MUTANTS = (
-    # σ2 by minimum degree: the bound, its cut-off, and the exact fallback.
-    Mutant("sigma2-bound-2delta-plus-1", "model.py",
-           "floor = 2 * min(map(int.bit_count, row))",
-           "floor = 2 * min(map(int.bit_count, row)) + 1",
+    # σ2 >= b per color: the known value, then 2·δ >= b, then the exact σ2.
+    Mutant("sigma2-floor-2delta-plus-1", "model.py",
+           "floor = {key: 2 * min(map(int.bit_count, row)) for key, row in rows.items()}",
+           "floor = {key: 2 * min(map(int.bit_count, row)) + 1 for key, row in rows.items()}",
            ("tests/test_sigma2_bounds.py",)),
-    Mutant("check-hypothesis-no-exact-fallback", "model.py",
-           "or all(value >= bound for value in collection.sigma2s))",
-           "or False)",
+    Mutant("sigma2-floor-alone", "model.py",
+           "if floors[c] < bound and self._exact_sigma2(c) < bound)",
+           "if floors[c] < bound)",
            ("tests/test_sigma2_bounds.py",)),
-    Mutant("sigma2-cutoff-n", "model.py",
-           "cutoff = n + (n - 4) // 3",
-           "cutoff = n",
+    Mutant("sigma2-seeded-values-skipped", "model.py",
+           'known = self.__dict__.get("sigma2s")',
+           "known = None",
+           ("tests/test_sigma2_bounds.py",)),
+    Mutant("sigma2-exact-values-not-kept", "model.py",
+           'exact, row = self.__dict__.setdefault("_sigma2_exact", {}), self.adjacency[color]',
+           "exact, row = {}, self.adjacency[color]",
+           ("tests/test_sigma2_bounds.py",)),
+    Mutant("dispatch-bound-n-plus-2d", "solver.py",
+           "collection.sigma2_below(n - 2 + loss, bits(palette))",
+           "collection.sigma2_below(n + loss, bits(palette))",
            ("tests/test_sigma2_bounds.py",)),
     # The greedy step answers with the lowest unused color only where its
     # row holds the candidate.
@@ -82,6 +90,32 @@ MUTANTS = (
            "slack = bound + owned.bit_count()",
            "slack = bound",
            ("tests/test_oracle.py",)),
+    # The exact search's other two cuts: a free set disconnected in the
+    # union graph, and a union independent set with 2|I| > k + 1.
+    Mutant("exact-search-no-connectivity-cut", "oracle.py",
+           "if seen != avail:",
+           "if False:",
+           ("tests/test_oracle.py",)),
+    # Cutting at 2|I| = k + 1 is sound: in a state with a completion such
+    # an I holds every other vertex of the row, so before its last pick
+    # that vertex alone is left and the greedy's stop test has ended it.
+    Mutant("union-independent-set-cut-at-equality", "oracle.py",
+           "if 2 * picked > bound:",
+           "if 2 * picked >= bound:",
+           ("tests/test_oracle.py",),
+           equivalent="cuts only states with no completion; no status or order changes, "
+                      "only the node counts of dead subtrees"),
+    # The rows decoder takes lowercase hex only.
+    Mutant("rows-decoder-takes-uppercase", "serialize.py",
+           'b"0123456789abcdef"',
+           'b"0123456789abcdefABCDEF"',
+           ("tests/test_serialize.py", "tests/test_cli.py")),
+    # The walk checker's accept pass without its lower color bound: a
+    # negative color indexes the colors from the end.
+    Mutant("walk-accepted-negative-color", "model.py",
+           "if not (0 <= color < m and adjacency[color][a] >> b & 1):",
+           "if not (color < m and adjacency[color][a] >> b & 1):",
+           ("tests/test_model.py",)),
     # Scanning on after the degree-order stop only revisits pairs whose
     # sum cannot be lower, so sigma2 is unchanged.
     Mutant("row-sigma2-stops-later", "model.py",

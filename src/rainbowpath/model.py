@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -109,43 +109,48 @@ class GraphCollection:
     @cached_property
     def sigma2s(self) -> tuple[float, ...]:
         """The exact ``sigma2`` of every color, computed once: the collection
-        is immutable.  Colors that share one row tuple share one computation;
-        ``seed_sigma2s`` can supply the values instead.  The hypothesis
-        checks read ``sigma2_bounds``, which scans fewer colors."""
-        return self._per_row(lambda color, row: sigma2(self, color))
+        is immutable.  Colors that share one row tuple share one computation,
+        and a value ``sigma2_below`` computed is reused; ``seed_sigma2s`` can
+        supply the values instead."""
+        # One loop rather than ``_exact_sigma2`` per color: the perturbed
+        # generator reads this on every family collection it builds.
+        exact = self.__dict__.get("_sigma2_exact", {})
+        for color, row in enumerate(self.adjacency):
+            if id(row) not in exact:
+                exact[id(row)] = sigma2(self, color)
+        return tuple(exact[id(row)] for row in self.adjacency)
 
-    @cached_property
-    def sigma2_bounds(self) -> tuple[float, ...]:
-        """A lower bound on every color's ``sigma2``, exact below the
-        cut-off n + floor((n-4)/3), the largest n+k that ``solve`` accepts.
+    def sigma2_below(self, bound: float, colors: Iterable[int] | None = None) -> Iterator[int]:
+        """The colors among ``colors`` (default: all) whose ``sigma2`` is
+        below ``bound``, in order and lazily, so a caller may stop at one.
 
-        ``sigma2s`` when that is already known.  Otherwise, once per shared
-        row tuple, twice the minimum degree when that reaches the cut-off
-        (Dirac's condition implies Ore's: a non-adjacent pair's degree sum
-        is at least 2·δ), else the exact ``sigma2``.  So a bound n+k up to
-        the cut-off passes or fails on these values exactly as on
-        ``sigma2s``; ``check_hypothesis`` falls back to ``sigma2s`` beyond.
+        A color's known sigma2 (seeded, or computed earlier) decides.  Else
+        the color passes when twice its minimum degree reaches ``bound``
+        (Dirac's condition implies Ore's: a non-adjacent pair's degree sum is
+        at least 2·δ), and only else is its exact sigma2 computed, once per
+        row tuple, and kept.  So the answer is the exact sigma2's for every
+        bound, and a seeded collection reads its values alone.
         """
+        colors = range(self.n_colors) if colors is None else colors
         known = self.__dict__.get("sigma2s")
         if known is not None:
-            return known
-        n = self.n_vertices
-        cutoff = n + (n - 4) // 3
+            return (c for c in colors if known[c] < bound)
+        floors = self._sigma2_floors
+        return (c for c in colors if floors[c] < bound and self._exact_sigma2(c) < bound)
 
-        def bound(color: int, row: tuple[int, ...]) -> float:
-            floor = 2 * min(map(int.bit_count, row))
-            return floor if floor >= cutoff else sigma2(self, color)
+    @cached_property
+    def _sigma2_floors(self) -> tuple[int, ...]:
+        """Twice every color's minimum degree, once per row tuple."""
+        rows = {id(row): row for row in self.adjacency}
+        floor = {key: 2 * min(map(int.bit_count, row)) for key, row in rows.items()}
+        return tuple(floor[id(row)] for row in self.adjacency)
 
-        return self._per_row(bound)
-
-    def _per_row(self, value: Callable[[int, tuple[int, ...]], float]) -> tuple[float, ...]:
-        """``value(color, row)`` for every color, called once per row tuple:
-        a color that shares an earlier color's tuple takes its value."""
-        values: dict[int, float] = {}
-        for color, row in enumerate(self.adjacency):
-            if id(row) not in values:
-                values[id(row)] = value(color, row)
-        return tuple(values[id(row)] for row in self.adjacency)
+    def _exact_sigma2(self, color: int) -> float:
+        """``sigma2`` of ``color``, kept by the id of its row tuple."""
+        exact, row = self.__dict__.setdefault("_sigma2_exact", {}), self.adjacency[color]
+        if id(row) not in exact:
+            exact[id(row)] = sigma2(self, color)
+        return exact[id(row)]
 
     def seed_sigma2s(self, values: Iterable[float]) -> "GraphCollection":
         """Set ``sigma2s`` to ``values``, computed by the caller from these rows."""
@@ -329,19 +334,16 @@ def row_sigma2(row: Sequence[int], active: int | None = None) -> float:
 def check_hypothesis(collection: GraphCollection, k: int) -> bool:
     """True iff the collection has n colors and sigma2 >= n+k in each of them.
 
-    Decided on ``sigma2_bounds``, where twice a color's minimum degree
-    stands in for its sigma2 when that reaches the cut-off, so a dense
-    color is not scanned.  Only when some bound misses n+k does the exact
-    ``sigma2s`` decide, so the verdict is exact for every k.
+    Asks ``sigma2_below`` in color order and stops at the first color that
+    misses n+k, so a color whose doubled minimum degree reaches n+k, or
+    whose sigma2 is known, is not scanned.
     """
     if collection.n_colors != collection.n_vertices:
         raise InputError(
             f"hypothesis needs exactly n={collection.n_vertices} colors, "
             f"got {collection.n_colors}"
         )
-    bound = collection.n_vertices + k
-    return (all(value >= bound for value in collection.sigma2_bounds)
-            or all(value >= bound for value in collection.sigma2s))
+    return next(collection.sigma2_below(collection.n_vertices + k), None) is None
 
 
 # ---------------------------------------------------------------------------

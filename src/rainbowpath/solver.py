@@ -476,14 +476,10 @@ def li2_dispatch(
     InputError; on a restriction, which the n+k hypothesis guarantees in
     ``solve``, it raises ReductionBoundError with its repro bundle.  Deleting
     d = |V| - n vertices lowers a non-adjacent pair's degree sum by at most
-    2d, so a color passes at once when its cached ``sigma2_bounds`` value
-    minus 2d reaches n-2; only a color that falls short gets the exact
-    masked scan, which then decides and supplies the error's value.  With
-    d = k+2 that test reads "bound >= n+k", and the bound is the exact
-    sigma2 wherever it misses an n+k that ``solve`` accepts, so there the
-    scans are those the exact sigma2 would run.  Beyond that range a color
-    the exact sigma2 would pass at once may be scanned, and passes: its
-    masked sigma2 is at least sigma2 - 2d.
+    2d, so a color passes at once when ``sigma2_below`` says its sigma2
+    reaches n-2+2d; only a color that falls short gets the exact masked
+    scan, which then decides and supplies the error's value.  Those are
+    the colors the exact sigma2 would scan, for every d.
     """
     restricted = active is not None
     active = (1 << collection.n_vertices) - 1 if active is None else active
@@ -492,10 +488,8 @@ def li2_dispatch(
     if palette.bit_count() < n:
         raise InputError(f"dispatch needs at least n={n} colors, got {palette.bit_count()}")
     loss = 2 * (collection.n_vertices - n)
-    for c in bits(palette):
-        value = collection.sigma2_bounds[c]
-        if value - loss < n - 2:
-            value = row_sigma2(collection.adjacency[c], active)
+    for c in collection.sigma2_below(n - 2 + loss, bits(palette)):
+        value = row_sigma2(collection.adjacency[c], active)
         if value >= n - 2:
             continue
         if not restricted:

@@ -266,7 +266,7 @@ class TestReduceCollection:
         assert ends_deleted >= 60
         assert below_full >= 1000
 
-    def test_cached_sigma2_bounds_masked_sigma2(self):
+    def test_sigma2_less_twice_deleted_bounds_masked_sigma2(self):
         # li2_dispatch passes a retained color on sigma2s[c] - 2|D| alone:
         # deleting D lowers a non-adjacent pair's degree sum by at most 2|D|.
         def plans():

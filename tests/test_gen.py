@@ -358,10 +358,10 @@ class TestSeededSigma2:
         real = model.sigma2
         monkeypatch.setattr(model, "sigma2", lambda coll, color: calls.append(color) or real(coll, color))
         # ``scanned`` lists the distinct rows whose 2·(minimum degree) misses
-        # the cut-off n + (n-4)//3 (14, 14 and 12): B3's one graph (2δ = 12),
-        # C2's non-forest graph (2δ = 10).  C3's complete forest colors and
-        # its other graph (2δ = 14) pass on the minimum degree.
-        for kind, n, k, distinct, scanned in (("B3", 12, 0, [0], [0]), ("C3", 12, 2, [0, 2], []),
+        # n+k (12, 14 and 11): only C2's non-forest graph (2δ = 10).  B3's
+        # one graph (2δ = 12), C3's complete forest colors and its other
+        # graph (2δ = 14) pass on the minimum degree.
+        for kind, n, k, distinct, scanned in (("B3", 12, 0, [0], []), ("C3", 12, 2, [0, 2], []),
                                               ("C2", 10, 1, [0, 1], [1])):
             coll, _meta = build_extremal(kind, n, k)
             calls.clear()

@@ -1,12 +1,15 @@
-"""``GraphCollection.sigma2_bounds`` decides every σ2 bound as the exact σ2 does.
+"""``GraphCollection.sigma2_below`` decides every σ2 bound as the exact σ2 does.
 
-The bound is twice a color's minimum degree where that reaches the cut-off
-n + (n-4)//3, the largest n+k ``solve`` accepts, and the exact σ2 below it.
-These tests build random collections three ways (by hand, decoded from the
-instance schema, and with σ2 seeded as the generator seeds it) and compare
-``check_hypothesis`` and the dispatch precondition with references that read
-only the exact σ2.  Tight colors, with σ2 = 2·δ one below the cut-off or some
-other n+k, are where a bound that is off by one gives a different verdict.
+A color passes a bound b on its known σ2 (seeded, or computed earlier), else
+when twice its minimum degree reaches b, and only else is its exact σ2
+computed, once per row tuple.  These tests build random collections three
+ways (by hand, decoded from the instance schema, and with σ2 seeded as the
+generator seeds it) and compare ``check_hypothesis`` and the dispatch
+precondition with references that read only the exact σ2, for every k.
+Tight colors, with σ2 = 2·δ one below some n+k, are where a floor that is
+off by one gives a different verdict.  Every ``sigma2`` call is of a color
+whose 2·δ misses n+k, so no input is scanned more than by a rule that scans
+every color whose 2·δ misses a fixed cut-off at or above n+k.
 """
 
 import random
@@ -16,16 +19,17 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rainbowpath.model
 import rainbowpath.solver
 from rainbowpath import GraphCollection, RainbowLinearForest, check_hypothesis
 from rainbowpath.forest import ReductionBoundError, select_deletion_set
-from rainbowpath.model import InputError, row_sigma2
+from rainbowpath.model import InputError, bits, row_sigma2
 from rainbowpath.serialize import instance_from_dict, instance_to_dict
 from rainbowpath.solver import li2_dispatch
 
 
-def _cutoff(n):
-    return n + (n - 4) // 3
+def _floor(row):
+    return 2 * min(map(int.bit_count, row))
 
 
 def _random_row(n, p, rng):
@@ -63,8 +67,8 @@ def _collection(n, way, seed, p, tight, share):
         if rows and share and rng.random() < 0.3:
             rows.append(rows[-1])
         elif color < tight:
-            # One below the cut-off first, then one below a random n+k >= n.
-            target = _cutoff(n) if color == 0 else n + rng.randint(0, n - 4)
+            # One below a random n+k >= n.
+            target = n + rng.randint(0, n - 4)
             rows.append(_tight_row(n, min((target - 1) // 2, n - 3), rng))
         else:
             rows.append(_random_row(n, p, rng))
@@ -78,15 +82,15 @@ def _collection(n, way, seed, p, tight, share):
 
 def _plans(n, rng):
     """The empty-forest plan of every pair (of a sample of them for n > 12),
-    and, for each forest size k up to two past (n-4)//3, three plans whose
-    forest is one path from u."""
+    and, for every forest size k from 1 to n-2, two plans whose forest is
+    one path from u."""
     pairs = list(combinations(range(n), 2))
     if n > 12:
         pairs = rng.sample(pairs, 24)
     for u, v in pairs:
         yield 0, select_deletion_set(RainbowLinearForest.empty(), u, v, n)
-    for k in range(1, min((n - 4) // 3 + 2, n - 4) + 1):
-        for _ in range(3):
+    for k in range(1, n - 1):
+        for _ in range(2):
             vertices = rng.sample(range(n), k + 2)
             path = vertices[:k + 1]
             colors = rng.sample(range(n), k)
@@ -124,26 +128,58 @@ def _precondition(collection, plan):
     raise AssertionError("li2_dispatch returned before its detectors")
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+def _wanted_scans(collection, exact, plan):
+    """The masked scans the dispatch precondition must run: of the colors
+    whose exact σ2 misses n-2+2d (d deleted vertices), in color order, up to
+    the first whose masked σ2 misses n-2."""
+    n_all = collection.n_vertices
+    active = (1 << n_all) - 1 if plan is None else plan.active
+    palette = (1 << n_all) - 1 if plan is None else plan.retained_mask
+    n = active.bit_count()
+    scans = []
+    for c in bits(palette):
+        if exact[c] < n - 2 + 2 * (n_all - n):
+            scans.append((collection.adjacency[c], active))
+            if row_sigma2(collection.adjacency[c], active) < n - 2:
+                break
+    return scans
+
+
+def _wanted_calls(collection, exact, known, bound):
+    """The colors ``check_hypothesis`` computes σ2 for at ``bound``: in color
+    order up to the first color that misses it, each one whose row tuple is
+    not in ``known`` and whose 2·δ misses ``bound``.  Adds them to ``known``."""
+    calls = []
+    for c, row in enumerate(collection.adjacency):
+        if id(row) not in known and _floor(row) < bound:
+            calls.append(c)
+            known.add(id(row))
+        if exact[c] < bound:
+            break
+    return calls
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(n=st.integers(4, 40), way=st.sampled_from(["hand", "decoded", "seeded"]),
        seed=st.integers(0, 2**32 - 1), p=st.floats(0.2, 1.0), tight=st.integers(0, 3),
        share=st.booleans())
 # Complete colors: 2·δ = 2n-2 < n+k <= σ2 = inf for k >= n-1.
 @example(n=9, way="hand", seed=0, p=1.0, tight=0, share=False)
-# n=14 has an odd cut-off (17): color 0 has σ2 = 2·δ = 16, the rest are dense.
+# Dense colors beside tight ones, shared rows, and an odd n+k = 2·δ + 1.
 @example(n=14, way="hand", seed=1, p=0.97, tight=1, share=True)
 @example(n=14, way="decoded", seed=2, p=0.97, tight=2, share=False)
-# n=22 (cut-off 28): colors with n <= 2·δ < n+k <= σ2 reach the masked scan
-# only when the bound is read below the cut-off.
+# Colors with n <= 2·δ < n+k <= σ2: the floor misses and the exact σ2
+# passes, so they must not reach the masked scan.
 @example(n=22, way="hand", seed=3, p=0.72, tight=0, share=False)
 def test_bounds_decide_as_exact_sigma2(n, way, seed, p, tight, share):
     coll = _collection(n, way, seed, p, tight, share)
     exact = tuple(row_sigma2(row) for row in coll.adjacency)
-    cutoff = _cutoff(n)
-    for k in range(n + 1):
-        assert check_hypothesis(coll, k) == all(value >= n + k for value in exact), k
-    for bound, value in zip(coll.sigma2_bounds, exact):
-        assert bound <= value and (bound >= cutoff or bound == value)
+    known = {id(row) for row in coll.adjacency} if way == "seeded" else set()
+    with mock.patch.object(rainbowpath.model, "sigma2", wraps=rainbowpath.model.sigma2) as sigma2:
+        for k in range(n + 1):
+            sigma2.reset_mock()
+            assert check_hypothesis(coll, k) == all(value >= n + k for value in exact), k
+            assert [call.args[1] for call in sigma2.call_args_list] == _wanted_calls(coll, exact, known, n + k), k
 
     reference = GraphCollection(n, coll.adjacency).seed_sigma2s(exact)
     rng = random.Random(seed)
@@ -151,15 +187,13 @@ def test_bounds_decide_as_exact_sigma2(n, way, seed, p, tight, share):
         got, scans = _precondition(coll, plan)
         want, want_scans = _precondition(reference, plan)
         assert got == want, (k, plan)
-        if n + k <= cutoff:
-            # Within solve's range the same colors reach the masked scan.
-            assert scans == want_scans, (k, plan)
+        assert scans == want_scans == _wanted_scans(coll, exact, plan), (k, plan)
 
 
 def test_tight_row_is_tight():
     rng = random.Random(0)
     for n in range(5, 41):
-        for delta in (0, (_cutoff(n) - 1) // 2, n - 3):
+        for delta in (0, n // 2, n - 3):
             delta = min(delta, n - 3)
             row = _tight_row(n, delta, rng)
             assert min(map(int.bit_count, row)) == delta
@@ -168,11 +202,37 @@ def test_tight_row_is_tight():
 
 
 def test_dense_colors_are_not_scanned():
-    # A dense collection passes on its minimum degrees alone: no sigma2 call.
+    # A dense collection passes on its minimum degrees alone: no sigma2 call
+    # for any n+k up to the least 2·δ.
     rng = random.Random(5)
     n = 40
     coll = GraphCollection(n, tuple(_random_row(n, 0.97, rng) for _ in range(n)))
-    assert all(2 * min(map(int.bit_count, row)) >= _cutoff(n) for row in coll.adjacency)
+    top = min(map(_floor, coll.adjacency)) - n
+    assert top >= n // 2
     with mock.patch("rainbowpath.model.sigma2", side_effect=AssertionError("scanned")):
-        assert check_hypothesis(coll, (n - 4) // 3)
+        for k in range(top + 1):
+            assert check_hypothesis(coll, k)
         assert "sigma2s" not in coll.__dict__
+
+
+def test_one_tight_color_is_scanned_alone():
+    # A dense n=100 collection with one color at σ2 = 99: K_100 minus the
+    # edge 01, vertex 0 keeping 50 neighbours and vertex 1 keeping 49.  The
+    # other colors pass on 2·δ >= 100, so one sigma2 call decides, whether
+    # the tight color comes first or last.
+    n, full = 100, (1 << 100) - 1
+    masks = [full & ~(1 << x) for x in range(n)]
+    for end, others in ((0, [1, *range(52, n)]), (1, range(51, n))):
+        for x in others:
+            masks[end] &= ~(1 << x)
+            masks[x] &= ~(1 << end)
+    tight = tuple(masks)
+    assert row_sigma2(tight) == 99 and _floor(tight) == 98
+    rng = random.Random(1)
+    dense = [_random_row(n, 0.95, rng) for _ in range(n - 1)]
+    assert min(map(_floor, dense)) >= n
+    for rows in ([tight, *dense], [*dense, tight]):
+        coll = GraphCollection(n, tuple(rows))
+        with mock.patch.object(rainbowpath.model, "sigma2", wraps=rainbowpath.model.sigma2) as sigma2:
+            assert check_hypothesis(coll, 0) is False
+        assert [call.args[1] for call in sigma2.call_args_list] == [rows.index(tight)]

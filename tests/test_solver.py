@@ -673,18 +673,22 @@ class TestHamiltonianOrConnected:
                         monkeypatch.setattr(module, attr, counting)
                     elif value is original_row:
                         monkeypatch.setattr(module, attr, counting_row)
-        # K8 passes on its minimum degree (2·7 >= 8 + 1, the cut-off n +
-        # (n-4)//3) and is never scanned; every color of random16 has
-        # 2·δ <= 18 < 20 and is scanned once.
+        # Every check asks for sigma2 >= n (a pair's restriction to V minus
+        # D, |D| = 2, for (n-2) - 2 + 2·2).  K8 passes on 2·7 >= 8 and
+        # is never scanned; exactly the colors of random16 whose 2·δ misses
+        # 16 are scanned, once each.
+        misses = [c for c, row in enumerate(random16.adjacency) if 2 * min(map(int.bit_count, row)) < 16]
+        assert misses == [3, 9, 15]
         for coll, any_below, scanned in ((complete_collection(8), False, []),
-                                         (random16, True, list(range(16)))):
+                                         (random16, True, misses)):
             n = coll.n_vertices
             calls.clear()
             res = hamiltonian_or_connected(coll)
             assert res.kind == "connected"
             # The full collection at most once.  Each pair's restriction to
-            # V minus D passes on the cached bound minus 2|D|, so no masked
-            # scan runs, even where the masked sigma2 is below the full one.
+            # V minus D passes on sigma2 >= n, the full collection's bound,
+            # so no masked scan runs, even where the masked sigma2 is below
+            # the full one.
             assert calls == scanned
             assert masked == []
             actives = [select_deletion_set(RainbowLinearForest.empty(), u, v, n).active
