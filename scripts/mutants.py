@@ -84,6 +84,20 @@ MUTANTS = (
            "if transpose >> n * stride:",
            "if transpose >> (n + 1) * stride:",
            ("tests/test_serialize.py", "tests/test_model.py")),
+    # The uniform generator's draws: the top-byte cut, the full compare of
+    # a tie, and the grid slice that holds a vertex's upper row.
+    Mutant("uniform-draws-byte-cut-44", "gen.py",
+           "cut = limit >> 45",
+           "cut = limit >> 44",
+           ("tests/test_gen.py::TestUniformRows", "tests/test_gen.py::TestPinnedBytes")),
+    Mutant("uniform-draws-tie-reads-b-shift-5", "gen.py",
+           "b >> 6) < limit",
+           "b >> 5) < limit",
+           ("tests/test_gen.py::TestUniformRows", "tests/test_gen.py::TestPinnedBytes")),
+    Mutant("uniform-rows-slice-from-diagonal", "gen.py",
+           "grid[row + a + 1 : row + n]",
+           "grid[row + a : row + n]",
+           ("tests/test_gen.py::TestUniformRows", "tests/test_gen.py::TestPinnedBytes")),
     # The exact search's rainbow toughness cut without its private-edge
     # owners: it cuts states that have a completion.
     Mutant("toughness-cut-a-zero", "oracle.py",

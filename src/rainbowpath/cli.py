@@ -198,10 +198,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec = genmod.GenSpec(n=args.n, k=args.k, **given)
         collection, forest, u, v = genmod.random_instance(spec)
         data = serialize.instance_to_dict(collection, forest, u, v, args.k)
-        sidecar = {"model": spec.model, "n": args.n, "k": args.k, "seed": spec.seed,
-                   "p": spec.p, "instance_hash": serialize.digest(data)}
+        sidecar = {"model": spec.model, "n": args.n, "k": args.k, "seed": spec.seed, "p": spec.p}
     # The sidecar goes first: a command that exits 2 prints nothing.
     if args.meta_out:
+        if not args.kind:
+            sidecar["instance_hash"] = serialize.digest(data)
         _write(args.meta_out, json.dumps(sidecar, sort_keys=True, indent=2))
     _emit(data, args.out)
     return EXIT_PATH

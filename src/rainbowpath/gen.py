@@ -4,15 +4,22 @@ negative controls, and embedded rainbow forests.
 Everything is a pure function of its parameters and seed, so serialized
 instances are byte-stable across runs.  Graphs are bitmask rows, and an
 extremal family builds one row tuple per distinct graph, shared by its
-colors.  Non-control builders always emit collections that pass the
-degree-sum hypothesis (a monotone repair loop adds edges to deficient
-colors and hands the sigma2 it ends on to the collection, so the check
-recomputes none); the controls document the bound they miss.
+colors.  A uniform color takes all its draws from one ``getrandbits`` call
+(the same numbers, and the same generator state after, as one ``random()``
+per pair), sets them into the upper triangle of one bit matrix and ORs it
+with its transpose by ``model.transpose_bit_matrix``, the package's one
+transpose loop, which ``check_bit_matrix`` also runs.  Non-control builders
+always emit collections that pass the degree-sum hypothesis (a monotone
+repair loop adds edges to deficient colors and hands the sigma2 it ends on
+to the collection, so the check recomputes none); the controls document
+the bound they miss.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .forest import RainbowLinearForest, is_h_compatible
@@ -20,11 +27,13 @@ from .model import (
     Edge,
     GraphCollection,
     InputError,
+    bit_matrix_plan,
     canonical_edge,
     check_hypothesis,
     mask_of,
     rainbow_assignment,
     row_sigma2,
+    transpose_bit_matrix,
 )
 from .structures import ExtremalCertificate
 
@@ -179,6 +188,51 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
     return _identical(n, row, k), meta
 
 
+def _uniform_draws(rng: random.Random, count: int, p: float) -> bytearray:
+    """``rng.random() < p`` drawn ``count`` times, as ASCII flags "1" and "0".
+
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for the next
+    two 32-bit Mersenne Twister words a and b, and one ``getrandbits`` call
+    returns the same words in the same order, the first one lowest.  So a
+    draw is below p iff its 53-bit integer is below ``limit``; the top byte
+    of a, the integer's top byte, decides every draw but the ties with
+    limit's, which are compared in full.  ``rng`` ends where the ``random()``
+    calls would leave it.
+    """
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    limit = math.ceil(p * 2**53)
+    cut = limit >> 45
+    flags = bytearray(words[3::8].translate((b"1" * cut + b"=" + b"0" * 255)[:256]))
+    tie = flags.find(b"=")
+    while tie >= 0:
+        a, b = struct.unpack_from("<II", words, 8 * tie)
+        flags[tie] = 49 if (a >> 5 << 26 | b >> 6) < limit else 48
+        tie = flags.find(b"=", tie + 1)
+    return flags
+
+
+def _uniform_rows(rng: random.Random, n: int, p: float) -> list[int]:
+    """The neighbour masks of one uniform color: pair (a, b), a < b, is an
+    edge iff its draw is below p, the pairs drawn in lexicographic order.
+
+    The draws fill the upper triangle of a bit matrix laid out as
+    ``bit_matrix_plan`` says, as "0"/"1" characters (character j is bit j,
+    reversed for the one ``int`` parse), and the matrix ORed with its
+    transpose holds the symmetric rows.
+    """
+    stride = bit_matrix_plan(n)[0]
+    flags = _uniform_draws(rng, n * (n - 1) // 2, p)
+    grid = bytearray(b"0" * (n * stride))
+    start = 0
+    for a in range(n - 1):
+        row, end = a * stride, start + n - 1 - a
+        grid[row + a + 1 : row + n] = flags[start:end]
+        start = end
+    upper, size = int(grid[::-1], 2), stride // 8
+    packed = (upper | transpose_bit_matrix(upper, n)).to_bytes(n * size, "little")
+    return [int.from_bytes(packed[v * size : (v + 1) * size], "little") for v in range(n)]
+
+
 def _repair_sigma2(masks: list[list[int]], n: int, bound: int, known=None) -> list[float]:
     """Raise each color to the bound by joining its weakest non-adjacent pair.
 
@@ -276,25 +330,12 @@ def random_instance(spec: GenSpec) -> tuple[GraphCollection, RainbowLinearForest
     if not spec.oracle_only and 3 * k > n - 4:
         raise InputError(f"k={k} exceeds (n-4)/3 for n={n}: the solver needs n >= 3k+4")
     rng = random.Random(spec.seed)
-    rand, p = rng.random, spec.p
     bound = n + k
     for _ in range(200):
         if spec.model == "identical":
             collection = _identical(n, _graph(n, [range(n)]))
         elif spec.model == "uniform_supergraph":
-            masks = []
-            for _color in range(n):
-                row = [0] * n
-                for a in range(n):
-                    # Draw pairs (a, b), b > a, in order; a's upper half is
-                    # one local mask, b's lower half gets a's bit.
-                    upper, bit = 0, 1 << a
-                    for b in range(a + 1, n):
-                        if rand() < p:
-                            upper |= 1 << b
-                            row[b] |= bit
-                    row[a] |= upper
-                masks.append(row)
+            masks = [_uniform_rows(rng, n, spec.p) for _color in range(n)]
             collection = _repaired_collection(n, masks, bound)
         elif spec.model == "perturbed_extremal":
             base, meta = build_extremal(spec.extremal_kind, n, k)

@@ -254,15 +254,21 @@ def bit_matrix_plan(n: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
     return stride, tuple(rounds), diagonal
 
 
+def transpose_bit_matrix(matrix: int, n: int) -> int:
+    """The transpose of ``matrix``, n masks laid out as ``bit_matrix_plan``
+    says, by its masked delta swaps."""
+    for shift, block in bit_matrix_plan(n)[1]:
+        flip = (matrix ^ matrix >> shift) & block
+        matrix ^= flip | flip << shift
+    return matrix
+
+
 def check_bit_matrix(matrix: int, n: int, color: int) -> None:
     """Raise InputError unless ``matrix``, the n neighbour masks of ``color``
     laid out as ``bit_matrix_plan`` says, is a simple graph: no bit at or
     beyond n, no loop, and symmetric.  The first failing vertex is named."""
-    stride, rounds, diagonal = bit_matrix_plan(n)
-    transpose = matrix
-    for shift, block in rounds:
-        flip = (transpose ^ transpose >> shift) & block
-        transpose ^= flip | flip << shift
+    stride, _, diagonal = bit_matrix_plan(n)
+    transpose = transpose_bit_matrix(matrix, n)
     # A set column >= n is a set row >= n of the transpose.
     if transpose >> n * stride:
         vertex = next(v for v in range(n) if matrix >> v * stride + n & (1 << stride - n) - 1)

@@ -471,6 +471,36 @@ class TestGenCommand:
         capsys.readouterr()
         assert a.read_text() == b.read_text()
 
+    @staticmethod
+    def _counted_digests(monkeypatch):
+        import rainbowpath.serialize as serialize
+
+        calls, digest = [], serialize.digest
+        monkeypatch.setattr(serialize, "digest", lambda data: calls.append(1) or digest(data))
+        return calls
+
+    def test_no_instance_hash_without_sidecar(self, tmp_path, capsys, monkeypatch):
+        calls = self._counted_digests(monkeypatch)
+        assert main(["gen", "--n", "12", "--out", str(tmp_path / "x.json")]) == EXIT_PATH
+        capsys.readouterr()
+        assert calls == []
+
+    # The sidecars as written when every gen call hashed its instance.
+    @pytest.mark.parametrize("argv, text", [
+        (["--n", "12"],
+         '{\n  "instance_hash": "1565ed466c76edfa",\n  "k": 0,\n  "model": "uniform_supergraph",\n'
+         '  "n": 12,\n  "p": 0.9,\n  "seed": 0\n}'),
+        (["--n", "13", "--k", "2", "--p", "0.7", "--seed", "5"],
+         '{\n  "instance_hash": "a9067f897401ca3e",\n  "k": 2,\n  "model": "uniform_supergraph",\n'
+         '  "n": 13,\n  "p": 0.7,\n  "seed": 5\n}'),
+    ])
+    def test_sidecar_bytes_kept(self, tmp_path, capsys, monkeypatch, argv, text):
+        calls = self._counted_digests(monkeypatch)
+        meta = tmp_path / "meta.json"
+        assert main(["gen", *argv, "--out", str(tmp_path / "x.json"), "--meta-out", str(meta)]) == EXIT_PATH
+        capsys.readouterr()
+        assert meta.read_text() == text and calls == [1]
+
     def test_kind_with_metadata(self, tmp_path, capsys):
         out = tmp_path / "b3.json"
         meta = tmp_path / "b3.meta.json"

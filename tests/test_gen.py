@@ -118,6 +118,59 @@ class TestRandomInstance:
         assert forest.edge_count == 1
 
 
+def _ref_uniform_rows(rng, n, p):
+    """Reference uniform color: one ``random()`` per pair (a, b), b > a, in
+    lexicographic order, the pair an edge iff the draw is below p."""
+    rand = rng.random
+    row = [0] * n
+    for a in range(n):
+        upper, bit = 0, 1 << a
+        for b in range(a + 1, n):
+            if rand() < p:
+                upper |= 1 << b
+                row[b] |= bit
+        row[a] |= upper
+    return row
+
+
+UNIFORM_PS = (0, 2**-53, 0.5, 0.55, 0.75, 0.95, 1 - 2**-53, 1)
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 63, 64, 65, 100, 129, 130, 257])
+    def test_matches_per_pair_loop(self, n):
+        for p in UNIFORM_PS:
+            for seed in range(3):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert gen._uniform_rows(rng, n, p) == _ref_uniform_rows(ref, n, p), (n, p, seed)
+                assert rng.random() == ref.random(), (n, p, seed)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_match_random(self, count, seed):
+        ref = random.Random(seed)
+        values = [ref.random() for _ in range(count)]
+        after = ref.random()
+        # p equal to a draw, or one step to either side of it, puts that
+        # draw's top byte on limit's, so only the full compare decides it.
+        near = values[:: max(1, count // 20)]
+        for p in [*UNIFORM_PS, *near, *(math.nextafter(r, 0) for r in near),
+                  *(math.nextafter(r, 1) for r in near)]:
+            rng = random.Random(seed)
+            assert gen._uniform_draws(rng, count, p) == bytes(b"01"[r < p] for r in values), (count, p)
+            assert rng.random() == after
+
+    @pytest.mark.parametrize("p", [0.5, 0.75])
+    def test_ties_on_a_byte_boundary_are_false(self, p):
+        # limit = p * 2**53 is a multiple of 2**45, so a draw whose top byte
+        # is limit's is at least limit.
+        rng, ref = random.Random(1), random.Random(1)
+        values = [ref.random() for _ in range(3000)]
+        flags = gen._uniform_draws(rng, 3000, p)
+        ties = [i for i, r in enumerate(values) if int(r * 2**53) >> 45 == int(p * 2**8)]
+        assert ties and all(flags[i] == ord("0") for i in ties)
+
+
 def _double_loop_repair(masks, n, bound):
     """Reference repair: rescan every pair, join the first of minimum degree sum."""
     for row in masks:
@@ -140,16 +193,7 @@ def _double_loop_repair(masks, n, bound):
 class TestRepairSigma2:
     @staticmethod
     def _uniform(rng, n, p):
-        masks = []
-        for _color in range(n):
-            row = [0] * n
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if rng.random() < p:
-                        row[a] |= 1 << b
-                        row[b] |= 1 << a
-            masks.append(row)
-        return masks
+        return [_ref_uniform_rows(rng, n, p) for _color in range(n)]
 
     @staticmethod
     def _perturbed(rng, kind, n, k, flips):
