@@ -42,6 +42,11 @@ class Mutant:
     equivalent: str = ""  # why no test can kill it; empty: it must die
 
 
+DERIVATION_TESTS = (
+    "tests/test_corollary.py::test_every_derivation_mutation_is_rejected_with_its_message",
+    "tests/test_corollary.py::test_every_path_the_replay_accepts_passes_the_full_check",
+)
+
 MUTANTS = (
     # σ2 >= b per color: the known value, then 2·δ >= b, then the exact σ2.
     Mutant("sigma2-floor-2delta-plus-1", "model.py",
@@ -130,6 +135,32 @@ MUTANTS = (
            "if not (0 <= color < m and adjacency[color][a] >> b & 1):",
            "if not (color < m and adjacency[color][a] >> b & 1):",
            ("tests/test_model.py",)),
+    # The rotation-derivation replay: one mutant per step clause and two for
+    # exact coverage.  The fuzz test expects each clause's own message.
+    Mutant("derivation-parent-may-be-negative", "model.py",
+           "if not 0 <= parent < index:",
+           "if not parent < index:",
+           DERIVATION_TESTS),
+    Mutant("derivation-pivot-may-be-n-minus-2", "model.py",
+           "elif not 0 <= p < n - 2:",
+           "elif not 0 <= p < n - 1:",
+           DERIVATION_TESTS),
+    Mutant("derivation-edge-presence-unchecked", "model.py",
+           "if not adjacency[c][a] >> back & 1:",
+           "if False:",
+           DERIVATION_TESTS),
+    Mutant("derivation-parent-color-unchecked", "model.py",
+           "elif c != colors[p] and mask >> c & 1:",
+           "elif False:",
+           DERIVATION_TESTS),
+    Mutant("derivation-pair-may-repeat", "model.py",
+           "if pair in paths:",
+           "if False:",
+           DERIVATION_TESTS),
+    Mutant("derivation-pairs-may-be-missing", "model.py",
+           "if len(paths) != n * (n - 1) // 2:",
+           "if False:",
+           DERIVATION_TESTS),
     # Scanning on after the degree-order stop only revisits pairs whose
     # sum cannot be lower, so sigma2 is unchanged.
     Mutant("row-sigma2-stops-later", "model.py",

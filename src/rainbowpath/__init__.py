@@ -21,9 +21,11 @@ from .model import (
     InputError,
     InternalError,
     PathCertificate,
+    RotationDerivation,
     canonical_edge,
     check_hypothesis,
     degree,
+    derivation_violations,
     rainbow_assignment,
     sigma2,
     validate_cycle_certificate,
@@ -74,6 +76,7 @@ __all__ = [
     "PathCertificate",
     "RainbowLinearForest",
     "ReductionPlan",
+    "RotationDerivation",
     "SolverOutcome",
     "UNKNOWN",
     "build_extremal",
@@ -81,6 +84,7 @@ __all__ = [
     "check_hypothesis",
     "cycle_from_extremal",
     "degree",
+    "derivation_violations",
     "detect_identical_split",
     "detect_independent_heavy_side",
     "exact_rainbow_ham_cycle",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -433,6 +433,26 @@ class CycleCertificate:
             raise InputError("cycle coloring length must equal len(order)")
 
 
+#: One rotation step of a ``RotationDerivation``: (parent, side, p, c).
+RotationStep = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
+class RotationDerivation:
+    """Rainbow Hamiltonian paths between vertex pairs, as seed paths and the
+    Pósa rotations that derive the rest from them.
+
+    ``entries`` is ordered.  An entry is a seed ``PathCertificate`` or a
+    step (parent, side, p, c): take the path of the earlier entry
+    ``parent``, reversed when ``side`` is 1, join order[p] to its back end
+    in color c and reverse the tail after p, so order[p+1] becomes the new
+    back end.  Each entry covers the sorted pair of its path's ends.
+    ``replay_derivation`` checks the entries and builds their paths.
+    """
+
+    entries: tuple[PathCertificate | RotationStep, ...]
+
+
 def _walk_accepted(collection: GraphCollection, starts: Iterable[int], ends: Iterable[int],
                    colors: Sequence[int]) -> bool:
     """The accept pass: True iff no step (a, b, color) of the walk is at fault.
@@ -508,6 +528,88 @@ def path_certificate_violations(
             problems.append(f"forest edge {edge} is not consecutive on the path")
         elif consecutive[edge] != color:
             problems.append(f"forest edge {edge} carries color {consecutive[edge]}, fixed {color}")
+    return problems
+
+
+def replay_derivation(collection: GraphCollection, derivation: RotationDerivation,
+                      problems: list[str]) -> dict[Edge, PathCertificate]:
+    """Check ``derivation`` and return its paths by sorted end pair, each
+    read from its smaller end.
+
+    A seed is checked in full by ``path_certificate_violations``.  A step
+    is checked in O(1) given its parent: the parent is an earlier entry, the
+    side is 0 or 1, 0 <= p <= n-3, 0 <= c < m, the edge (order[p], back) is
+    in color c, and c is colors[p] or not a color of the parent path (each
+    entry's color mask is carried with its path).  No pair may be covered
+    twice.  The first entry at fault appends its problems to ``problems``
+    and ends the replay, as later steps may rotate its path; once every
+    entry passes, each pair that no entry covers is a problem.
+
+    Every replayed path is then a rainbow Hamiltonian path, by induction
+    over the entries.  A seed is checked in full.  A step's vertex list is
+    its parent's prefix up to p followed by the reversed rest, so it stays a
+    permutation.  It keeps every parent edge but the cut one, (order[p],
+    order[p+1]), with its color (a reversed tail keeps its edges), and adds
+    (order[p], back), checked present in color c.  Its colors are the
+    parent's without colors[p] and with c, which is colors[p] again or a
+    color the parent does not use, so they stay distinct.
+    """
+    n, m, adjacency = collection.n_vertices, collection.n_colors, collection.adjacency
+    states: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+    paths: dict[Edge, PathCertificate] = {}
+    for index, entry in enumerate(derivation.entries):
+        if isinstance(entry, PathCertificate):
+            faults = [f"seed {index}: {problem}" for problem in path_certificate_violations(collection, entry)]
+            if faults:
+                problems.extend(faults)
+                return paths
+            order, colors = tuple(entry.order), tuple(entry.coloring)
+            mask = mask_of(colors)
+        else:
+            parent, side, p, c = entry
+            fault = None
+            if not 0 <= parent < index:
+                fault = f"parent {parent} is not an earlier entry"
+            elif side not in (0, 1):
+                fault = f"side {side} is not 0 or 1"
+            elif not 0 <= p < n - 2:
+                fault = f"pivot {p} out of range [0,{n - 2})"
+            elif not 0 <= c < m:
+                fault = f"color {c} out of range [0,{m})"
+            else:
+                order, colors, mask = states[parent]
+                if side:
+                    order, colors = order[::-1], colors[::-1]
+                a, back = order[p], order[-1]
+                if not adjacency[c][a] >> back & 1:
+                    fault = f"edge {canonical_edge(a, back)} absent from color {c}"
+                elif c != colors[p] and mask >> c & 1:
+                    fault = f"color {c} is already on the parent path"
+                else:
+                    mask = mask & ~(1 << colors[p]) | 1 << c
+                    order, colors = order[: p + 1] + order[:p:-1], colors[:p] + (c,) + colors[:p:-1]
+            if fault:
+                problems.append(f"step {index}: {fault}")
+                return paths
+        u, v = order[0], order[-1]
+        pair = (u, v) if u < v else (v, u)
+        if pair in paths:
+            kind = "seed" if isinstance(entry, PathCertificate) else "step"
+            problems.append(f"{kind} {index}: pair {pair} is already covered")
+            return paths
+        paths[pair] = (PathCertificate(order, colors) if u < v
+                       else PathCertificate(order[::-1], colors[::-1]))
+        states.append((order, colors, mask))
+    if len(paths) != n * (n - 1) // 2:
+        problems.extend(f"pair {pair} is not covered"
+                        for pair in combinations(range(n), 2) if pair not in paths)
+    return paths
+
+
+def derivation_violations(collection: GraphCollection, derivation: RotationDerivation) -> list[str]:
+    """All problems ``replay_derivation`` finds in ``derivation``; empty when valid."""
+    problems: list[str] = []
+    replay_derivation(collection, derivation, problems)
     return problems
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Container
 
 from .forest import (
     RainbowLinearForest,
@@ -40,6 +41,7 @@ from .model import (
     InputError,
     InternalError,
     PathCertificate,
+    RotationDerivation,
     bits,
     canonical_edge,
     check_hypothesis,
@@ -47,13 +49,14 @@ from .model import (
     mask_of,
     path_certificate_violations,
     rainbow_assignment,
+    replay_derivation,
     row_sigma2,
 )
 from .oracle import OracleBudget, exact_search
 from .structures import (
     ExtremalCertificate,
     certificate_violations,
-    cycle_from_extremal,
+    cycle_from_checked_extremal,
     detect_identical_split,
     detect_independent_heavy_side,
 )
@@ -377,17 +380,19 @@ def _try_extend(collection: GraphCollection, end: int, used: int, free: int) -> 
 
 
 def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
-               spare: int, skip: dict[tuple[int, int], PathCertificate]):
+               spare: int, skip: Container[tuple[int, int]]):
     """The paths one Pósa rotation away from ``order`` whose end pair is not in ``skip``.
 
-    Rotates at the back end, then at the front (the back of the reversed
-    order).  Pivot p joins order[p] to the back in the lowest color of
-    ``spare`` or of the cut edge (order[p], order[p+1]), reverses the tail,
-    and makes order[p+1] the new end.  Yields (pair, order, colors) with
-    the pair sorted.  ``skip`` is read as the rotations are made, so a pair
-    the caller adds meanwhile is skipped too (the heuristic passes none).
+    Rotates at the back end (side 0), then at the front (side 1: the back
+    of the reversed order).  Pivot p joins order[p] to the back in the
+    lowest color c of ``spare`` or of the cut edge (order[p], order[p+1]),
+    reverses the tail, and makes order[p+1] the new end.  Yields (pair,
+    (side, p, c), order, colors) with the pair sorted: the middle item is
+    the step a ``RotationDerivation`` records.  ``skip`` is read as the
+    rotations are made, so a pair the caller adds meanwhile is skipped too
+    (the heuristic passes none).
     """
-    for order, colors in ((order, colors), (order[::-1], colors[::-1])):
+    for side, (order, colors) in enumerate(((order, colors), (order[::-1], colors[::-1]))):
         front, back = order[0], order[-1]
         for p in range(len(order) - 2):
             w = order[p + 1]
@@ -397,7 +402,7 @@ def _rotations(collection: GraphCollection, order: list[int], colors: list[int],
             free = collection.color_mask(order[p], back) & (spare | 1 << colors[p])
             if free:
                 c = (free & -free).bit_length() - 1
-                yield pair, order[: p + 1] + order[:p:-1], colors[:p] + [c] + colors[:p:-1]
+                yield pair, (side, p, c), order[: p + 1] + order[:p:-1], colors[:p] + [c] + colors[:p:-1]
 
 
 def _heuristic_spanning_path(
@@ -430,7 +435,7 @@ def _heuristic_spanning_path(
                 if (stalls >= HEURISTIC_STALL_LIMIT
                         or (rotated := next(_rotations(collection, order, colors, ~used, {}), None)) is None):
                     break
-                _, order, colors = rotated
+                _, _, order, colors = rotated
                 used = ~palette | mask_of(colors)
                 stalls += 1
         if not free:
@@ -990,40 +995,46 @@ def solve_pair(
 
 @dataclass(frozen=True)
 class HamiltonianConnectivityResult:
-    """Either a rainbow Hamiltonian cycle or a full pair -> path map."""
+    """Either a rainbow Hamiltonian cycle or a full pair -> path map.
+
+    In the connected case ``derivation`` is the checked rotation derivation
+    the paths were replayed from.
+    """
 
     cycle: "object | None" = None
     extremal: ExtremalCertificate | None = None
     paths: dict[tuple[int, int], PathCertificate] | None = None
+    derivation: RotationDerivation | None = None
 
     @property
     def kind(self) -> str:
         return "cycle" if self.cycle is not None else "connected"
 
 
-def _rotate_into(collection: GraphCollection, seed: PathCertificate,
-                 paths: dict[tuple[int, int], PathCertificate], total: int) -> None:
-    """Add to ``paths`` every pair that Pósa rotations reach from ``seed``.
+def _rotate_into(collection: GraphCollection, entries: list, covered: set[tuple[int, int]],
+                 total: int) -> None:
+    """Record in ``entries`` a step for every pair that Pósa rotations reach
+    from the seed path ``entries[-1]``.
 
-    A breadth-first search: each path with a new end pair is certified,
-    stored under its sorted pair read from the smaller end, and queued; it
-    stops once ``paths`` holds ``total`` pairs.  With n colors a Hamiltonian
+    A breadth-first search: each path with an end pair not in ``covered``
+    is recorded as a step (parent, side, p, c) of a ``RotationDerivation``,
+    its pair is added to ``covered``, and it is queued; the search stops
+    once ``covered`` holds ``total`` pairs.  With n colors a Hamiltonian
     path leaves one color spare; a rotation's new edge takes that color or
-    the color of the edge it cuts, so the rotated path stays rainbow.
+    the color of the edge it cuts, so the rotated path stays rainbow.  No
+    path is checked or kept here: ``replay_derivation`` does both, once.
     """
     full = (1 << collection.n_colors) - 1
-    queue = deque([(list(seed.order), list(seed.coloring))])
+    seed = entries[-1]
+    queue = deque([(len(entries) - 1, list(seed.order), list(seed.coloring))])
     while queue:
-        order, colors = queue.popleft()
-        for pair, new_order, new_colors in _rotations(collection, order, colors,
-                                                      full & ~mask_of(colors), paths):
-            queue.append((new_order, new_colors))
-            if new_order[0] == pair[0]:
-                path = PathCertificate(tuple(new_order), tuple(new_colors))
-            else:
-                path = PathCertificate(tuple(reversed(new_order)), tuple(reversed(new_colors)))
-            paths[pair] = _certified(collection, path, None, "rotated corollary path")
-            if len(paths) == total:
+        parent, order, colors = queue.popleft()
+        for pair, step, new_order, new_colors in _rotations(collection, order, colors,
+                                                            full & ~mask_of(colors), covered):
+            queue.append((len(entries), new_order, new_colors))
+            entries.append((parent, *step))
+            covered.add(pair)
+            if len(covered) == total:
                 return
 
 
@@ -1032,29 +1043,43 @@ def hamiltonian_or_connected(collection: GraphCollection) -> HamiltonianConnecti
 
     Walks the vertex pairs in lexicographic order and runs the pair solver
     on each pair no path covers yet.  The first blocked pair yields a cycle
-    through its extremal structure.  Each path the solver returns seeds a
-    breadth-first search of Pósa rotations (``_rotate_into``), which covers
-    further pairs without solving them; a covered pair has a checked path,
-    so it cannot be blocked, and the first blocked pair is the same as if
-    every pair were solved.  If no pair is blocked the paths, one per pair
-    and each read from its smaller end, witness connectedness.  The cycle,
-    like every path, passes the certificate checker before it is returned.
-    Needs n >= 4, the pair solver's bound k = 0 <= (n-4)/3.
+    through its extremal structure, built from the certificate ``solve``
+    has checked.  Each path the solver returns seeds a breadth-first search
+    of Pósa rotations (``_rotate_into``), which covers further pairs without
+    solving them; a covered pair has a rainbow Hamiltonian path (each step
+    takes its color from the new edge's colors among the spare one and the
+    cut edge's, the rule ``replay_derivation`` checks), so it cannot be
+    blocked, and the first blocked pair is the same as if every pair were
+    solved.  If no pair is blocked, the seeds and steps form
+    a ``RotationDerivation``; one replay checks it and builds the paths, one
+    per pair and each read from its smaller end, which witness
+    connectedness.  The cycle passes the certificate checker, and the
+    derivation its replay, before either is returned.  Needs n >= 4, the
+    pair solver's bound k = 0 <= (n-4)/3.
     """
     n = collection.n_vertices
     if n < 4:
         raise InputError(f"the cycle-or-connected corollary needs n >= 4, got n={n}")
     if not check_hypothesis(collection, 0):
         raise InputError("collection violates sigma2 >= n")
-    paths: dict[tuple[int, int], PathCertificate] = {}
+    total = n * (n - 1) // 2
+    entries: list = []
+    covered: set[tuple[int, int]] = set()
     for u, v in combinations(range(n), 2):
-        if (u, v) in paths:
+        if (u, v) in covered:
             continue
         outcome = solve_pair(collection, u, v)
         if outcome.extremal is not None:
-            cycle = _certified(collection, cycle_from_extremal(collection, outcome.extremal),
+            cycle = _certified(collection, cycle_from_checked_extremal(collection, outcome.extremal),
                                None, "corollary cycle")
             return HamiltonianConnectivityResult(cycle=cycle, extremal=outcome.extremal)
-        paths[(u, v)] = outcome.path
-        _rotate_into(collection, outcome.path, paths, n * (n - 1) // 2)
-    return HamiltonianConnectivityResult(paths=dict(sorted(paths.items())))
+        entries.append(outcome.path)
+        covered.add((u, v))
+        _rotate_into(collection, entries, covered, total)
+    derivation = RotationDerivation(tuple(entries))
+    problems: list[str] = []
+    paths = replay_derivation(collection, derivation, problems)
+    if problems:
+        raise InternalError("corollary derivation certificate fails verification: "
+                            + "; ".join(problems))
+    return HamiltonianConnectivityResult(paths=dict(sorted(paths.items())), derivation=derivation)

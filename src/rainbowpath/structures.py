@@ -11,7 +11,7 @@ the hub, the colors checked and the size gap; the hub is the pair plus the
 forest components ``forest.pair_components`` says a path must respect.
 Every clause is checked literally against the collection, so a verified
 certificate is a machine-checkable witness.  The same checker takes path and cycle
-certificates, so one function checks every answer.  The two reduced-level
+certificates and rotation derivations, so one function checks every answer.  The two reduced-level
 detectors read their structure off one vertex's neighbourhood, with no search.
 """
 
@@ -28,10 +28,12 @@ from .model import (
     InputError,
     InternalError,
     PathCertificate,
+    RotationDerivation,
     bits,
     canonical_edge,
     check_hypothesis,
     cycle_certificate_violations,
+    derivation_violations,
     mask_of,
     path_certificate_violations,
     rainbow_assignment,
@@ -142,12 +144,13 @@ def _low(mask: int) -> int:
 
 def certificate_violations(
     collection: GraphCollection,
-    cert: PathCertificate | CycleCertificate | ExtremalCertificate,
+    cert: PathCertificate | CycleCertificate | RotationDerivation | ExtremalCertificate,
     forest: RainbowLinearForest | None = None,
 ) -> list[str]:
     """Every problem with any certificate against the collection; empty when valid.
 
-    A path must contain ``forest`` in its fixed colors; a cycle ignores it.
+    A path must contain ``forest`` in its fixed colors; a cycle and a
+    rotation derivation (replayed by ``derivation_violations``) ignore it.
     An extremal certificate is checked clause by clause.  The hub is empty
     at level A and the pair plus the forest's vertices at levels B and C;
     levels A and B check every color, level C the colors the forest leaves
@@ -161,6 +164,8 @@ def certificate_violations(
         return path_certificate_violations(collection, cert, forest)
     if isinstance(cert, CycleCertificate):
         return cycle_certificate_violations(collection, cert)
+    if isinstance(cert, RotationDerivation):
+        return derivation_violations(collection, cert)
     n = collection.n_vertices
     kind, level, X, Y = cert.kind, cert.kind[0], cert.X, cert.Y
     if cert.pair is not None and (len(cert.pair) != 2 or cert.pair[0] == cert.pair[1]):
@@ -261,19 +266,17 @@ def certificate_violations(
 
 def verify_certificate(
     collection: GraphCollection,
-    cert: PathCertificate | CycleCertificate | ExtremalCertificate,
+    cert: PathCertificate | CycleCertificate | RotationDerivation | ExtremalCertificate,
     forest: RainbowLinearForest | None = None,
 ) -> bool:
     return not certificate_violations(collection, cert, forest)
 
 
 def cycle_from_extremal(collection: GraphCollection, cert: ExtremalCertificate) -> CycleCertificate:
-    """Build a rainbow Hamiltonian cycle from a verified B2 or B3 certificate.
+    """Build a rainbow Hamiltonian cycle from a B2 or B3 certificate.
 
-    B2: u bridges into the X-clique, v into the Y-clique; B3: alternate the
-    two sides of the complete bipartite structure.  Every cycle edge exists
-    in every color, so the color matching cannot fail; if it does, something
-    upstream is broken and we say so loudly.
+    Raises InputError unless the certificate verifies and the collection
+    meets sigma2 >= n; ``cycle_from_checked_extremal`` builds the cycle.
     """
     if cert.kind not in ("B2", "B3"):
         raise InputError(f"cycle construction needs a B2 or B3 certificate, got {cert.kind}")
@@ -281,6 +284,19 @@ def cycle_from_extremal(collection: GraphCollection, cert: ExtremalCertificate) 
         raise InputError("certificate does not verify against the collection")
     if not check_hypothesis(collection, 0):
         raise InputError("collection does not satisfy the sigma2 >= n hypothesis")
+    return cycle_from_checked_extremal(collection, cert)
+
+
+def cycle_from_checked_extremal(collection: GraphCollection,
+                                cert: ExtremalCertificate) -> CycleCertificate:
+    """The cycle of ``cycle_from_extremal``, for a B2 or B3 certificate the
+    caller has verified on a collection it has checked for sigma2 >= n.
+
+    B2: u bridges into the X-clique, v into the Y-clique; B3: alternate the
+    two sides of the complete bipartite structure.  Every cycle edge exists
+    in every color, so the color matching cannot fail; if it does, something
+    upstream is broken and we say so loudly.
+    """
     u, v = cert.pair  # type: ignore[misc]
     if cert.kind == "B2":
         order = [u, *sorted(cert.X), v, *sorted(cert.Y)]

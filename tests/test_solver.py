@@ -8,6 +8,7 @@ import pytest
 
 import rainbowpath.model
 import rainbowpath.solver
+import rainbowpath.structures
 from rainbowpath import (
     FOUND,
     NOT_FOUND,
@@ -714,16 +715,44 @@ class TestHamiltonianOrConnected:
 
     def test_cycle_is_checked_before_it_is_returned(self, monkeypatch):
         # A cycle builder that emits an out-of-range color must not get through.
-        build = rainbowpath.solver.cycle_from_extremal
+        build = rainbowpath.solver.cycle_from_checked_extremal
 
         def broken(collection, cert):
             cycle = build(collection, cert)
             return CycleCertificate(cycle.order, (collection.n_colors, *cycle.coloring[1:]))
 
-        monkeypatch.setattr(rainbowpath.solver, "cycle_from_extremal", broken)
+        monkeypatch.setattr(rainbowpath.solver, "cycle_from_checked_extremal", broken)
         with pytest.raises(InternalError, match="corollary cycle certificate fails verification: "
                                                 "color 5 out of range"):
             hamiltonian_or_connected(build_extremal("B2", 5)[0])
+
+    def test_blocked_pair_is_checked_once(self, monkeypatch):
+        # solve checks the B2 certificate, and the cycle is built from it
+        # without a second check; the hypothesis is checked by the corollary
+        # and by the one pair solve.  Every module binding is counted.
+        checked, hypotheses = [], []
+        violations = rainbowpath.structures.certificate_violations
+        hypothesis = rainbowpath.model.check_hypothesis
+
+        def counting_violations(collection, cert, forest=None):
+            checked.append(getattr(cert, "kind", type(cert).__name__))
+            return violations(collection, cert, forest)
+
+        def counting_hypothesis(collection, k):
+            hypotheses.append(k)
+            return hypothesis(collection, k)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "rainbowpath" or name.startswith("rainbowpath.")):
+                for attr, value in list(vars(module).items()):
+                    if value is violations:
+                        monkeypatch.setattr(module, attr, counting_violations)
+                    elif value is hypothesis:
+                        monkeypatch.setattr(module, attr, counting_hypothesis)
+        res = hamiltonian_or_connected(build_extremal("B2", 9)[0])
+        assert res.kind == "cycle" and res.extremal.kind == "B2"
+        assert checked == ["B2", "CycleCertificate"]
+        assert hypotheses == [0, 0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_small_rejected(self, n):
