@@ -75,7 +75,7 @@ MUTANTS = (
            "if collection.adjacency[first][end] & low:",
            "if low:",
            ("tests/test_solver.py::TestTryExtend",)),
-    # Certificate checker clauses.
+    # The extremal checker's neighbour-mask scans.
     Mutant("no-cross-ignores-vertex-0", "structures.py",
            "present = y_mask & collection.adjacency[c][a]",
            "present = y_mask & collection.adjacency[c][a] & ~1",
@@ -83,6 +83,40 @@ MUTANTS = (
     Mutant("all-pairs-present-skips-a-plus-1", "structures.py",
            "missing = b_mask & ~collection.adjacency[c][a] & ~(1 << a)",
            "missing = b_mask & ~collection.adjacency[c][a] & ~(3 << a)",
+           ("tests/test_structures.py",)),
+    # Extremal checker clauses, each disabled alone; every test expects the
+    # clause's own message.
+    Mutant("extremal-coverage-unchecked", "structures.py",
+           "if X | Y != universe:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("extremal-overlap-unchecked", "structures.py",
+           "if X & Y:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("level-b-pair-not-required", "structures.py",
+           "if cert.pair is None:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("level-c-forest-not-required", "structures.py",
+           'elif level == "C" and forest is None:',
+           "elif False:",
+           ("tests/test_structures.py",)),
+    Mutant("two-cliques-may-be-empty", "structures.py",
+           "if not X or not Y:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("ell-unchecked", "structures.py",
+           "if cert.ell is not None and cert.ell != len(X):",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("heavy-side-parity-unchecked", "structures.py",
+           "if (n + gap) % 2 != 0:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("heavy-side-sizes-unchecked", "structures.py",
+           "elif len(X) != (n + gap) // 2 or len(Y) != (n - gap) // 2:",
+           "elif False:",
            ("tests/test_structures.py",)),
     # The decoder's bit-matrix check reads column n as out of range.
     Mutant("check-bit-matrix-misses-column-n", "model.py",
@@ -129,14 +163,43 @@ MUTANTS = (
            'b"0123456789abcdef"',
            'b"0123456789abcdefABCDEF"',
            ("tests/test_serialize.py", "tests/test_cli.py")),
-    # The walk checker's accept pass without its lower color bound: a
-    # negative color indexes the colors from the end.
-    Mutant("walk-accepted-negative-color", "model.py",
-           "if not (0 <= color < m and adjacency[color][a] >> b & 1):",
-           "if not (color < m and adjacency[color][a] >> b & 1):",
+    # The walk checker: its lower color bound (a negative color indexes the
+    # colors from the end), then each clause of the path and cycle checks.
+    Mutant("walk-negative-color", "model.py",
+           "if not (0 <= color < m):",
+           "if not (color < m):",
            ("tests/test_model.py",)),
-    # The rotation-derivation replay: one mutant per step clause and two for
-    # exact coverage.  The fuzz test expects each clause's own message.
+    Mutant("path-permutation-unchecked", "model.py",
+           "if sorted(order) != (list(range(n)) if active is None else bits(active)):",
+           "if False:",
+           ("tests/test_model.py",)),
+    Mutant("cycle-permutation-unchecked", "model.py",
+           "if sorted(order) != list(range(n)):",
+           "if False:",
+           ("tests/test_model.py",)),
+    Mutant("walk-adjacency-unchecked", "model.py",
+           "if not adjacency[color][a] >> b & 1:",
+           "if False:",
+           ("tests/test_model.py",)),
+    Mutant("walk-colors-may-repeat", "model.py",
+           "if color in seen_colors:",
+           "if False:",
+           ("tests/test_model.py",)),
+    Mutant("forest-edge-may-be-missing", "model.py",
+           'problems.append(f"forest edge {edge} is not consecutive on the path")',
+           "pass",
+           ("tests/test_model.py",)),
+    Mutant("forest-edge-color-unchecked", "model.py",
+           "elif consecutive[edge] != color:",
+           "elif False:",
+           ("tests/test_model.py",)),
+    # The rotation-derivation replay: one mutant for the entry shape, one per
+    # step clause and two for exact coverage.  The fuzz test expects each
+    # clause's own message.
+    Mutant("derivation-entry-shape-unchecked", "model.py",
+           "if not (type(parent) is type(side) is type(p) is type(c) is int):",
+           "if False:",
+           DERIVATION_TESTS),
     Mutant("derivation-parent-may-be-negative", "model.py",
            "if not 0 <= parent < index:",
            "if not parent < index:",

@@ -453,31 +453,15 @@ class RotationDerivation:
     entries: tuple[PathCertificate | RotationStep, ...]
 
 
-def _walk_accepted(collection: GraphCollection, starts: Iterable[int], ends: Iterable[int],
-                   colors: Sequence[int]) -> bool:
-    """The accept pass: True iff no step (a, b, color) of the walk is at fault.
-
-    The colors are distinct, and each is in range with its edge ab present
-    in that color, so ``_walk_violations`` would report nothing.  One plain
-    loop that builds no edge, dict or set entry per step.
-    """
-    if len(set(colors)) != len(colors):
-        return False
-    m, adjacency = collection.n_colors, collection.adjacency
-    for a, b, color in zip(starts, ends, colors):
-        if not (0 <= color < m and adjacency[color][a] >> b & 1):
-            return False
-    return True
-
-
 def _walk_violations(collection: GraphCollection, steps: Iterable[tuple[int, int, int]],
                      problems: list[str]) -> dict[Edge, int]:
-    """Check each (a, b, color) step of a walk with distinct vertices.
+    """Check each (a, b, color) step of a walk with distinct vertices, in
+    one pass shared by paths and cycles.
 
-    The message pass, run only when ``_walk_accepted`` fails or a path's
-    forest needs the edge colors.  Appends the violations to ``problems``
-    in walk order and returns the color of every edge whose color is in
-    range.
+    Appends the violations to ``problems`` in walk order: a color out of
+    range, an edge absent from its color, a color used twice.  Returns the
+    color of every edge whose color is in range, which a path's forest
+    check reads.
     """
     consecutive: dict[Edge, int] = {}
     seen_colors: set[int] = set()
@@ -507,11 +491,9 @@ def path_certificate_violations(
     ``forest`` (a RainbowLinearForest) is the fixed-forest context: each of
     its edges must appear consecutively in the order and carry exactly its
     fixed color.  With ``active`` (a vertex mask) the path must span exactly
-    those vertices instead of all of them.  After the permutation check a
-    path with no fixed edges takes the accept pass (``_walk_accepted``) and
-    returns at once when it passes; any other path goes through
-    ``_walk_violations``, whose messages come in walk order, then the
-    forest's, which read the edge colors it returns.
+    those vertices instead of all of them.  After the permutation check the
+    walk goes once through ``_walk_violations``, whose messages come in walk
+    order, then the forest's, which read the edge colors it returns.
     """
     n = collection.n_vertices
     order, coloring = cert.order, cert.coloring
@@ -519,10 +501,8 @@ def path_certificate_violations(
         span = f"0..{n - 1}" if active is None else "the active vertices"
         return [f"order is not a permutation of {span}"]
     problems: list[str] = []
-    fixed = {} if forest is None else forest.fixed_colors
-    if not fixed and _walk_accepted(collection, order, order[1:], coloring):
-        return problems
     consecutive = _walk_violations(collection, zip(order, order[1:], coloring), problems)
+    fixed = {} if forest is None else forest.fixed_colors
     for edge, color in fixed.items():
         if edge not in consecutive:
             problems.append(f"forest edge {edge} is not consecutive on the path")
@@ -536,14 +516,16 @@ def replay_derivation(collection: GraphCollection, derivation: RotationDerivatio
     """Check ``derivation`` and return its paths by sorted end pair, each
     read from its smaller end.
 
-    A seed is checked in full by ``path_certificate_violations``.  A step
-    is checked in O(1) given its parent: the parent is an earlier entry, the
-    side is 0 or 1, 0 <= p <= n-3, 0 <= c < m, the edge (order[p], back) is
-    in color c, and c is colors[p] or not a color of the parent path (each
-    entry's color mask is carried with its path).  No pair may be covered
-    twice.  The first entry at fault appends its problems to ``problems``
-    and ends the replay, as later steps may rotate its path; once every
-    entry passes, each pair that no entry covers is a problem.
+    A seed is checked in full by ``path_certificate_violations``.  Any
+    other entry must be a step, a tuple of four ints (a bool is not one),
+    and is checked in O(1) given its parent: the parent is an earlier
+    entry, the side is 0 or 1, 0 <= p <= n-3, 0 <= c < m, the edge
+    (order[p], back) is in color c, and c is colors[p] or not a color of
+    the parent path (each entry's color mask is carried with its path).
+    No pair may be covered twice.  The first entry at fault appends its
+    problems to ``problems`` and ends the replay, as later steps may rotate
+    its path; once every entry passes, each pair that no entry covers is a
+    problem.
 
     Every replayed path is then a rainbow Hamiltonian path, by induction
     over the entries.  A seed is checked in full.  A step's vertex list is
@@ -566,9 +548,12 @@ def replay_derivation(collection: GraphCollection, derivation: RotationDerivatio
             order, colors = tuple(entry.order), tuple(entry.coloring)
             mask = mask_of(colors)
         else:
-            parent, side, p, c = entry
+            # Any other shape unpacks to four Nones, which fail the type test.
+            parent, side, p, c = entry if type(entry) is tuple and len(entry) == 4 else (None,) * 4
             fault = None
-            if not 0 <= parent < index:
+            if not (type(parent) is type(side) is type(p) is type(c) is int):
+                fault = f"{entry!r} is not a seed path or a step of four ints"
+            elif not 0 <= parent < index:
                 fault = f"parent {parent} is not an earlier entry"
             elif side not in (0, 1):
                 fault = f"side {side} is not 0 or 1"
@@ -624,9 +609,8 @@ def validate_path_certificate(
 def cycle_certificate_violations(collection: GraphCollection, cert: CycleCertificate) -> list[str]:
     """All violated invariants of a cycle certificate, empty when valid.
 
-    Checks the permutation and n >= 3, then runs the accept pass over the
-    walk with its closing edge; only a walk it rejects goes through
-    ``_walk_violations`` for the messages.
+    Checks the permutation and n >= 3, then runs ``_walk_violations``
+    once over the walk with its closing edge.
     """
     n = collection.n_vertices
     order = cert.order
@@ -635,9 +619,7 @@ def cycle_certificate_violations(collection: GraphCollection, cert: CycleCertifi
     if n < 3:
         return ["a cycle needs at least 3 vertices"]
     problems: list[str] = []
-    ends = order[1:] + order[:1]
-    if not _walk_accepted(collection, order, ends, cert.coloring):
-        _walk_violations(collection, zip(order, ends, cert.coloring), problems)
+    _walk_violations(collection, zip(order, order[1:] + order[:1], cert.coloring), problems)
     return problems
 
 

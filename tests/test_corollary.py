@@ -17,7 +17,6 @@ from itertools import combinations
 
 import pytest
 
-import rainbowpath.model
 import rainbowpath.solver
 from rainbowpath import (
     GenSpec,
@@ -175,8 +174,8 @@ def test_rotated_path_is_checked_before_it_is_stored(monkeypatch):
 
 def _mutations(collection, derivation, rng):
     """(name, entries, the one expected problem) for mutations of a valid
-    derivation: one per step clause at steps drawn by ``rng``, then a
-    corrupted seed, a duplicated pair and a missing pair."""
+    derivation: one per step clause and malformed entries at steps drawn by
+    ``rng``, then a corrupted seed, a duplicated pair and a missing pair."""
     n, m = collection.n_vertices, collection.n_colors
     entries = derivation.entries
     _, states, pairs = _expand(derivation)
@@ -196,6 +195,12 @@ def _mutations(collection, derivation, rng):
         yield "negative pivot", at(parent, side, -1, c), f"step {i}: pivot -1 out of range [0,{n - 2})"
         yield "color m", at(parent, side, p, m), f"step {i}: color {m} out of range [0,{m})"
         yield "negative color", at(parent, side, p, -1), f"step {i}: color -1 out of range [0,{m})"
+        # Neither a seed nor a tuple of four ints, a bool side included.
+        for name, malformed in (("three fields", (0, 0, 0)), ("five fields", (0, 0, 0, 1, 5)),
+                                ("str field", ("0", 0, 0, 1)), ("None", None),
+                                ("float field", (0.0, 0, 0, 1)), ("bool side", (parent, False, p, c))):
+            yield (name, entries[:i] + (malformed,) + entries[i + 1:],
+                   f"step {i}: {malformed!r} is not a seed path or a step of four ints")
         order, colors = states[parent]
         if side == 1:
             order, colors = order[::-1], colors[::-1]
@@ -232,7 +237,7 @@ def test_every_derivation_mutation_is_rejected_with_its_message(n, seed):
         assert derivation_violations(coll, mutated) == [message], name
         assert certificate_violations(coll, mutated) == [message], name
         names.add(name)
-    assert len(names) == 14
+    assert len(names) == 20
 
 
 @pytest.mark.parametrize("n, seed", [(8, 1), (10, 2)])
@@ -279,22 +284,3 @@ def test_dense_collection_needs_one_pair_solve(monkeypatch, n, seed):
     assert res.kind == "connected" and len(res.paths) == n * (n - 1) // 2
     assert len(calls) <= PINNED_SOLVE_CALLS
 
-
-def test_valid_paths_take_the_accept_pass(monkeypatch):
-    # The message walk runs only for a certificate the accept pass rejects.
-    calls = []
-    walk = rainbowpath.model._walk_violations
-
-    def counting(*args):
-        calls.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(rainbowpath.model, "_walk_violations", counting)
-    coll = random_instance(GenSpec(n=24, k=0, p=0.7, seed=1))[0]
-    res = hamiltonian_or_connected(coll)
-    assert res.kind == "connected" and len(res.paths) == 276
-    assert calls == []
-    path = res.paths[(0, 1)]
-    spoiled = PathCertificate(path.order, path.coloring[:-1] + path.coloring[:1])
-    assert not verify_certificate(coll, spoiled)
-    assert len(calls) >= 1

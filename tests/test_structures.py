@@ -569,6 +569,31 @@ def test_nonempty_clause_rejects_an_empty_side(empty, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_partition_clause_rejects_an_uncovered_vertex(seed):
+    # K5 minus the edge 23 in every color: X = {2} and Y = {3} are cliques
+    # with no edge between them, both seen by the pair, but vertex 4 lies in
+    # neither side, and a 0-1 path runs through it.
+    n = 5
+    edges = [edge for edge in clique_edges(range(n)) if edge != (2, 3)]
+    perm = random.Random(seed).sample(range(n), n)
+    coll, _, pair = _relabelled(GraphCollection.from_edge_lists(n, [edges] * n), None, (0, 1), perm)
+    cert = ExtremalCertificate("B2", frozenset({perm[2]}), frozenset({perm[3]}), pair=pair)
+    assert certificate_violations(coll, cert) == ["X and Y do not partition the required vertex set"]
+    assert exact_rainbow_ham_path(coll, *pair).status == FOUND
+
+
+@pytest.mark.parametrize("kind, n", [("B2", 8), ("B2", 9), ("B3", 8), ("B3", 10)])
+@pytest.mark.parametrize("seed", range(3))
+def test_level_b_needs_the_blocked_pair(kind, n, seed):
+    # With no pair the hub is empty, and canonical B3's sides meet every
+    # other clause.
+    coll, forest, cert = _relabelled_family(kind, n, 0, seed)
+    assert certificate_violations(coll, replace(cert, pair=None), forest) == [
+        f"{kind} requires a blocked pair"
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_ell_clause_names_the_split_size(seed, delta):
     coll, _, cert = _relabelled_family("A2", 7, 0, seed)
