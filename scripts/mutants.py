@@ -118,6 +118,34 @@ MUTANTS = (
            "elif len(X) != (n + gap) // 2 or len(Y) != (n - gap) // 2:",
            "elif False:",
            ("tests/test_structures.py",)),
+    Mutant("hub-inside-x-unchecked", "structures.py",
+           "if not hub <= X:",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("c2-component-count-unchecked", "structures.py",
+           'if level != "A" and len(comps) != 2:',
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("level-a-identical-colors-unchecked", "structures.py",
+           "if any(row != collection.adjacency[0] for row in collection.adjacency[1:]):",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("heavy-side-y-independence-unchecked", "structures.py",
+           'within(Y, f"{kind} Y", edges=False)',
+           "pass",
+           ("tests/test_structures.py",)),
+    Mutant("level-c-checks-forest-colors", "structures.py",
+           "colors = [c for c in colors if c not in used]",
+           "colors = list(colors)",
+           ("tests/test_structures.py",)),
+    Mutant("pair-guard-unchecked", "structures.py",
+           "if cert.pair is not None and (len(cert.pair) != 2 or cert.pair[0] == cert.pair[1]):",
+           "if False:",
+           ("tests/test_structures.py",)),
+    Mutant("vertex-range-guard-unchecked", "structures.py",
+           "if outside:",
+           "if False:",
+           ("tests/test_structures.py",)),
     # The decoder's bit-matrix check reads column n as out of range.
     Mutant("check-bit-matrix-misses-column-n", "model.py",
            "if transpose >> n * stride:",

@@ -176,9 +176,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind:
         if given:
             raise InputError(f"{_flags(given)} apply only to the random models, not with --kind")
-        collection, meta = genmod.build_extremal(
-            args.kind, args.n, args.k, None if args.ell is None else {"ell": args.ell}
-        )
+        collection, meta = genmod.build_extremal(args.kind, args.n, args.k, ell=args.ell)
         forest = meta.get("forest")
         pair = meta.get("pair") or (None, None)
         data = serialize.instance_to_dict(

@@ -102,7 +102,7 @@ def _terminal_forest(k: int, u: int = 0, v: int = 1) -> tuple[RainbowLinearFores
     return forest, sorted(forest.vertices())
 
 
-def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) -> tuple[GraphCollection, dict]:
+def build_extremal(kind: str, n: int, k: int = 0, ell: int | None = None) -> tuple[GraphCollection, dict]:
     """Canonical instance of one named extremal family, with its certificate.
 
     Metadata carries the matching ExtremalCertificate (when one exists), the
@@ -112,8 +112,8 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
     a negative control: it misses the sigma2 >= n bound on purpose.  Each
     family is one graph built from vertex-set masks, shared by all of its
     colors (C2 and C3 make the first k colors complete instead).
+    ``ell``, when given, sets |X| for A2, B2 and C2; other kinds ignore it.
     """
-    params = params or {}
     if kind not in EXTREMAL_KINDS:
         raise InputError(f"unknown extremal kind {kind!r}; choose from {EXTREMAL_KINDS}")
     if k != 0 and kind not in ("C2", "C3"):
@@ -122,7 +122,7 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
     if kind == "A2":
         if n < 2:
             raise InputError("A2 needs n >= 2")
-        ell = params.get("ell", n // 2)
+        ell = n // 2 if ell is None else ell
         if not 1 <= ell <= n - 1:
             raise InputError(f"ell={ell} out of range [1,{n - 1}]")
         X = frozenset(range(ell))
@@ -138,7 +138,7 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
         if n < 4:
             raise InputError("B2 needs n >= 4")
         inner = n - 2
-        ell = params.get("ell", (inner + 1) // 2)
+        ell = (inner + 1) // 2 if ell is None else ell
         if not 1 <= ell <= inner - 1:
             raise InputError(f"ell={ell} out of range [1,{inner - 1}]")
         pair = (0, 1)
@@ -158,7 +158,7 @@ def build_extremal(kind: str, n: int, k: int = 0, params: dict | None = None) ->
             raise InputError(f"C2 needs n >= k+4, got n={n}, k={k}")
         forest, d_set = _terminal_forest(k)
         rest = [x for x in range(n) if x not in d_set]
-        ell = params.get("ell", (len(rest) + 1) // 2)
+        ell = (len(rest) + 1) // 2 if ell is None else ell
         if not 1 <= ell <= len(rest) - 1:
             raise InputError(f"ell={ell} out of range [1,{len(rest) - 1}]")
         pair = (0, 1)

@@ -129,7 +129,9 @@ class GraphCollection:
         (Dirac's condition implies Ore's: a non-adjacent pair's degree sum is
         at least 2·δ), and only else is its exact sigma2 computed, once per
         row tuple, and kept.  So the answer is the exact sigma2's for every
-        bound, and a seeded collection reads its values alone.
+        bound, and a seeded collection reads its values alone.  Seeded values
+        keep their own branch, not the per-row table: filling that table
+        would build a dict and a floors tuple for every seeded collection.
         """
         colors = range(self.n_colors) if colors is None else colors
         known = self.__dict__.get("sigma2s")

@@ -203,57 +203,12 @@ def _assert_stage(wp: WorkingPath, expect_unused: int, expect_len: int, stage: s
 # Case 1: absorption and terminal attachment
 # ---------------------------------------------------------------------------
 
-def _absorb_one(
-    wp: WorkingPath,
-    comp: tuple[int, ...],
-    collection: GraphCollection,
-    ore_bound: int,
-    trace: list[dict],
-) -> WorkingPath:
-    vt, wt = comp[0], comp[-1]
-    S = sorted(wp.unused_colors())
-    if len(S) != 3:
-        raise InternalError(f"absorption started with {len(S)} unused colors, expected 3")
-    rc = list(reversed(comp))  # [wt ... vt]
-    mode, p, cut, joins = "end", None, [], []
-    if wp.order[-1] == vt:
-        new_order = wp.order + list(comp[1:])
-    elif wp.order[0] == vt:
-        new_order = rc[:-1] + wp.order
-    else:
-        found = _join(collection, wp, [wp.order, wp.order[::-1]], S, wt, ore_bound)
-        if found is None:
-            raise InternalError(
-                f"absorption of component {comp} found no rotation window; "
-                "the degree-sum argument guarantees one",
-                bundle={"order": list(wp.order), "component": list(comp)},
-            )
-        order, mode, p, joins = found
-        j = order.index(vt)
-        if p < j:
-            new_order = order[p + 1 : j][::-1] + order[: p + 1] + rc + order[j + 1 :]
-            cut = [(order[j - 1], vt)]
-        else:
-            new_order = order[j + 1 : p + 1] + rc + order[j - 1 :: -1] + order[p + 1 :]
-            cut = [(vt, order[j + 1])]
-        if p >= 0:
-            cut.append((order[p], order[p + 1]))
-        # At p = j-1 and p = j the window edge is the one cut at vt; the join
-        # there would touch vt, which keeps a single path edge.
-        joins = [(edge, color) for edge, color in joins if vt not in edge]
-
-    new_wp = _splice(wp, comp, new_order, cut, joins)
-    _assert_stage(new_wp, 3, len(wp.order) + len(comp) - 1, f"absorb {comp}")
-    _record(
-        trace,
-        stage="absorb",
-        component=list(comp),
-        mode=mode,
-        position=p if mode == "rotation" else None,
-        unused_after=3,
-        length_after=len(new_wp.order),
-        forest_edges_on_path=new_wp.forest_edges_on_path(),
-    )
+def _stage_record(trace: list[dict], stage: str, comp: tuple[int, ...], mode: str,
+                  p: int | None, new_wp: WorkingPath, unused_after: int) -> WorkingPath:
+    """Write one case-1 stage's trace record and return the stage's new path."""
+    _record(trace, stage=stage, component=list(comp), mode=mode,
+            position=p if mode == "rotation" else None, unused_after=unused_after,
+            length_after=len(new_wp.order), forest_edges_on_path=new_wp.forest_edges_on_path())
     return new_wp
 
 
@@ -268,11 +223,46 @@ def absorb_components(
 
     Components are oriented kept-endpoint first; each has that endpoint on the
     path already.  Absorption order is by component index (smallest first);
-    the growth argument does not depend on the order.
+    the growth argument does not depend on the order.  Each absorption writes
+    one "absorb" record through `_stage_record`, as each attachment does.
     """
     trace = trace if trace is not None else []
     for comp in components:
-        wp = _absorb_one(wp, comp, collection, ore_bound, trace)
+        vt, wt = comp[0], comp[-1]
+        S = sorted(wp.unused_colors())
+        if len(S) != 3:
+            raise InternalError(f"absorption started with {len(S)} unused colors, expected 3")
+        rc = list(reversed(comp))  # [wt ... vt]
+        mode, p, cut, joins = "end", None, [], []
+        if wp.order[-1] == vt:
+            new_order = wp.order + list(comp[1:])
+        elif wp.order[0] == vt:
+            new_order = rc[:-1] + wp.order
+        else:
+            found = _join(collection, wp, [wp.order, wp.order[::-1]], S, wt, ore_bound)
+            if found is None:
+                raise InternalError(
+                    f"absorption of component {comp} found no rotation window; "
+                    "the degree-sum argument guarantees one",
+                    bundle={"order": list(wp.order), "component": list(comp)},
+                )
+            order, mode, p, joins = found
+            j = order.index(vt)
+            if p < j:
+                new_order = order[p + 1 : j][::-1] + order[: p + 1] + rc + order[j + 1 :]
+                cut = [(order[j - 1], vt)]
+            else:
+                new_order = order[j + 1 : p + 1] + rc + order[j - 1 :: -1] + order[p + 1 :]
+                cut = [(vt, order[j + 1])]
+            if p >= 0:
+                cut.append((order[p], order[p + 1]))
+            # At p = j-1 and p = j the window edge is the one cut at vt; the join
+            # there would touch vt, which keeps a single path edge.
+            joins = [(edge, color) for edge, color in joins if vt not in edge]
+
+        new_wp = _splice(wp, comp, new_order, cut, joins)
+        _assert_stage(new_wp, 3, len(wp.order) + len(comp) - 1, f"absorb {comp}")
+        wp = _stage_record(trace, "absorb", comp, mode, p, new_wp, 3)
     return wp
 
 
@@ -324,17 +314,8 @@ def attach_terminal_component(
         _assert_stage(new_wp, 1, len(wp.order) + len(comp), "attach v")
         if new_wp.order[0] != endpoint:
             raise InternalError("v is not a path endpoint after attachment")
-    _record(
-        trace,
-        stage=f"attach_{endpoint_role}",
-        component=list(comp),
-        mode=mode,
-        position=p if mode == "rotation" else None,
-        unused_after=len(new_wp.unused_colors()),
-        length_after=len(new_wp.order),
-        forest_edges_on_path=new_wp.forest_edges_on_path(),
-    )
-    return new_wp
+    return _stage_record(trace, f"attach_{endpoint_role}", comp, mode, p, new_wp,
+                         len(new_wp.unused_colors()))
 
 
 # ---------------------------------------------------------------------------

@@ -800,6 +800,45 @@ class TestSuiteArguments:
         assert not report.exists()
 
 
+_K3 = instance_to_dict(complete_collection(3), u=0, v=2)
+
+
+# A "solve" entry carries the instance file's JSON in place of its path.
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--kind", "A2", "--n", "1"], "A2 needs n >= 2"),
+    (["gen", "--kind", "A2", "--n", "6", "--ell", "6"], "ell=6 out of range [1,5]"),
+    (["gen", "--kind", "A3", "--n", "5"], "A3 needs even n >= 4"),
+    (["gen", "--kind", "B2", "--n", "3"], "B2 needs n >= 4"),
+    (["gen", "--kind", "B2", "--n", "8", "--ell", "6"], "ell=6 out of range [1,5]"),
+    (["gen", "--kind", "C2", "--n", "5", "--k", "2"], "C2 needs n >= k+4, got n=5, k=2"),
+    (["gen", "--kind", "C2", "--n", "8", "--k", "2", "--ell", "4"], "ell=4 out of range [1,3]"),
+    (["gen", "--kind", "C3", "--n", "8", "--k", "2"],
+     "C3 needs n >= 3k+4 so the pair stays solvable, got n=8, k=2"),
+    (["gen", "--kind", "dirac_control", "--n", "2"], "dirac_control needs n >= 3"),
+    (["gen", "--n", "1"], "need n >= 2"),
+    (["gen", "--n", "10", "--k", "-1"], "need k >= 0"),
+    (["solve", {"n": 0, "m": 0, "graphs": []}], "need at least one vertex, got 0"),
+    (["solve", {"n": 0, "m": 0, "rows": []}], "need at least one vertex, got 0"),
+    (["solve", {"n": 3, "m": 1, "graphs": [[[0, 1], [1, 0]]]}], "duplicate edge (0,1) in color 0"),
+    (["solve", {"n": 3, "m": 1, "graphs": [[[0, 5]]]}], "edge (0,5) out of range in color 0"),
+    (["solve", [1, 2]], "an instance must be a JSON object"),
+    (["solve", {**_K3, "forest": {"components": [[]], "colors": []}}],
+     "malformed forest: empty component"),
+    (["solve", {**_K3, "forest": {"components": [[0, 1, 0]], "colors": [[0, 1, 0]]}}],
+     "malformed forest: component (0, 1, 0) repeats a vertex"),
+])
+def test_input_check_exits_two_with_its_line(tmp_path, capsys, argv, message):
+    if argv[0] == "solve":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ["solve", str(path)]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "out.json")]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "{inst}", "--out", "{dir}"],
     ["oracle", "{inst}", "--out", "{dir}"],

@@ -348,7 +348,7 @@ GENERATOR_DIGEST = "7f75573fa9c7a4b6eafe6b06d9ec149dc52bd7f89e091c9febc4b8f0537b
 
 def _generator_bytes():
     for kind, n, k, params in EXTREMAL_GRID:
-        coll, meta = build_extremal(kind, n, k, params)
+        coll, meta = build_extremal(kind, n, k, **(params or {}))
         u, v = meta["pair"] or (None, None)
         yield dumps(instance_to_dict(coll, meta["forest"], u, v, k))
     for spec in RANDOM_GRID:
@@ -365,7 +365,7 @@ class TestPinnedBytes:
         checked = 0
         for n in [*range(2, 21), 23, 26, 29, 32, 35, 38, 39, 40]:
             for kind, k, params in _valid_extremal_inputs(n):
-                coll, _meta = build_extremal(kind, n, k, params)
+                coll, _meta = build_extremal(kind, n, k, **(params or {}))
                 ref = _ref_extremal(kind, n, k, params)
                 assert coll.n_colors == ref.n_colors == n, (kind, n, k, params)
                 for color, (row, ref_row) in enumerate(zip(coll.adjacency, ref.adjacency)):
@@ -392,7 +392,7 @@ class TestSeededSigma2:
 
     def test_extremal_values_are_exact(self):
         for kind, n, k, params in EXTREMAL_GRID:
-            coll, _meta = build_extremal(kind, n, k, params)
+            coll, _meta = build_extremal(kind, n, k, **(params or {}))
             assert coll.sigma2s == tuple(row_sigma2(row) for row in coll.adjacency), (kind, n, k)
 
     def test_shared_rows_computed_once(self, monkeypatch):
