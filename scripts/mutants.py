@@ -75,6 +75,11 @@ MUTANTS = (
            "if collection.adjacency[first][end] & low:",
            "if low:",
            ("tests/test_solver.py::TestTryExtend",)),
+    # The adjacency check the case-2 and case-3 constructions lean on.
+    Mutant("assert-adjacent-unchecked", "solver.py",
+           "if missing:",
+           "if False:",
+           ("tests/test_constructions.py::test_construction_checks_the_forced_adjacency",)),
     # The extremal checker's neighbour-mask scans.
     Mutant("no-cross-ignores-vertex-0", "structures.py",
            "present = y_mask & collection.adjacency[c][a]",
@@ -172,19 +177,20 @@ MUTANTS = (
            "slack = bound",
            ("tests/test_oracle.py",)),
     # The exact search's other two cuts: a free set disconnected in the
-    # union graph, and a union independent set with 2|I| > k + 1.
+    # union graph, and a union independent set with 2|I| >= k + 1.
     Mutant("exact-search-no-connectivity-cut", "oracle.py",
            "if seen != avail:",
            "if False:",
            ("tests/test_oracle.py",)),
-    # Cutting at 2|I| = k + 1 is sound: in a state with a completion such
-    # an I holds every other vertex of the row, so before its last pick
-    # that vertex alone is left and the greedy's stop test has ended it.
+    # The union greedy's cut back at 2|I| > k + 1.  Both forms are sound: in
+    # a state with a completion an I with 2|I| = k + 1 holds every other
+    # vertex of the row, so before its last pick that vertex alone is left
+    # and the stop test has ended the greedy.
     Mutant("union-independent-set-cut-at-equality", "oracle.py",
-           "if 2 * picked > bound:",
            "if 2 * picked >= bound:",
+           "if 2 * picked > bound:",
            ("tests/test_oracle.py",),
-           equivalent="cuts only states with no completion; no status or order changes, "
+           equivalent="cuts fewer states, all without a completion; no status or order changes, "
                       "only the node counts of dead subtrees"),
     # The rows decoder takes lowercase hex only.
     Mutant("rows-decoder-takes-uppercase", "serialize.py",

@@ -21,6 +21,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from functools import cache
 
 from .forest import RainbowLinearForest, is_h_compatible
 from .model import (
@@ -188,6 +189,10 @@ def build_extremal(kind: str, n: int, k: int = 0, ell: int | None = None) -> tup
     return _identical(n, row, k), meta
 
 
+# The perturbed model's base family, read and never changed: built once per (kind, n, k).
+_family = cache(build_extremal)
+
+
 def _uniform_draws(rng: random.Random, count: int, p: float) -> bytearray:
     """``rng.random() < p`` drawn ``count`` times, as ASCII flags "1" and "0".
 
@@ -338,7 +343,7 @@ def random_instance(spec: GenSpec) -> tuple[GraphCollection, RainbowLinearForest
             masks = [_uniform_rows(rng, n, spec.p) for _color in range(n)]
             collection = _repaired_collection(n, masks, bound)
         elif spec.model == "perturbed_extremal":
-            base, meta = build_extremal(spec.extremal_kind, n, k)
+            base, meta = _family(spec.extremal_kind, n, k)
             masks = [list(row) for row in base.adjacency]
             known = list(base.sigma2s)  # unflipped colors keep the family's sigma2
             forest = meta["forest"] or RainbowLinearForest.empty()

@@ -108,17 +108,10 @@ class GraphCollection:
 
     @cached_property
     def sigma2s(self) -> tuple[float, ...]:
-        """The exact ``sigma2`` of every color, computed once: the collection
-        is immutable.  Colors that share one row tuple share one computation,
-        and a value ``sigma2_below`` computed is reused; ``seed_sigma2s`` can
-        supply the values instead."""
-        # One loop rather than ``_exact_sigma2`` per color: the perturbed
-        # generator reads this on every family collection it builds.
-        exact = self.__dict__.get("_sigma2_exact", {})
-        for color, row in enumerate(self.adjacency):
-            if id(row) not in exact:
-                exact[id(row)] = sigma2(self, color)
-        return tuple(exact[id(row)] for row in self.adjacency)
+        """The exact ``sigma2`` of every color by ``_exact_sigma2``, so once
+        per row tuple (the collection is immutable) and shared with
+        ``sigma2_below``; ``seed_sigma2s`` can supply the values instead."""
+        return tuple(map(self._exact_sigma2, range(self.n_colors)))
 
     def sigma2_below(self, bound: float, colors: Iterable[int] | None = None) -> Iterator[int]:
         """The colors among ``colors`` (default: all) whose ``sigma2`` is

@@ -118,8 +118,10 @@ def exact_search(
     outside ``reserved``, so it is a union edge, and segment edges never
     touch a free vertex; so no two vertices of I are next to each other in
     the row, and at most (k + 1) // 2 fit.  I is built greedily in
-    ascending degree into the spanned vertices off the tail, stopping once
-    it cannot grow past the bound.
+    ascending degree into the spanned vertices off the tail and stops once
+    it cannot grow past the bound; it cuts at 2|I| = k + 1 as well, since
+    with a completion such an I holds every other vertex of the row, so
+    before its last pick only that vertex is left and the greedy has stopped.
 
     The same count holds in a rainbow form.  An edge is private when
     exactly one color outside ``reserved`` holds it; the shared graph is
@@ -257,7 +259,7 @@ def exact_search(
         for bit, closed in by_degree:
             if rest & bit:
                 picked += 1
-                if 2 * picked > bound:
+                if 2 * picked >= bound:
                     return True
                 rest &= ~closed
                 if 2 * (picked + rest.bit_count()) <= bound:

@@ -522,9 +522,8 @@ def _assert_adjacent(collection: GraphCollection, plan: ReductionPlan, role: str
     """Every source vertex must see every target vertex in every retained color.
 
     The degree-sum hypothesis forces these adjacencies (for the deleted layer
-    once the reduced side has a non-adjacent pair); checked literally because
-    the constructions lean on them.
-    """
+    once the reduced side has a non-adjacent pair), and the constructions lean
+    on them; a blocked pair's certificate checks the same edges instead."""
     target_mask = mask_of(targets)
     for color in bits(plan.retained_mask):
         for s in sorted(sources):
@@ -555,11 +554,11 @@ def case2_construct(
     with the endpoint components.
     """
     trace = trace if trace is not None else []
-    _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
     if plan.q == 0:
         cert = _blocked(collection, plan, "2", X, Y)
         _record(trace, stage="case2", outcome="extremal")
         return cert
+    _assert_adjacent(collection, plan, "deleted", plan.deleted, set(X) | set(Y))
 
     anchors = {comp[0]: comp for comp in plan.middle_components}
     # The last side must end at a vertex with no pending detour.
@@ -950,12 +949,12 @@ def solve(
 
     # A3: heavy independent side.
     x_prime, y_side = set(dispatch.X), set(dispatch.Y)
-    _assert_adjacent(collection, plan, "heavy-side", y_side, x_prime | set(plan.deleted))
     X = x_prime | set(plan.deleted)
     if not plan.forest.vertices() & y_side:
         cert = _blocked(collection, plan, "3", frozenset(X), frozenset(y_side))
         _record(trace, stage="case3", outcome="extremal")
         return SolverOutcome(extremal=cert, trace=tuple(trace))
+    _assert_adjacent(collection, plan, "heavy-side", y_side, X)
     hprime = case3_extend_forest(collection, plan, x_prime)
     cert = case3_contract_and_route(collection, hprime, X, y_side, plan)
     # New edges that touch D are the top-up links; X'-internal ones do not.

@@ -39,6 +39,16 @@ def complete_collection(n: int, m: int | None = None) -> GraphCollection:
     return GraphCollection.from_edge_lists(n, [clique_edges(range(n))] * (m or n))
 
 
+def without_edge(collection, color: int, a: int, b: int) -> GraphCollection:
+    """``collection`` with edge ab taken out of one color; the others keep their rows."""
+    rows = list(collection.adjacency)
+    row = list(rows[color])
+    row[a] &= ~(1 << b)
+    row[b] &= ~(1 << a)
+    rows[color] = tuple(row)
+    return GraphCollection(collection.n_vertices, tuple(rows))
+
+
 def union_masks(collection) -> list[int]:
     """Per-vertex neighbour masks of the union graph over all colors."""
     masks = [0] * collection.n_vertices

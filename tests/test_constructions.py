@@ -15,6 +15,8 @@ import sys
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
+
 import rainbowpath.solver
 from rainbowpath import (
     FOUND,
@@ -23,6 +25,8 @@ from rainbowpath import (
     check_hypothesis,
     exact_rainbow_ham_path,
     is_h_compatible,
+    li2_dispatch,
+    select_deletion_set,
     solve,
     validate_path_certificate,
 )
@@ -31,7 +35,7 @@ from rainbowpath.model import Edge, GraphCollection, PathCertificate, bits, cano
 from rainbowpath.serialize import dumps, outcome_to_dict
 from rainbowpath.solver import _finish_path
 
-from .conftest import case2_family, case3_family, case3_tight_family
+from .conftest import case2_family, case3_family, case3_tight_family, without_edge
 
 CASE2_SEEDS = range(500)
 CASE3_SEEDS = range(1000)
@@ -485,6 +489,33 @@ def _routed(route, case):
         return route(*case)
     except InternalError as exc:
         return "error", str(exc), exc.bundle
+
+
+@pytest.mark.parametrize("family, seed, role, source, target, color", [
+    (case2_family, 0, "deleted", 0, 1, 12),
+    (case2_family, 1, "deleted", 2, 0, 8),
+    (case2_family, 2, "deleted", 0, 1, 6),
+    (case3_family, 0, "heavy-side", 0, 1, 15),
+    (case3_family, 1, "heavy-side", 0, 2, 9),
+    (case3_family, 2, "heavy-side", 1, 0, 6),
+])
+def test_construction_checks_the_forced_adjacency(family, seed, role, source, target, color,
+                                                  monkeypatch):
+    # Case 2 needs min(D) to see the lowest active vertex, case 3 needs
+    # min(Y) to see min(D); the edge goes from the highest retained color.
+    coll, forest, u, v, k = family(seed)
+    n = coll.n_vertices
+    plan = select_deletion_set(forest, u, v, n)
+    if family is case2_family:
+        a, b = min(plan.deleted), (plan.active & -plan.active).bit_length() - 1
+    else:
+        a, b = min(li2_dispatch(coll, plan.active, plan.retained_mask).Y), min(plan.deleted)
+    monkeypatch.setattr(rainbowpath.solver, "check_hypothesis", lambda *args: True)
+    with pytest.raises(InternalError) as info:
+        solve(without_edge(coll, n - 1, a, b), forest, u, v, k)
+    assert str(info.value) == (f"{role} vertex {source} misses {target} in retained color "
+                               f"{color}; the hypothesis forces this adjacency")
+    assert info.value.bundle == {"color": color, "pair": [source, target]}
 
 
 def test_arrangement_matches_backtracking(monkeypatch):

@@ -110,6 +110,27 @@ class TestRandomInstance:
         assert forest.edge_count == 2
         assert is_h_compatible(forest, u, v)
 
+    def test_perturbed_family_built_once(self):
+        # The perturbed model reads its base family from a per-process cache:
+        # a record built with the cache warm equals one built from a fresh family.
+        families = (("B2", 10, 0), ("B3", 10, 0), ("C2", 11, 1), ("C3", 11, 1))
+        specs = [GenSpec(n=n, k=k, model="perturbed_extremal", extremal_kind=kind,
+                         flips=flips, seed=seed)
+                 for kind, n, k in families for flips in range(4) for seed in range(4)]
+
+        def record(spec):
+            coll, forest, u, v = random_instance(spec)
+            return instance_to_dict(coll, forest, u, v, spec.k)
+
+        cold = []
+        for spec in specs:
+            gen._family.cache_clear()
+            cold.append(record(spec))
+        gen._family.cache_clear()
+        assert [record(spec) for spec in specs] == cold
+        assert len(specs) == 64
+        assert gen._family.cache_info().misses == len(families)
+
     def test_k_bound_enforced(self):
         with pytest.raises(InputError):
             random_instance(GenSpec(n=6, k=1, seed=0))

@@ -45,7 +45,7 @@ from rainbowpath.solver import (
 )
 from rainbowpath.structures import certificate_violations
 
-from .conftest import clique_edges, complete_collection, cross_edges
+from .conftest import clique_edges, complete_collection, cross_edges, without_edge
 
 
 def _mask_collection(n, lists):
@@ -622,6 +622,36 @@ class TestSolvePair:
         out = solve(coll, singletons, u, v)
         assert out.extremal is not None and out.extremal.kind == kind
         assert dumps(outcome_to_dict(out)) == dumps(outcome_to_dict(solve_pair(coll, u, v)))
+
+
+class TestBlockedPairAdjacency:
+    # The adjacencies the hypothesis forces around a blocked pair are the
+    # certificate's own clauses (B2/C2 forest adjacency with hub D, B3/C3
+    # bipartite completeness of X' + D against Y, in the retained colors),
+    # so ``_assert_adjacent`` does not read them first: the one check left
+    # is the certificate's.
+    @pytest.mark.parametrize("kind, n, k, message", [
+        ("B2", 9, 0, "B2 forest adjacency: edge (0,2) missing in color 8"),
+        ("B3", 10, 0, "B3 bipartite completeness: edge (0,5) missing in color 9"),
+        ("C2", 10, 1, "C2 forest adjacency: edge (0,3) missing in color 9"),
+        ("C3", 12, 2, "C3 bipartite completeness: edge (0,7) missing in color 11"),
+    ])
+    def test_checked_once_through_the_certificate(self, kind, n, k, message, monkeypatch):
+        calls = []
+        real = rainbowpath.solver._assert_adjacent
+        monkeypatch.setattr(rainbowpath.solver, "_assert_adjacent",
+                            lambda *args: calls.append(args) or real(*args))
+        coll, meta = build_extremal(kind, n, k)
+        cert, (u, v) = meta["certificate"], meta["pair"]
+        assert solve(coll, meta["forest"], u, v).extremal == cert
+        # u must see all of X + Y (level 2) or all of Y (level 3); the edge
+        # to the lowest such vertex goes from the highest retained color.
+        target = min(cert.X | cert.Y) if kind.endswith("2") else min(cert.Y)
+        monkeypatch.setattr(rainbowpath.solver, "check_hypothesis", lambda *args: True)
+        with pytest.raises(InternalError) as info:
+            solve(without_edge(coll, n - 1, u, target), meta["forest"], u, v)
+        assert str(info.value) == f"derived {kind} certificate fails verification: {message}"
+        assert calls == []
 
 
 class TestHamiltonianOrConnected:
